@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .freealg import Alphabet, NcPoly, commutator, ordered_product
-from .report import Clause, VerificationReport, report_from_clauses
+from .report import Clause, VerificationReport, parity_clauses, report_from_clauses
 from .rewrite import (
     RelationPreset,
     cached_preset,
@@ -115,20 +115,11 @@ class BinomialSpec:
         return build_binomial_alt(self.n, self.lam, self.u(), self.d())
 
 
-@dataclass(frozen=True)
-class ExpectedForm:
-    """Tagged closed form: 'zero', 'double-factorial-power', or 'product-form'."""
-
-    tag: str
-    payload: NcPoly
-
-
-def expected_even_restriction(n: int, base: NcPoly, preset: RelationPreset) -> ExpectedForm:
+def expected_even_restriction(n: int, base: NcPoly, preset: RelationPreset) -> NcPoly:
     """(n-1)!! * base^(n/2), normalized; the even-case closed form."""
     if n % 2 != 0 or n <= 0:
         raise ValueError("even-case closed form needs even n > 0")
-    payload = normalize(double_factorial(n - 1) * base ** (n // 2), preset)
-    return ExpectedForm("double-factorial-power", payload)
+    return normalize(double_factorial(n - 1) * base ** (n // 2), preset)
 
 
 # ---- symbolic verifiers --------------------------------------------------
@@ -140,11 +131,8 @@ def verify_u_independence(n: int, lam) -> VerificationReport:
     preset = cached_preset("first-order-plus", lam)
     spec = BinomialSpec(n, lam, preset)
     lhs = normalize(spec.build(), preset)
-    expected = ExpectedForm(
-        "product-form", normalize(falling_product(n, lam, spec.d()), preset)
-    )
     clauses = [
-        Clause("product-form", lhs, expected.payload),
+        Clause("product-form", lhs, normalize(falling_product(n, lam, spec.d()), preset)),
         Clause("no-U", NcPoly.scalar(preset.alphabet, lhs.letter_degree("U")),
                NcPoly.zero(preset.alphabet)),
     ]
@@ -175,12 +163,9 @@ def verify_minus_commutator_theorem(n: int, lam) -> VerificationReport:
     b = spec.build()
     restricted = restrict_to_kernel(b, preset)
     zero = NcPoly.zero(preset.alphabet)
-    clauses = []
-    if n % 2 == 1:
-        clauses.append(Clause("odd-vanishes", restricted, zero))
-    elif n > 0:
-        expected = expected_even_restriction(n, (-2 * lam) * spec.u(), preset)
-        clauses.append(Clause("even-closed-form", restricted, expected.payload))
+    clauses = parity_clauses(
+        n, restricted, zero, lambda: expected_even_restriction(n, (-2 * lam) * spec.u(), preset)
+    )
     unit = preset.unit()
     shifted = restrict_to_kernel((2 * spec.d() + (lam * n) * unit) * b, preset)
     clauses.append(Clause("shifted-vanishes", shifted, zero))
@@ -222,11 +207,9 @@ def verify_second_commutator_theorem(n: int, lam) -> VerificationReport:
     restricted = restrict_to_kernel(b, preset)
     zero = NcPoly.zero(preset.alphabet)
     clauses = [Clause("c-names-commutator", normalize(commutator(d, u), preset), c)]
-    if n % 2 == 1:
-        clauses.append(Clause("odd-vanishes", restricted, zero))
-    elif n > 0:
-        expected = expected_even_restriction(n, c - lam * u, preset)
-        clauses.append(Clause("even-closed-form", restricted, expected.payload))
+    clauses += parity_clauses(
+        n, restricted, zero, lambda: expected_even_restriction(n, c - lam * u, preset)
+    )
     shifted = restrict_to_kernel((2 * d + (lam * n) * unit) * b, preset)
     clauses.append(Clause("shifted-vanishes", shifted, zero))
     if lam.is_zero and n >= 3:

@@ -1,18 +1,21 @@
 """Command-line harness: expand expressions, run verification suites.
 
 Exit codes: 0 when every non-skipped case passes, 1 when any case fails,
-2 on usage or literal-parse errors.  Output is deterministic: identical
-flags and seed give byte-identical output, regardless of --jobs.
+2 on usage or literal-parse errors, out-of-range flags and runs with no
+cases; flags are checked before any case runs.  Output is deterministic:
+identical flags and seed give byte-identical output, regardless of --jobs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import binomial, realize
 from .report import FAIL, PASS, VerificationReport, skipped_report
@@ -25,45 +28,23 @@ from .rewrite import (
     normalize,
 )
 from .freealg import NcPoly
-from .scalars import ScalarParseError, ZERO, format_scalar, parse_scalar
+from .scalars import IMAG, OMEGA, ZERO, format_scalar, parse_scalar
 
 DEFAULT_SEED = 1729
 DEFAULT_CONFLUENCE_DEGREE = 6
 
 BASE_LAMBDAS = ("1", "2", "-3", "1/2", "i", "1+i")
 
-# suite name -> (default n_max, default lambda literals or None, needs nonzero lambda)
-SUITE_META: dict[str, tuple[int | None, tuple[str, ...] | None, bool]] = {
-    "thm-nou": (10, BASE_LAMBDAS + ("0",), False),
-    "rec-3": (10, BASE_LAMBDAS, False),
-    "thm-wrongsign": (10, BASE_LAMBDAS, True),
-    "rec-6": (8, BASE_LAMBDAS, True),
-    "thm-2nd": (8, BASE_LAMBDAS + ("0",), False),
-    "rec-7": (8, None, False),
-    "cor-kernel": (8, BASE_LAMBDAS, False),
-    "cor-vw": (8, BASE_LAMBDAS, False),
-    "lemma-l2": (10, BASE_LAMBDAS + ("0",), False),
-    "lemma-l3": (8, BASE_LAMBDAS, False),
-    "lemma-eq5": (8, None, False),
-    "final-remark": (8, BASE_LAMBDAS, False),
-    "exp": (8, BASE_LAMBDAS, False),
-    "sin": (8, BASE_LAMBDAS, True),
-    "linear": (8, None, False),
-    "chvar-gauss": (6, BASE_LAMBDAS, True),
-    "chvar-log": (6, BASE_LAMBDAS, True),
-    "vector": (6, BASE_LAMBDAS, False),
-    "eq5-matrix": (6, None, False),
-    "third-order": (5, ("1",), True),
-    "confluence": (None, None, False),
-}
-
-SUITE_ORDER = tuple(SUITE_META)
-
 VW_MU_SAMPLES = ("0", "2")
 LINEAR_AB_SAMPLES = ((1, 0), (2, 5))
 EQ5_DIMS = (2, 3)
 EQ5_SEEDS = (7, 42)
 VECTOR_DIMS = (2, 3)
+
+NONZERO_LAMBDA = "hypothesis requires lambda != 0"
+
+# smallest value of each flag, whatever the suite
+FLAG_MINIMUMS = {"n_max": 0, "j": 0, "jobs": 1}
 
 
 @dataclass(frozen=True)
@@ -77,142 +58,206 @@ class SuiteConfig:
     jobs: int = 1
 
 
-def _canonical_lambdas(suite: str, cfg: SuiteConfig) -> tuple[str, ...]:
-    _, default, _ = SUITE_META[suite]
-    literals = cfg.lambdas if cfg.lambdas is not None else (default or ())
-    return tuple(format_scalar(parse_scalar(s)) for s in literals)
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite: its defaults, its case grid and its runner."""
+
+    n_max: int | None  # default degree bound; None when the grid has no degree
+    lambdas: tuple[str, ...] | None  # default lambda literals; None: takes no lambda
+    grid: Callable  # (suite, n_max, lambda literals, cfg) -> list of case dicts
+    run: Callable  # (case, parsed lambda) -> VerificationReport
+    minimums: dict = field(default_factory=dict)  # SuiteConfig field -> smallest value
 
 
-def _suite_n_max(suite: str, cfg: SuiteConfig) -> int:
-    default, _, _ = SUITE_META[suite]
-    if cfg.n_max is not None:
-        return cfg.n_max
-    return default if default is not None else 0
+def _seed(cfg: SuiteConfig) -> int:
+    return cfg.seed if cfg.seed is not None else DEFAULT_SEED
+
+
+def _js(n: int, cfg: SuiteConfig) -> list[int]:
+    return [cfg.j] if cfg.j is not None else list(range(n))
+
+
+def _lambda_grid(min_n: int, nonzero: bool = False) -> Callable:
+    """n from min_n for each lambda; lambda = 0 is skipped when `nonzero`."""
+
+    def grid(suite, n_max, lambdas, cfg):
+        cases = []
+        for lam in lambdas:
+            skip = nonzero and parse_scalar(lam).is_zero
+            for n in range(min_n, n_max + 1):
+                cases.append({"suite": suite, "n": n, "lambda": lam})
+                if skip:
+                    cases[-1]["skip"] = NONZERO_LAMBDA
+        return cases
+
+    return grid
+
+
+def _degree_grid(min_n: int) -> Callable:
+    return lambda suite, n_max, lambdas, cfg: [
+        {"suite": suite, "n": n} for n in range(min_n, n_max + 1)
+    ]
+
+
+def _kernel_grid(suite, n_max, lambdas, cfg):
+    return [{"suite": suite, "n": n, "lambda": lam, "j": j}
+            for lam in lambdas for n in range(0, n_max + 1) for j in _js(n, cfg)]
+
+
+def _vw_grid(suite, n_max, lambdas, cfg):
+    cases = []
+    for lam in lambdas:
+        for n in range(0, n_max + 1):
+            cases += [{"suite": suite, "n": n, "lambda": lam, "mu": mu, "variant": "abstract"}
+                      for mu in VW_MU_SAMPLES]
+            # function-space check grows fast; degree 6 already covers the claim
+            if n <= 6:
+                cases.append({"suite": suite, "n": n, "lambda": lam, "seed": _seed(cfg),
+                              "variant": "realized"})
+    return cases
+
+
+def _exp_grid(suite, n_max, lambdas, cfg):
+    return [{"suite": suite, "n": n, "lambda": lam, "j": j}
+            for lam in lambdas for n in range(0, n_max + 1)
+            for j in ([None] if n == 0 else _js(n, cfg)) if j is None or j <= n - 1]
+
+
+def _linear_grid(suite, n_max, lambdas, cfg):
+    return [{"suite": suite, "n": n, "a": a, "b": b}
+            for a, b in LINEAR_AB_SAMPLES for n in range(0, n_max + 1)]
+
+
+def _chvar_grid(suite, n_max, lambdas, cfg):
+    cases = []
+    for lam in lambdas:
+        zero_lam = parse_scalar(lam).is_zero
+        for n in range(1, n_max + 1):
+            for j in _js(n, cfg):
+                if j <= n - 1:
+                    cases.append({"suite": suite, "n": n, "lambda": lam, "j": j})
+                    if zero_lam:
+                        cases[-1]["skip"] = NONZERO_LAMBDA
+    return cases
+
+
+def _vector_grid(suite, n_max, lambdas, cfg):
+    dims = (cfg.m,) if cfg.m is not None else VECTOR_DIMS
+    seed = _seed(cfg)
+    cases = []
+    for item in range(1, 8):
+        for lam in lambdas:
+            zero_lam = parse_scalar(lam).is_zero
+            for n in range(0, n_max + 1):
+                for m in dims:
+                    cases.append({"suite": suite, "item": item, "n": n,
+                                  "lambda": lam, "m": m, "seed": seed})
+                    if zero_lam and item in (5, 6, 7):
+                        cases[-1]["skip"] = "sine items need lambda != 0"
+    cases += [{"suite": suite, "item": 8, "n": n, "m": m, "seed": seed}
+              for n in range(0, n_max + 1) for m in dims]
+    return cases
+
+
+def _eq5_grid(suite, n_max, lambdas, cfg):
+    dims = (cfg.m,) if cfg.m is not None else EQ5_DIMS
+    seeds = (cfg.seed,) if cfg.seed is not None else EQ5_SEEDS
+    return [{"suite": suite, "n": n, "dim": dim, "seed": s}
+            for n in range(0, n_max + 1) for dim in dims for s in seeds]
+
+
+def _third_order_grid(suite, n_max, lambdas, cfg):
+    cases = []
+    for lam_text in lambdas:
+        lam = parse_scalar(lam_text)
+        if lam.is_zero:
+            cases.append({"suite": suite, "n": 3, "lambda": lam_text,
+                          "skip": "scan needs lambda != 0"})
+            continue
+        mus = (lam, OMEGA * lam, OMEGA * OMEGA * lam, IMAG * lam)
+        cases += [{"suite": suite, "n": n, "lambda": lam_text, "mu": format_scalar(mu)}
+                  for n in range(3, n_max + 1, 2) for mu in mus]
+    return cases
+
+
+def _confluence_grid(suite, n_max, lambdas, cfg):
+    return [{"suite": suite, "preset": name, "degree": cfg.degree} for name in PRESET_NAMES]
+
+
+def _confluence_report(suite: str, params: dict, preset, degree: int) -> VerificationReport:
+    conf = check_confluence(preset, degree)
+    return VerificationReport(
+        suite, params, PASS if conf.ok else FAIL,
+        f"words-checked: {conf.words_checked}", "confluent", "0" if conf.ok else str(conf),
+    )
+
+
+WITH_ZERO = BASE_LAMBDAS + ("0",)
+
+# Runners look verifiers up on their module at call time, so that a
+# rebinding of, say, binomial.verify_u_independence is seen here.
+SUITES: dict[str, Suite] = {
+    "thm-nou": Suite(10, WITH_ZERO, _lambda_grid(0),
+                     lambda c, lam: binomial.verify_u_independence(c["n"], lam)),
+    "rec-3": Suite(10, BASE_LAMBDAS, _lambda_grid(1),
+                   lambda c, lam: binomial.verify_ascending_recurrence(c["n"], lam)),
+    "thm-wrongsign": Suite(10, BASE_LAMBDAS, _lambda_grid(0, nonzero=True),
+                           lambda c, lam: binomial.verify_minus_commutator_theorem(c["n"], lam)),
+    "rec-6": Suite(8, BASE_LAMBDAS, _lambda_grid(2, nonzero=True),
+                   lambda c, lam: binomial.verify_minus_recurrence(c["n"], lam)),
+    "thm-2nd": Suite(8, WITH_ZERO, _lambda_grid(0),
+                     lambda c, lam: binomial.verify_second_commutator_theorem(c["n"], lam)),
+    "rec-7": Suite(8, None, _degree_grid(3),
+                   lambda c, lam: binomial.verify_central_recurrence(c["n"])),
+    "cor-kernel": Suite(8, BASE_LAMBDAS, _kernel_grid,
+                        lambda c, lam: binomial.verify_kernel_vectors(c["n"], lam, c["j"])),
+    "cor-vw": Suite(8, BASE_LAMBDAS, _vw_grid, lambda c, lam: (
+        binomial.verify_w_independence(c["n"], lam, parse_scalar(c["mu"]))
+        if c["variant"] == "abstract"
+        else realize.verify_w_independence_realized(c["n"], lam, c["seed"]))),
+    "lemma-l2": Suite(10, WITH_ZERO, _lambda_grid(1),
+                      lambda c, lam: binomial.verify_alt_expansion(c["n"], lam)),
+    "lemma-l3": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
+                      lambda c, lam: binomial.verify_inverse_factorization(c["n"], lam)),
+    "lemma-eq5": Suite(8, None, _degree_grid(0),
+                       lambda c, lam: binomial.verify_shift_binomial(c["n"])),
+    "final-remark": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
+                          lambda c, lam: binomial.verify_noncommuting_binomial_form(c["n"], lam)),
+    "exp": Suite(8, BASE_LAMBDAS, _exp_grid,
+                 lambda c, lam: realize.verify_exponential(c["n"], lam, c["j"])),
+    "sin": Suite(8, BASE_LAMBDAS, _lambda_grid(0, nonzero=True),
+                 lambda c, lam: realize.verify_sine(c["n"], lam)),
+    "linear": Suite(8, None, _linear_grid,
+                    lambda c, lam: realize.verify_linear(c["n"], c["a"], c["b"])),
+    "chvar-gauss": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
+        realize.verify_change_of_variables(c["n"], lam, c["j"], "gauss"))),
+    "chvar-log": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
+        realize.verify_change_of_variables(c["n"], lam, c["j"], "log"))),
+    "vector": Suite(6, BASE_LAMBDAS, _vector_grid, lambda c, lam: (
+        realize.verify_vector_item(c["item"], c["n"], lam, c["m"], c["seed"])), {"m": 1}),
+    "eq5-matrix": Suite(6, None, _eq5_grid, lambda c, lam: (
+        realize.verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])), {"m": 2}),
+    "third-order": Suite(5, ("1",), _third_order_grid, lambda c, lam: (
+        realize.third_order_scan([c["n"]], lam, [parse_scalar(c["mu"])])[0])),
+    "confluence": Suite(None, None, _confluence_grid, lambda c, lam: _confluence_report(
+        c["suite"], {"preset": c["preset"], "degree": c["degree"]},
+        cached_preset(c["preset"], 1, 2), c["degree"]), {"degree": 3}),
+}
+
+SUITE_ORDER = tuple(SUITES)
 
 
 def iter_cases(suite: str, cfg: SuiteConfig) -> list[dict]:
     """Deterministic case list for one suite."""
-    if suite not in SUITE_META:
+    entry = SUITES.get(suite)
+    if entry is None:
         raise ValueError(f"unknown suite {suite!r}")
-    n_max = _suite_n_max(suite, cfg)
-    lambdas = _canonical_lambdas(suite, cfg)
-    _, _, needs_nonzero = SUITE_META[suite]
-    seed = cfg.seed if cfg.seed is not None else DEFAULT_SEED
-    cases: list[dict] = []
-
-    def lam_cases(min_n: int, extra=None):
-        for lam in lambdas:
-            zero_lam = parse_scalar(lam).is_zero
-            for n in range(min_n, n_max + 1):
-                case = {"suite": suite, "n": n, "lambda": lam}
-                if extra:
-                    case.update(extra)
-                if zero_lam and needs_nonzero:
-                    case["skip"] = "hypothesis requires lambda != 0"
-                cases.append(case)
-
-    if suite in ("thm-nou", "thm-wrongsign", "thm-2nd", "lemma-l3", "final-remark"):
-        lam_cases(0)
-    elif suite in ("rec-3", "lemma-l2"):
-        lam_cases(1)
-    elif suite == "rec-6":
-        lam_cases(2)
-    elif suite == "rec-7":
-        cases.extend({"suite": suite, "n": n} for n in range(3, n_max + 1))
-    elif suite == "cor-kernel":
-        for lam in lambdas:
-            for n in range(0, n_max + 1):
-                js = [cfg.j] if cfg.j is not None else list(range(n))
-                for j in js:
-                    cases.append({"suite": suite, "n": n, "lambda": lam, "j": j})
-    elif suite == "cor-vw":
-        for lam in lambdas:
-            for n in range(0, n_max + 1):
-                for mu in VW_MU_SAMPLES:
-                    cases.append(
-                        {"suite": suite, "n": n, "lambda": lam, "mu": mu, "variant": "abstract"}
-                    )
-                # function-space check grows fast; degree 6 already covers the claim
-                if n <= 6:
-                    cases.append(
-                        {"suite": suite, "n": n, "lambda": lam, "seed": seed,
-                         "variant": "realized"}
-                    )
-    elif suite == "lemma-eq5":
-        cases.extend({"suite": suite, "n": n} for n in range(0, n_max + 1))
-    elif suite == "exp":
-        for lam in lambdas:
-            for n in range(0, n_max + 1):
-                js = [None] if n == 0 else (
-                    [cfg.j] if cfg.j is not None else list(range(n))
-                )
-                for j in js:
-                    if j is not None and j > n - 1:
-                        continue
-                    cases.append({"suite": suite, "n": n, "lambda": lam, "j": j})
-    elif suite == "sin":
-        lam_cases(0)
-    elif suite == "linear":
-        for a, b in LINEAR_AB_SAMPLES:
-            for n in range(0, n_max + 1):
-                cases.append({"suite": suite, "n": n, "a": a, "b": b})
-    elif suite in ("chvar-gauss", "chvar-log"):
-        for lam in lambdas:
-            zero_lam = parse_scalar(lam).is_zero
-            for n in range(1, n_max + 1):
-                js = [cfg.j] if cfg.j is not None else list(range(n))
-                for j in js:
-                    if j > n - 1:
-                        continue
-                    case = {"suite": suite, "n": n, "lambda": lam, "j": j}
-                    if zero_lam and needs_nonzero:
-                        case["skip"] = "hypothesis requires lambda != 0"
-                    cases.append(case)
-    elif suite == "vector":
-        dims = (cfg.m,) if cfg.m is not None else VECTOR_DIMS
-        for item in range(1, 8):
-            for lam in lambdas:
-                zero_lam = parse_scalar(lam).is_zero
-                for n in range(0, n_max + 1):
-                    for m in dims:
-                        case = {
-                            "suite": suite, "item": item, "n": n,
-                            "lambda": lam, "m": m, "seed": seed,
-                        }
-                        if zero_lam and item in (5, 6, 7):
-                            case["skip"] = "sine items need lambda != 0"
-                        cases.append(case)
-        for n in range(0, n_max + 1):
-            for m in dims:
-                cases.append({"suite": suite, "item": 8, "n": n, "m": m, "seed": seed})
-    elif suite == "eq5-matrix":
-        dims = (cfg.m,) if cfg.m is not None else EQ5_DIMS
-        seeds = (cfg.seed,) if cfg.seed is not None else EQ5_SEEDS
-        for n in range(0, n_max + 1):
-            for dim in dims:
-                for s in seeds:
-                    cases.append({"suite": suite, "n": n, "dim": dim, "seed": s})
-    elif suite == "third-order":
-        for lam_text in lambdas:
-            lam = parse_scalar(lam_text)
-            if lam.is_zero:
-                cases.append(
-                    {"suite": suite, "n": 3, "lambda": lam_text,
-                     "skip": "scan needs lambda != 0"}
-                )
-                continue
-            from .scalars import IMAG, OMEGA
-
-            mus = (lam, OMEGA * lam, OMEGA * OMEGA * lam, IMAG * lam)
-            for n in range(3, n_max + 1, 2):
-                for mu in mus:
-                    cases.append(
-                        {"suite": suite, "n": n, "lambda": lam_text, "mu": format_scalar(mu)}
-                    )
-    elif suite == "confluence":
-        for name in PRESET_NAMES:
-            cases.append({"suite": suite, "preset": name, "degree": cfg.degree})
-    return cases
+    n_max = cfg.n_max if cfg.n_max is not None else entry.n_max
+    literals = () if entry.lambdas is None else (
+        cfg.lambdas if cfg.lambdas is not None else entry.lambdas
+    )
+    lambdas = tuple(format_scalar(parse_scalar(s)) for s in literals)
+    return entry.grid(suite, n_max, lambdas, cfg)
 
 
 def run_case(case: dict) -> VerificationReport:
@@ -222,63 +267,30 @@ def run_case(case: dict) -> VerificationReport:
         params = {k: v for k, v in case.items() if k not in ("suite", "skip")}
         return skipped_report(suite, params, case["skip"])
     lam = parse_scalar(case["lambda"]) if "lambda" in case else ZERO
-    if suite == "thm-nou":
-        return binomial.verify_u_independence(case["n"], lam)
-    if suite == "rec-3":
-        return binomial.verify_ascending_recurrence(case["n"], lam)
-    if suite == "thm-wrongsign":
-        return binomial.verify_minus_commutator_theorem(case["n"], lam)
-    if suite == "rec-6":
-        return binomial.verify_minus_recurrence(case["n"], lam)
-    if suite == "thm-2nd":
-        return binomial.verify_second_commutator_theorem(case["n"], lam)
-    if suite == "rec-7":
-        return binomial.verify_central_recurrence(case["n"])
-    if suite == "cor-kernel":
-        return binomial.verify_kernel_vectors(case["n"], lam, case["j"])
-    if suite == "cor-vw":
-        if case["variant"] == "abstract":
-            return binomial.verify_w_independence(case["n"], lam, parse_scalar(case["mu"]))
-        return realize.verify_w_independence_realized(case["n"], lam, case["seed"])
-    if suite == "lemma-l2":
-        return binomial.verify_alt_expansion(case["n"], lam)
-    if suite == "lemma-l3":
-        return binomial.verify_inverse_factorization(case["n"], lam)
-    if suite == "lemma-eq5":
-        return binomial.verify_shift_binomial(case["n"])
-    if suite == "final-remark":
-        return binomial.verify_noncommuting_binomial_form(case["n"], lam)
-    if suite == "exp":
-        return realize.verify_exponential(case["n"], lam, case["j"])
-    if suite == "sin":
-        return realize.verify_sine(case["n"], lam)
-    if suite == "linear":
-        return realize.verify_linear(case["n"], case["a"], case["b"])
-    if suite == "chvar-gauss":
-        return realize.verify_change_of_variables(case["n"], lam, case["j"], "gauss")
-    if suite == "chvar-log":
-        return realize.verify_change_of_variables(case["n"], lam, case["j"], "log")
-    if suite == "vector":
-        return realize.verify_vector_item(
-            case["item"], case["n"], lam, case["m"], case["seed"]
-        )
-    if suite == "eq5-matrix":
-        return realize.verify_shift_binomial_matrices(case["n"], case["dim"], case["seed"])
-    if suite == "third-order":
-        reports = realize.third_order_scan([case["n"]], lam, [parse_scalar(case["mu"])])
-        return reports[0]
-    if suite == "confluence":
-        preset = cached_preset(case["preset"], 1, 2)
-        conf = check_confluence(preset, case["degree"])
-        return VerificationReport(
-            suite,
-            {"preset": case["preset"], "degree": case["degree"]},
-            PASS if conf.ok else FAIL,
-            f"words-checked: {conf.words_checked}",
-            "confluent",
-            "0" if conf.ok else str(conf),
-        )
-    raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite].run(case, lam)
+
+
+def check_flags(suite: str, cfg: SuiteConfig) -> None:
+    """Reject out-of-range flags for `suite` (or all) before any case runs.
+
+    Under `all`, --lambda goes only to the suites that take a lambda; a
+    single named suite that takes none rejects it.
+    """
+    names = SUITE_ORDER if suite == "all" else (suite,)
+    limits = [(flag, low, "") for flag, low in FLAG_MINIMUMS.items()]
+    limits += [(flag, low, f" for {name}")
+               for name in names for flag, low in SUITES[name].minimums.items()]
+    for flag, low, where in limits:
+        value = getattr(cfg, flag)
+        if value is not None and value < low:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}{where}, got {value}")
+    if suite != "all" and cfg.lambdas is not None and SUITES[suite].lambdas is None:
+        raise ValueError(f"--lambda given, but {suite} takes no lambda")
+
+
+def worker_count(jobs: int, cases: int, cpus: int | None) -> int:
+    """Pool size: --jobs capped by the CPU count and by the number of cases."""
+    return min(jobs, cpus or 1, cases)
 
 
 def _emit_reports(reports: list[VerificationReport], fmt: str, out) -> dict:
@@ -300,26 +312,23 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, out) -> dict:
 
 
 def _run_cases(cases: list[dict], jobs: int) -> list[VerificationReport]:
-    if jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(cases), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_case, cases, chunksize=8))
     return [run_case(c) for c in cases]
 
 
 def cmd_verify(args, out) -> int:
-    suites = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
+    suites = SUITE_ORDER if args.suite == "all" else (args.suite,)
     cfg = SuiteConfig(
-        n_max=args.n_max,
-        lambdas=tuple(args.lambdas.split(",")) if args.lambdas else None,
-        j=args.j,
-        m=args.m,
-        seed=args.seed,
-        degree=args.degree,
-        jobs=args.jobs,
+        n_max=args.n_max, lambdas=tuple(args.lambdas.split(",")) if args.lambdas else None,
+        j=args.j, m=args.m, seed=args.seed, degree=args.degree, jobs=args.jobs,
     )
-    cases = []
-    for suite in suites:
-        cases.extend(iter_cases(suite, cfg))
+    check_flags(args.suite, cfg)
+    cases = [case for suite in suites for case in iter_cases(suite, cfg)]
+    if not cases:
+        raise ValueError(f"{args.suite} has no cases at these flags; an empty run is no pass")
     reports = _run_cases(cases, cfg.jobs)
     counts = _emit_reports(reports, args.format, out)
     return 1 if counts["failed"] else 0
@@ -337,18 +346,8 @@ def cmd_expand(args, out) -> int:
     )
     normal_form = normalize(free_form, preset)
     if args.format == "json":
-        out.write(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "lambda": format_scalar(lam),
-                    "preset": preset_name,
-                    "free": str(free_form),
-                    "normal": str(normal_form),
-                }
-            )
-            + "\n"
-        )
+        out.write(json.dumps({"n": args.n, "lambda": format_scalar(lam), "preset": preset_name,
+                              "free": str(free_form), "normal": str(normal_form)}) + "\n")
     else:
         out.write(f"free: {free_form}\n")
         out.write(f"normal ({preset_name}): {normal_form}\n")
@@ -417,29 +416,14 @@ def _selfcheck_rho_agreement(seed: int, count: int) -> VerificationReport:
 def cmd_selfcheck(args, out) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     reports = [_selfcheck_scalar_axioms(seed, 1000)]
-    for name in PRESET_NAMES:
-        preset = cached_preset(name, 1, 2)
-        conf = check_confluence(preset, args.degree)
-        reports.append(
-            VerificationReport(
-                "selfcheck", {"check": "confluence", "preset": name, "degree": args.degree},
-                PASS if conf.ok else FAIL,
-                f"words-checked: {conf.words_checked}", "confluent",
-                "0" if conf.ok else str(conf),
-            )
-        )
+    checks = [(cached_preset(name, 1, 2), args.degree) for name in PRESET_NAMES]
     if args.with_broken_fixture:
-        fixture = incomplete_vw_fixture(parse_scalar("1"))
-        conf = check_confluence(fixture, max(3, args.degree))
-        reports.append(
-            VerificationReport(
-                "selfcheck",
-                {"check": "confluence", "preset": fixture.name, "degree": max(3, args.degree)},
-                PASS if conf.ok else FAIL,
-                f"words-checked: {conf.words_checked}", "confluent",
-                "0" if conf.ok else str(conf),
-            )
-        )
+        checks.append((incomplete_vw_fixture(parse_scalar("1")), max(3, args.degree)))
+    for preset, degree in checks:
+        reports.append(_confluence_report(
+            "selfcheck", {"check": "confluence", "preset": preset.name, "degree": degree},
+            preset, degree,
+        ))
     reports.append(_selfcheck_rho_agreement(seed, 40))
     counts = _emit_reports(reports, args.format, out)
     return 1 if counts["failed"] else 0
@@ -493,7 +477,7 @@ def main(argv=None) -> int:
                 parser.error("verify needs a suite (positional or --suite)")
             if args.suite_flag and args.suite_pos and args.suite_flag != args.suite_pos:
                 parser.error("conflicting suite names given")
-            if suite != "all" and suite not in SUITE_META:
+            if suite != "all" and suite not in SUITES:
                 parser.error(
                     f"unknown suite {suite!r}; choose from {', '.join(SUITE_ORDER)} or all"
                 )
@@ -502,10 +486,7 @@ def main(argv=None) -> int:
         if args.command == "selfcheck":
             return cmd_selfcheck(args, out)
         parser.error(f"unknown command {args.command!r}")
-    except ScalarParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ScalarParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

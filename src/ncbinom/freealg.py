@@ -13,11 +13,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import ZERO, CycloScalar, scalar_from_json, scalar_to_json
+from .scalars import ZERO, CycloScalar
 
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
+
+
+def accumulate(pairs, out: dict | None = None) -> dict:
+    """Add each (key, scalar) pair into the sparse dict `out` and return it.
+
+    Zero inputs are skipped and keys whose sum reaches zero are dropped,
+    so the result holds nonzero coefficients only.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    for key, value in pairs:
+        if value.is_zero:
+            continue
+        prev = get(key)
+        if prev is None:
+            out[key] = value
+            continue
+        total = prev + value
+        if total.is_zero:
+            del out[key]
+        else:
+            out[key] = total
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,18 +148,7 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._require_same_alphabet(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            if acc is None:
-                out[word] = coeff
-            else:
-                total = acc + coeff
-                if total.is_zero:
-                    del out[word]
-                else:
-                    out[word] = total
-        return NcPoly._raw(self.alphabet, out)
+        return NcPoly._raw(self.alphabet, accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> NcPoly:
         return NcPoly._raw(self.alphabet, {w: -c for w, c in self.terms.items()})
@@ -148,16 +161,10 @@ class NcPoly:
     def __mul__(self, other) -> NcPoly:
         if isinstance(other, NcPoly):
             self._require_same_alphabet(other)
-            out: dict[Word, CycloScalar] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    word = w1 + w2
-                    prod = c1 * c2
-                    acc = out.get(word)
-                    out[word] = prod if acc is None else acc + prod
-            return NcPoly._raw(
-                self.alphabet, {w: c for w, c in out.items() if not c.is_zero}
-            )
+            right = other.terms.items()
+            return NcPoly._raw(self.alphabet, accumulate(
+                (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in right
+            ))
         return self._scaled(other)
 
     def __rmul__(self, other) -> NcPoly:
@@ -226,21 +233,6 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"word": [self.alphabet.names[i] for i in word], "coeff": scalar_to_json(coeff)}
-            for word, coeff in self.sorted_terms()
-        ]
-
-    @staticmethod
-    def from_json(alphabet: Alphabet, obj) -> NcPoly:
-        terms: dict[Word, CycloScalar] = {}
-        for entry in obj:
-            word = tuple(alphabet.index(n) for n in entry["word"])
-            coeff = scalar_from_json(entry["coeff"])
-            terms[word] = terms.get(word, ZERO) + coeff
-        return NcPoly(alphabet, terms)
 
 
 def _leading_negative(coeff: CycloScalar) -> bool:

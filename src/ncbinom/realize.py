@@ -17,13 +17,14 @@ third-order exponential sum.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .binomial import binom, build_binomial, double_factorial
-from .freealg import Alphabet, NcPoly
-from .report import Clause, VerificationReport, report_from_clauses
+from .freealg import Alphabet, NcPoly, accumulate
+from .report import Clause, VerificationReport, parity_clauses, report_from_clauses
 from .rewrite import RelationPreset
 from .scalars import IMAG, OMEGA, ONE, ZERO, CycloScalar
 
@@ -91,18 +92,7 @@ class FuncExpr:
         return self.terms == other.terms
 
     def __add__(self, other: FuncExpr) -> FuncExpr:
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = coeff
-            else:
-                total = prev + coeff
-                if total.is_zero:
-                    del out[key]
-                else:
-                    out[key] = total
-        return FuncExpr._raw(out)
+        return FuncExpr._raw(accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> FuncExpr:
         return FuncExpr._raw({k: -c for k, c in self.terms.items()})
@@ -112,14 +102,12 @@ class FuncExpr:
 
     def __mul__(self, other) -> FuncExpr:
         if isinstance(other, FuncExpr):
-            out: dict[FuncKey, CycloScalar] = {}
-            for (c1, a1, b1), v1 in self.terms.items():
-                for (c2, a2, b2), v2 in other.terms.items():
-                    key = (c1 + c2, a1 + a2, b1 + b2)
-                    prod = v1 * v2
-                    prev = out.get(key)
-                    out[key] = prod if prev is None else prev + prod
-            return FuncExpr._raw({k: v for k, v in out.items() if not v.is_zero})
+            right = other.terms.items()
+            return FuncExpr._raw(accumulate(
+                ((c1 + c2, a1 + a2, b1 + b2), v1 * v2)
+                for (c1, a1, b1), v1 in self.terms.items()
+                for (c2, a2, b2), v2 in right
+            ))
         return self.scaled(other)
 
     def __rmul__(self, other) -> FuncExpr:
@@ -141,24 +129,15 @@ class FuncExpr:
         if kind not in DERIVATION_KINDS:
             raise ValueError(f"unknown derivation kind {kind!r}")
         shift = {D_DX: 0, X_D_DX: 1, XINV_D_DX: -1}[kind]
-        out: dict[FuncKey, CycloScalar] = {}
 
-        def put(key: FuncKey, value: CycloScalar) -> None:
-            if value.is_zero:
-                return
-            prev = out.get(key)
-            total = value if prev is None else prev + value
-            if total.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = total
+        def images():
+            for (c, a, b), v in self.terms.items():
+                base = c + (shift - 1)
+                yield (base, a, b), v * c
+                yield (base + 1, a, b), v * a
+                yield (base + 2, a, b), v * (2 * b)
 
-        for (c, a, b), v in self.terms.items():
-            base = c + (shift - 1)
-            put((base, a, b), v * c)
-            put((base + 1, a, b), v * a)
-            put((base + 2, a, b), v * (2 * b))
-        return FuncExpr._raw(out)
+        return FuncExpr._raw(accumulate(images()))
 
     def sorted_terms(self) -> list[tuple[FuncKey, CycloScalar]]:
         return sorted(
@@ -255,25 +234,16 @@ class Matrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def _entrywise(self, other: Matrix, op) -> Matrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
+        return Matrix([[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -304,9 +274,6 @@ class Matrix:
         for _ in range(e):
             result = result * self
         return result
-
-    def col_vector(self, j: int) -> tuple[CycloScalar, ...]:
-        return tuple(row[j] for row in self.rows)
 
     def __str__(self) -> str:
         return "[" + ", ".join(
@@ -499,13 +466,7 @@ def apply_assigned(p: NcPoly, assignment: OperatorAssignment, f):
         return g
 
     def merge(acc: dict, func: FuncExpr, coeff: CycloScalar) -> None:
-        for key, value in func.terms.items():
-            prev = acc.get(key)
-            total = coeff * value if prev is None else prev + coeff * value
-            if total.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
+        accumulate(((key, coeff * value) for key, value in func.terms.items()), acc)
 
     if isinstance(f, VecFunc):
         acc_vec = [dict() for _ in range(f.dim)]
@@ -546,14 +507,9 @@ def verify_exponential(n: int, lam, j: int | None) -> VerificationReport:
         )
     decay = {"U": MultiplyBy(FuncExpr.exponential(-lam)), "D": Derivation()}
     result = apply_assigned(_abstract(n, lam), decay, FuncExpr.one())
-    if n % 2 == 1:
-        clauses.append(Clause("odd-vanishes", result, zero))
-    elif n > 0:
-        half = CycloScalar.of(Fraction(n, 2))
-        expected = FuncExpr.exponential(-(lam * half)).scaled(
-            double_factorial(n - 1) * (-2 * lam) ** (n // 2)
-        )
-        clauses.append(Clause("even-closed-form", result, expected))
+    clauses += parity_clauses(n, result, zero, lambda: FuncExpr.exponential(
+        -(lam * CycloScalar.of(Fraction(n, 2)))
+    ).scaled(double_factorial(n - 1) * (-2 * lam) ** (n // 2)))
     if n > 0:
         shifted = result.differentiate().scaled(2) + result.scaled(lam * n)
         clauses.append(Clause("shifted-vanishes", shifted, zero))
@@ -570,15 +526,9 @@ def verify_sine(n: int, lam) -> VerificationReport:
     asg = {"U": MultiplyBy(sin_func(lam)), "D": Derivation()}
     result = apply_assigned(_abstract(n, ilam), asg, FuncExpr.one())
     zero = FuncExpr.zero()
-    clauses = []
-    if n % 2 == 1:
-        clauses.append(Clause("odd-vanishes", result, zero))
-    elif n > 0:
-        half = CycloScalar.of(Fraction(n, 2))
-        expected = FuncExpr.exponential(-(ilam * half)).scaled(
-            double_factorial(n - 1) * lam ** (n // 2)
-        )
-        clauses.append(Clause("even-closed-form", result, expected))
+    clauses = parity_clauses(n, result, zero, lambda: FuncExpr.exponential(
+        -(ilam * CycloScalar.of(Fraction(n, 2)))
+    ).scaled(double_factorial(n - 1) * lam ** (n // 2)))
     if n > 0:
         shifted = result.differentiate().scaled(2) + result.scaled(ilam * n)
         clauses.append(Clause("shifted-vanishes", shifted, zero))
@@ -593,12 +543,9 @@ def verify_linear(n: int, a, b) -> VerificationReport:
     asg = {"U": MultiplyBy(u), "D": Derivation()}
     result = apply_assigned(_abstract(n, ZERO), asg, FuncExpr.one())
     zero = FuncExpr.zero()
-    clauses = []
-    if n % 2 == 1:
-        clauses.append(Clause("odd-vanishes", result, zero))
-    elif n > 0:
-        expected = FuncExpr.term(double_factorial(n - 1) * a ** (n // 2))
-        clauses.append(Clause("even-closed-form", result, expected))
+    clauses = parity_clauses(
+        n, result, zero, lambda: FuncExpr.term(double_factorial(n - 1) * a ** (n // 2))
+    )
     if n > 0:
         clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
     return report_from_clauses(
@@ -713,12 +660,10 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
         const_part = FuncMatrix.from_constant(a2)
         asg = deriv | {"U": MultiplyByMatrix(x_part + const_part)}
         result = apply_assigned(_abstract(n, ZERO), asg, cvec)
-        if n % 2 == 1:
-            clauses.append(Clause("odd-vanishes", result, zero))
-        elif n > 0:
-            scale = double_factorial(n - 1)
-            expected = _matvec_const(a1 ** (n // 2), cvec).scaled(scale)
-            clauses.append(Clause("even-closed-form", result, expected))
+        clauses += parity_clauses(
+            n, result, zero,
+            lambda: _matvec_const(a1 ** (n // 2), cvec).scaled(double_factorial(n - 1)),
+        )
         if n > 0:
             clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
     else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .freealg import Alphabet, NcPoly, Word
+from .freealg import Alphabet, NcPoly, Word, accumulate
 from .scalars import ZERO, CycloScalar
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -113,17 +113,10 @@ class RelationPreset:
                     f"step budget exceeded while normalizing under preset {self.name}"
                 )
             head, tail = word[:pos], word[pos + 2 :]
-            acc: dict[Word, CycloScalar] = {}
+            result = {}
             for sub, coeff in rule_map[(word[pos], word[pos + 1])].items():
-                for w2, c2 in self._word_normal_form(head + sub + tail, budget).items():
-                    prod = coeff * c2
-                    prev = acc.get(w2)
-                    total = prod if prev is None else prev + prod
-                    if total.is_zero:
-                        acc.pop(w2, None)
-                    else:
-                        acc[w2] = total
-            result = acc
+                reduced = self._word_normal_form(head + sub + tail, budget)
+                accumulate(((w2, coeff * c2) for w2, c2 in reduced.items()), result)
         cache[word] = result
         return result
 
@@ -135,13 +128,11 @@ def normalize(p: NcPoly, preset: RelationPreset, step_budget: int = DEFAULT_STEP
             f"polynomial alphabet {p.alphabet.names} does not match preset {preset.name}"
         )
     budget = [step_budget]
-    out: dict[Word, CycloScalar] = {}
-    for word, coeff in p.terms.items():
-        for w2, c2 in preset._word_normal_form(word, budget).items():
-            prev = out.get(w2)
-            prod = coeff * c2
-            out[w2] = prod if prev is None else prev + prod
-    return NcPoly(preset.alphabet, out)
+    return NcPoly._raw(preset.alphabet, accumulate(
+        (w2, coeff * c2)
+        for word, coeff in p.terms.items()
+        for w2, c2 in preset._word_normal_form(word, budget).items()
+    ))
 
 
 def restrict_to_kernel(p: NcPoly, preset: RelationPreset) -> NcPoly:
@@ -156,16 +147,16 @@ def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> NcPoly:
     nf = normalize(p, preset)
     d = preset.d_index
     mu = CycloScalar.of(mu)
-    out: dict[Word, CycloScalar] = {}
-    for word, coeff in nf.terms.items():
+
+    def evaluated(word: Word, coeff: CycloScalar):
         count = 0
         while count < len(word) and word[len(word) - 1 - count] == d:
             count += 1
-        prefix = word[: len(word) - count]
-        value = coeff * mu**count
-        prev = out.get(prefix)
-        out[prefix] = value if prev is None else prev + value
-    return NcPoly(preset.alphabet, out)
+        return word[: len(word) - count], coeff * mu**count
+
+    return NcPoly._raw(preset.alphabet, accumulate(
+        evaluated(word, coeff) for word, coeff in nf.terms.items()
+    ))
 
 
 # ---- confluence self-check --------------------------------------------
@@ -199,26 +190,23 @@ def _reduce_word_with_choice(
 ) -> dict[Word, CycloScalar]:
     """Full reduction contracting one redex per step, chosen by `choose`."""
     rule_map = preset._rule_map
-    result: dict[Word, CycloScalar] = {}
-    stack: list[tuple[Word, CycloScalar]] = [(word, CycloScalar.of(1))]
-    while stack:
-        w, c = stack.pop()
-        redexes = [i for i in range(len(w) - 1) if (w[i], w[i + 1]) in rule_map]
-        if not redexes:
-            prev = result.get(w)
-            total = c if prev is None else prev + c
-            if total.is_zero:
-                result.pop(w, None)
-            else:
-                result[w] = total
-            continue
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RewriteBudgetError("step budget exceeded in strategy reduction")
-        i = choose(redexes, rng)
-        for sub, rc in rule_map[(w[i], w[i + 1])].items():
-            stack.append((w[:i] + sub + w[i + 2 :], c * rc))
-    return result
+
+    def irreducible_terms():
+        stack: list[tuple[Word, CycloScalar]] = [(word, CycloScalar.of(1))]
+        while stack:
+            w, c = stack.pop()
+            redexes = [i for i in range(len(w) - 1) if (w[i], w[i + 1]) in rule_map]
+            if not redexes:
+                yield w, c
+                continue
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise RewriteBudgetError("step budget exceeded in strategy reduction")
+            i = choose(redexes, rng)
+            for sub, rc in rule_map[(w[i], w[i + 1])].items():
+                stack.append((w[:i] + sub + w[i + 2 :], c * rc))
+
+    return accumulate(irreducible_terms())
 
 
 def _all_words(alphabet_size: int, max_length: int):
@@ -283,38 +271,26 @@ def check_confluence(
 
 # ---- shipped presets ----------------------------------------------------
 
-PRESET_NAMES = (
-    "first-order-plus",
-    "first-order-minus",
-    "second-order",
-    "second-order-central",
-    "invertible-plus",
-    "invertible-minus",
-    "partial-vw",
-    "free",
-)
-
 
 def _pair(alphabet: Alphabet, upper: str, lower: str, right: NcPoly) -> RewriteRule:
     return RewriteRule((alphabet.index(upper), alphabet.index(lower)), right)
 
 
-def first_order_plus(lam) -> RelationPreset:
-    """DU -> UD + lam*U, i.e. the commutator of D with U is lam*U."""
-    lam = CycloScalar.of(lam)
+def _first_order(name: str, lam: CycloScalar, sign: int) -> RelationPreset:
+    """DU -> UD + sign*lam*U, i.e. the commutator of D with U is sign*lam*U."""
     alpha = Alphabet(("U", "D"))
     u, d = NcPoly.generator(alpha, "U"), NcPoly.generator(alpha, "D")
-    rules = (_pair(alpha, "D", "U", u * d + lam * u),)
-    return RelationPreset("first-order-plus", alpha, rules, {"lambda": lam})
+    signed = lam if sign > 0 else -lam
+    rules = (_pair(alpha, "D", "U", u * d + signed * u),)
+    return RelationPreset(name, alpha, rules, {"lambda": lam})
+
+
+def first_order_plus(lam) -> RelationPreset:
+    return _first_order("first-order-plus", CycloScalar.of(lam), +1)
 
 
 def first_order_minus(lam) -> RelationPreset:
-    """DU -> UD - lam*U."""
-    lam = CycloScalar.of(lam)
-    alpha = Alphabet(("U", "D"))
-    u, d = NcPoly.generator(alpha, "U"), NcPoly.generator(alpha, "D")
-    rules = (_pair(alpha, "D", "U", u * d - lam * u),)
-    return RelationPreset("first-order-minus", alpha, rules, {"lambda": lam})
+    return _first_order("first-order-minus", CycloScalar.of(lam), -1)
 
 
 def second_order(lam) -> RelationPreset:
@@ -384,43 +360,39 @@ def partial_vw(lam, mu) -> RelationPreset:
 
 
 def incomplete_vw_fixture(lam) -> RelationPreset:
-    """Deliberately incomplete rule set; diverges on the word D W V."""
-    lam = CycloScalar.of(lam)
-    alpha = Alphabet(("V", "W", "D"))
-    v = NcPoly.generator(alpha, "V")
-    w = NcPoly.generator(alpha, "W")
-    d = NcPoly.generator(alpha, "D")
-    rules = (
-        _pair(alpha, "W", "V", v * w),
-        _pair(alpha, "D", "W", w * d + lam * w),
+    """`partial-vw` without its D-V rule: deliberately incomplete, diverges on D W V."""
+    full = partial_vw(lam, ZERO)
+    dv = (full.alphabet.index("D"), full.alphabet.index("V"))
+    rules = tuple(rule for rule in full.rules if rule.left != dv)
+    return RelationPreset(
+        "partial-vw-incomplete", full.alphabet, rules, {"lambda": full.params["lambda"]}
     )
-    return RelationPreset("partial-vw-incomplete", alpha, rules, {"lambda": lam})
 
 
 def free_preset(names: tuple[str, ...] = ("U", "D")) -> RelationPreset:
     return RelationPreset("free", Alphabet(names), (), {})
 
 
+# preset name -> builder taking (lam, mu)
+PRESETS = {
+    "first-order-plus": lambda lam, mu: first_order_plus(lam),
+    "first-order-minus": lambda lam, mu: first_order_minus(lam),
+    "second-order": lambda lam, mu: second_order(lam),
+    "second-order-central": lambda lam, mu: second_order_central(),
+    "invertible-plus": lambda lam, mu: invertible_plus(lam),
+    "invertible-minus": lambda lam, mu: invertible_minus(lam),
+    "partial-vw": partial_vw,
+    "free": lambda lam, mu: free_preset(),
+}
+
+PRESET_NAMES = tuple(PRESETS)
+
+
 def make_preset(name: str, lam=ZERO, mu=ZERO) -> RelationPreset:
-    lam = CycloScalar.of(lam)
-    mu = CycloScalar.of(mu)
-    if name == "first-order-plus":
-        return first_order_plus(lam)
-    if name == "first-order-minus":
-        return first_order_minus(lam)
-    if name == "second-order":
-        return second_order(lam)
-    if name == "second-order-central":
-        return second_order_central()
-    if name == "invertible-plus":
-        return invertible_plus(lam)
-    if name == "invertible-minus":
-        return invertible_minus(lam)
-    if name == "partial-vw":
-        return partial_vw(lam, mu)
-    if name == "free":
-        return free_preset()
-    raise ValueError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
+    build = PRESETS.get(name)
+    if build is None:
+        raise ValueError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
+    return build(CycloScalar.of(lam), CycloScalar.of(mu))
 
 
 _preset_cache: dict[tuple, RelationPreset] = {}

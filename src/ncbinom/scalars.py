@@ -12,8 +12,7 @@ unity w = z**2 - 1 (w**3 == 1, w != 1).
 
 Text form: "a0 + a1*z + a2*z^2 + a3*z^3" with zero terms omitted and
 rationals printed "p/q" (denominator omitted when 1).  The parser also
-accepts the sugar letters "i" and "w".  JSON form: a list of four
-rational strings.
+accepts the sugar letters "i" and "w".
 """
 
 from __future__ import annotations
@@ -22,15 +21,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-try:  # gmpy2 rationals are exact like Fraction but far faster
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = Fraction
+_RAT_TYPES = (int, Fraction)
 
-Rational = Fraction
-_RAT_TYPES = (int, Fraction, type(_RAT(0)))
-
-_FOUR_ZEROS = (_RAT(0), _RAT(0), _RAT(0), _RAT(0))
+_FOUR_ZEROS = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
 
 
 class ScalarParseError(ValueError):
@@ -49,7 +42,7 @@ class CycloScalar:
 
     @staticmethod
     def from_coords(c0, c1=0, c2=0, c3=0) -> CycloScalar:
-        return CycloScalar((_RAT(c0), _RAT(c1), _RAT(c2), _RAT(c3)))
+        return CycloScalar((Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
 
     @staticmethod
     def of(value) -> CycloScalar:
@@ -57,7 +50,7 @@ class CycloScalar:
         if isinstance(value, CycloScalar):
             return value
         if isinstance(value, _RAT_TYPES):
-            return CycloScalar((_RAT(value),) + _FOUR_ZEROS[1:])
+            return CycloScalar((Fraction(value),) + _FOUR_ZEROS[1:])
         raise TypeError(f"cannot coerce {type(value).__name__} to CycloScalar")
 
     @property
@@ -70,10 +63,6 @@ class CycloScalar:
         c = self.coords
         return not (c[1] or c[2] or c[3])
 
-    @property
-    def rational_part(self) -> Fraction:
-        return Fraction(self.coords[0])
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -81,7 +70,7 @@ class CycloScalar:
         if isinstance(other, CycloScalar):
             return self.coords == other.coords
         if isinstance(other, _RAT_TYPES):
-            return self.coords == (_RAT(other),) + _FOUR_ZEROS[1:]
+            return self.coords == (Fraction(other),) + _FOUR_ZEROS[1:]
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -98,7 +87,7 @@ class CycloScalar:
             return CycloScalar((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
         if isinstance(other, _RAT_TYPES):
             a = self.coords
-            return CycloScalar((a[0] + _RAT(other), a[1], a[2], a[3]))
+            return CycloScalar((a[0] + Fraction(other), a[1], a[2], a[3]))
         return NotImplemented
 
     __radd__ = __add__
@@ -120,7 +109,7 @@ class CycloScalar:
     def __mul__(self, other) -> CycloScalar:
         if not isinstance(other, CycloScalar):
             if isinstance(other, _RAT_TYPES):
-                r = _RAT(other)
+                r = Fraction(other)
                 a = self.coords
                 return CycloScalar((r * a[0], r * a[1], r * a[2], r * a[3]))
             return NotImplemented
@@ -133,7 +122,7 @@ class CycloScalar:
             return CycloScalar((r * a[0], r * a[1], r * a[2], r * a[3]))
         # convolution up to degree 6, then reduce by z^4 = z^2 - 1
         # (z^5 = z^3 - z, z^6 = -1)
-        c = [_RAT(0)] * 7
+        c = [Fraction(0)] * 7
         for i in range(4):
             if a[i]:
                 ai = a[i]
@@ -159,7 +148,7 @@ class CycloScalar:
         g, s, _ = _poly_xgcd(list(self.coords), list(_MIN_POLY))
         # minimal polynomial is irreducible over Q, so the gcd is a constant
         assert len(g) == 1
-        inv_coords = [x / g[0] for x in s] + [_RAT(0)] * 4
+        inv_coords = [x / g[0] for x in s] + [Fraction(0)] * 4
         return CycloScalar(tuple(inv_coords[:4]))
 
     def __truediv__(self, other) -> CycloScalar:
@@ -200,7 +189,7 @@ IMAG = CycloScalar.from_coords(0, 0, 0, 1)  # i = z^3
 OMEGA = CycloScalar.from_coords(-1, 0, 1, 0)  # w = z^2 - 1
 
 # minimal polynomial 1 - x^2 + x^4, coefficients low to high
-_MIN_POLY = (_RAT(1), _RAT(0), _RAT(-1), _RAT(0), _RAT(1))
+_MIN_POLY = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0), Fraction(1))
 
 
 def _poly_trim(p: list) -> list:
@@ -214,7 +203,7 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     b = _poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [_RAT(0)] * max(0, len(a) - len(b) + 1)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
         shift = len(a) - len(b)
         c = a[-1] / b[-1]
@@ -228,7 +217,7 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
 def _poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [_RAT(0)] * (len(a) + len(b) - 1)
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -238,7 +227,7 @@ def _poly_mul(a: list, b: list) -> list:
 
 
 def _poly_sub(a: list, b: list) -> list:
-    out = [_RAT(0)] * max(len(a), len(b))
+    out = [Fraction(0)] * max(len(a), len(b))
     for i, ai in enumerate(a):
         out[i] += ai
     for i, bi in enumerate(b):
@@ -249,18 +238,14 @@ def _poly_sub(a: list, b: list) -> list:
 def _poly_xgcd(a: list, b: list):
     """Return (g, s, t) with s*a + t*b = g over Q[x]."""
     r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [_RAT(1)], []
-    t0, t1 = [], [_RAT(1)]
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
     while r1:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
     return r0, s0, t0
-
-
-def _format_rational(r) -> str:
-    return str(r)
 
 
 def format_scalar(x: CycloScalar) -> str:
@@ -272,10 +257,10 @@ def format_scalar(x: CycloScalar) -> str:
         negative = c < 0
         mag = -c if negative else c
         if k == 0:
-            body = _format_rational(mag)
+            body = str(mag)
         else:
             power = "z" if k == 1 else f"z^{k}"
-            body = power if mag == 1 else f"{_format_rational(mag)}*{power}"
+            body = power if mag == 1 else f"{mag}*{power}"
         parts.append((negative, body))
     if not parts:
         return "0"
@@ -365,12 +350,3 @@ def _parse_term(text: str, pos: int) -> tuple[CycloScalar, int]:
         raise ScalarParseError("expected a rational or symbol", pos)
     return CycloScalar.of(coeff), pos
 
-
-def scalar_to_json(x: CycloScalar) -> list[str]:
-    return [_format_rational(c) for c in x.coords]
-
-
-def scalar_from_json(obj) -> CycloScalar:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-        raise ValueError("scalar JSON form must be a list of four rational strings")
-    return CycloScalar(tuple(_RAT(s) for s in obj))

@@ -1,10 +1,12 @@
 """CLI behavior: output forms, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from ncbinom.cli import SUITE_META, SuiteConfig, iter_cases, main, run_case
+from ncbinom import cli
+from ncbinom.cli import SuiteConfig, iter_cases, main, run_case
 
 
 def run_cli(capsys, *argv):
@@ -159,8 +161,8 @@ def test_selfcheck_broken_fixture_reports_word(capsys):
 
 def test_iter_cases_respects_suite_defaults():
     cases = iter_cases("thm-nou", SuiteConfig())
-    n_max, lambdas, _ = SUITE_META["thm-nou"]
-    assert len(cases) == (n_max + 1) * len(lambdas)
+    suite = cli.SUITES["thm-nou"]
+    assert len(cases) == (suite.n_max + 1) * len(suite.lambdas)
     assert {c["lambda"] for c in cases} >= {"1", "0"}
 
 
@@ -172,9 +174,132 @@ def test_run_case_skip_marker():
 
 def test_every_declared_suite_enumerates():
     cfg = SuiteConfig(n_max=2)
-    for suite in SUITE_META:
+    for suite in cli.SUITES:
         cases = iter_cases(suite, cfg)
         if suite in ("rec-7", "third-order"):  # these need n >= 3
             assert cases == []
             continue
         assert cases, suite
+
+
+# ---- flags are checked before any case runs ---------------------------------
+
+
+def flag_error(capsys, monkeypatch, *argv):
+    """Exit code and stderr of a verify run that must stop before any case runs."""
+
+    def no_case(case):
+        raise AssertionError(f"case ran before the flags were checked: {case}")
+
+    monkeypatch.setattr(cli, "run_case", no_case)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_negative_n_max_exits_2(capsys, monkeypatch):
+    code, err = flag_error(capsys, monkeypatch, "verify", "thm-nou", "--n-max", "-1")
+    assert code == 2
+    assert "--n-max must be >= 0" in err
+
+
+def test_negative_j_exits_2(capsys, monkeypatch):
+    code, err = flag_error(
+        capsys, monkeypatch, "verify", "cor-kernel", "--n-max", "2", "--lambda", "1", "--j", "-1"
+    )
+    assert code == 2
+    assert "--j must be >= 0" in err
+
+
+def test_m_below_suite_minimum_exits_2(capsys, monkeypatch):
+    code, err = flag_error(capsys, monkeypatch, "verify", "all", "--n-max", "2", "--m", "1")
+    assert code == 2
+    assert "--m must be >= 2 for eq5-matrix" in err
+    code, err = flag_error(capsys, monkeypatch, "verify", "vector", "--n-max", "1", "--m", "0")
+    assert code == 2
+    assert "--m must be >= 1 for vector" in err
+
+
+def test_small_confluence_degree_exits_2(capsys, monkeypatch):
+    code, err = flag_error(capsys, monkeypatch, "verify", "all", "--n-max", "1", "--degree", "2")
+    assert code == 2
+    assert "--degree must be >= 3 for confluence" in err
+
+
+@pytest.mark.parametrize("suite", ["rec-7", "lemma-eq5", "linear", "eq5-matrix", "confluence"])
+def test_lambda_on_suite_without_lambda_exits_2(capsys, monkeypatch, suite):
+    code, err = flag_error(capsys, monkeypatch, "verify", suite, "--n-max", "3", "--lambda", "1")
+    assert code == 2
+    assert f"{suite} takes no lambda" in err
+
+
+def test_empty_run_exits_2(capsys, monkeypatch):
+    code, err = flag_error(capsys, monkeypatch, "verify", "chvar-log", "--n-max", "2", "--j", "9")
+    assert code == 2
+    assert "no cases" in err
+
+
+def test_jobs_below_one_exits_2(capsys, monkeypatch):
+    for jobs in ("0", "-3"):
+        code, err = flag_error(
+            capsys, monkeypatch, "verify", "thm-nou", "--n-max", "1", "--jobs", jobs
+        )
+        assert code == 2
+        assert "--jobs must be >= 1" in err
+
+
+def test_worker_count_is_clamped_to_cpus_and_cases(monkeypatch):
+    # pure arithmetic and a stand-in pool: no process is started here
+    assert cli.worker_count(5000, 2059, 2) == 2
+    assert cli.worker_count(4, 3, 8) == 3
+    assert cli.worker_count(1, 100, 8) == 1
+    assert cli.worker_count(3, 100, None) == 1
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cases = iter_cases("lemma-eq5", SuiteConfig(n_max=4))
+    assert len(cli._run_cases(cases, 3)) == len(cases)
+    assert sizes == [2]
+
+
+# ---- pinned report streams ------------------------------------------------------
+
+# sha256 of stdout; together these cover every suite, the skip reports and
+# both the rational and the general scalar paths
+PINNED_STREAMS = {
+    "default-lambdas": (
+        ("verify", "all", "--n-max", "3", "--degree", "3", "--format", "json"),
+        811,
+        "f7546f53009968b6b5e9841c1fa15862d75ba65f2564fc0fbccb86aca4bc99e2",
+    ),
+    "mixed-lambdas": (
+        ("verify", "all", "--n-max", "3", "--degree", "3",
+         "--lambda", "1,-3,1/2,i,1+i,0", "--format", "json"),
+        817,
+        "8b0820ba40eaf4703d3eef4c5569afbacc9acb411e59080e135500be53e1c1df",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_report_stream_is_pinned(capsys, name):
+    argv, lines, digest = PINNED_STREAMS[name]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncbinom.freealg import Alphabet, NcPoly, commutator, ordered_product
+from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator, ordered_product
 from ncbinom.scalars import ONE, parse_scalar
 
 UD = Alphabet(("U", "D"))
@@ -93,10 +93,11 @@ def test_canonical_string_forms():
     assert str(parse_scalar("1+i") * U) == "(1 + z^3) * U"
 
 
-def test_json_roundtrip():
-    lam = parse_scalar("1/2 + i")
-    p = D * D * U - lam * U + 7 * I
-    assert NcPoly.from_json(UD, p.to_json()) == p
+def test_accumulate_drops_zero_inputs_and_zero_sums():
+    one, two = parse_scalar("1"), parse_scalar("2")
+    out = accumulate([("a", one), ("b", 0 * one), ("a", -one), ("c", two)], {"c": one})
+    assert out == {"c": parse_scalar("3")}
+    assert accumulate([]) == {}
 
 
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=3).map(tuple)

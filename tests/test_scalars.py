@@ -18,8 +18,6 @@ from ncbinom.scalars import (
     ScalarParseError,
     format_scalar,
     parse_scalar,
-    scalar_from_json,
-    scalar_to_json,
 )
 
 # independent oracle: evaluate coordinates at the actual primitive 12th root
@@ -134,11 +132,6 @@ scalars = st.tuples(rationals, rationals, rationals, rationals).map(CycloScalar)
 @given(scalars)
 def test_parse_format_roundtrip(x):
     assert parse_scalar(format_scalar(x)) == x
-
-
-@given(scalars)
-def test_json_roundtrip(x):
-    assert scalar_from_json(scalar_to_json(x)) == x
 
 
 @given(scalars, scalars)
