@@ -23,8 +23,8 @@ def candidate_grid(lam):
     for unit in units:
         for ratio in ratios:
             mu = CycloScalar.of(ratio) * unit * lam
-            if mu.coords not in seen:
-                seen.add(mu.coords)
+            if mu not in seen:
+                seen.add(mu)
                 yield mu
 
 

@@ -44,7 +44,10 @@ VECTOR_DIMS = (2, 3)
 NONZERO_LAMBDA = "hypothesis requires lambda != 0"
 
 # smallest value of each flag, whatever the suite
-FLAG_MINIMUMS = {"n_max": 0, "j": 0, "jobs": 1}
+FLAG_MINIMUMS = {"n_max": 0, "jobs": 1}
+
+# flags only some suites read; a single named suite that does not rejects them
+SUITE_FLAGS = ("j", "m", "degree")
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class SuiteConfig:
     j: int | None = None
     m: int | None = None
     seed: int | None = None
-    degree: int = DEFAULT_CONFLUENCE_DEGREE
+    degree: int | None = None  # None: DEFAULT_CONFLUENCE_DEGREE
     jobs: int = 1
 
 
@@ -66,7 +69,7 @@ class Suite:
     lambdas: tuple[str, ...] | None  # default lambda literals; None: takes no lambda
     grid: Callable  # (suite, n_max, lambda literals, cfg) -> list of case dicts
     run: Callable  # (case, parsed lambda) -> VerificationReport
-    minimums: dict = field(default_factory=dict)  # SuiteConfig field -> smallest value
+    flags: dict = field(default_factory=dict)  # SUITE_FLAGS it reads -> smallest value
 
 
 def _seed(cfg: SuiteConfig) -> int:
@@ -181,7 +184,8 @@ def _third_order_grid(suite, n_max, lambdas, cfg):
 
 
 def _confluence_grid(suite, n_max, lambdas, cfg):
-    return [{"suite": suite, "preset": name, "degree": cfg.degree} for name in PRESET_NAMES]
+    degree = cfg.degree if cfg.degree is not None else DEFAULT_CONFLUENCE_DEGREE
+    return [{"suite": suite, "preset": name, "degree": degree} for name in PRESET_NAMES]
 
 
 def _confluence_report(suite: str, params: dict, preset, degree: int) -> VerificationReport:
@@ -210,7 +214,8 @@ SUITES: dict[str, Suite] = {
     "rec-7": Suite(8, None, _degree_grid(3),
                    lambda c, lam: binomial.verify_central_recurrence(c["n"])),
     "cor-kernel": Suite(8, BASE_LAMBDAS, _kernel_grid,
-                        lambda c, lam: binomial.verify_kernel_vectors(c["n"], lam, c["j"])),
+                        lambda c, lam: binomial.verify_kernel_vectors(c["n"], lam, c["j"]),
+                        {"j": 0}),
     "cor-vw": Suite(8, BASE_LAMBDAS, _vw_grid, lambda c, lam: (
         binomial.verify_w_independence(c["n"], lam, parse_scalar(c["mu"]))
         if c["variant"] == "abstract"
@@ -224,15 +229,15 @@ SUITES: dict[str, Suite] = {
     "final-remark": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
                           lambda c, lam: binomial.verify_noncommuting_binomial_form(c["n"], lam)),
     "exp": Suite(8, BASE_LAMBDAS, _exp_grid,
-                 lambda c, lam: realize.verify_exponential(c["n"], lam, c["j"])),
+                 lambda c, lam: realize.verify_exponential(c["n"], lam, c["j"]), {"j": 0}),
     "sin": Suite(8, BASE_LAMBDAS, _lambda_grid(0, nonzero=True),
                  lambda c, lam: realize.verify_sine(c["n"], lam)),
     "linear": Suite(8, None, _linear_grid,
                     lambda c, lam: realize.verify_linear(c["n"], c["a"], c["b"])),
     "chvar-gauss": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
-        realize.verify_change_of_variables(c["n"], lam, c["j"], "gauss"))),
+        realize.verify_change_of_variables(c["n"], lam, c["j"], "gauss")), {"j": 0}),
     "chvar-log": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
-        realize.verify_change_of_variables(c["n"], lam, c["j"], "log"))),
+        realize.verify_change_of_variables(c["n"], lam, c["j"], "log")), {"j": 0}),
     "vector": Suite(6, BASE_LAMBDAS, _vector_grid, lambda c, lam: (
         realize.verify_vector_item(c["item"], c["n"], lam, c["m"], c["seed"])), {"m": 1}),
     "eq5-matrix": Suite(6, None, _eq5_grid, lambda c, lam: (
@@ -273,19 +278,24 @@ def run_case(case: dict) -> VerificationReport:
 def check_flags(suite: str, cfg: SuiteConfig) -> None:
     """Reject out-of-range flags for `suite` (or all) before any case runs.
 
-    Under `all`, --lambda goes only to the suites that take a lambda; a
-    single named suite that takes none rejects it.
+    Under `all`, --lambda and the SUITE_FLAGS go only to the suites that
+    read them; a single named suite that does not read one rejects it.
     """
     names = SUITE_ORDER if suite == "all" else (suite,)
     limits = [(flag, low, "") for flag, low in FLAG_MINIMUMS.items()]
     limits += [(flag, low, f" for {name}")
-               for name in names for flag, low in SUITES[name].minimums.items()]
+               for name in names for flag, low in SUITES[name].flags.items()]
     for flag, low, where in limits:
         value = getattr(cfg, flag)
         if value is not None and value < low:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= {low}{where}, got {value}")
-    if suite != "all" and cfg.lambdas is not None and SUITES[suite].lambdas is None:
+    if suite == "all":
+        return
+    if cfg.lambdas is not None and SUITES[suite].lambdas is None:
         raise ValueError(f"--lambda given, but {suite} takes no lambda")
+    for flag in SUITE_FLAGS:
+        if getattr(cfg, flag) is not None and flag not in SUITES[suite].flags:
+            raise ValueError(f"--{flag} given, but {suite} does not read it")
 
 
 def worker_count(jobs: int, cases: int, cpus: int | None) -> int:
@@ -414,11 +424,14 @@ def _selfcheck_rho_agreement(seed: int, count: int) -> VerificationReport:
 
 
 def cmd_selfcheck(args, out) -> int:
+    low = SUITES["confluence"].flags["degree"]
+    if args.degree < low:
+        raise ValueError(f"--degree must be >= {low}, got {args.degree}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     reports = [_selfcheck_scalar_axioms(seed, 1000)]
     checks = [(cached_preset(name, 1, 2), args.degree) for name in PRESET_NAMES]
     if args.with_broken_fixture:
-        checks.append((incomplete_vw_fixture(parse_scalar("1")), max(3, args.degree)))
+        checks.append((incomplete_vw_fixture(parse_scalar("1")), args.degree))
     for preset, degree in checks:
         reports.append(_confluence_report(
             "selfcheck", {"check": "confluence", "preset": preset.name, "degree": degree},
@@ -451,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--j", type=int)
     verify.add_argument("--m", type=int)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--degree", type=int, default=DEFAULT_CONFLUENCE_DEGREE)
+    verify.add_argument("--degree", type=int)
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -402,7 +402,7 @@ def cached_preset(name: str, lam=ZERO, mu=ZERO) -> RelationPreset:
     """Shared preset instances so normal-form memo tables are reused."""
     lam = CycloScalar.of(lam)
     mu = CycloScalar.of(mu)
-    key = (name, lam.coords, mu.coords)
+    key = (name, lam, mu)
     preset = _preset_cache.get(key)
     if preset is None:
         preset = make_preset(name, lam, mu)

@@ -1,10 +1,14 @@
 """Exact scalar arithmetic in the degree-4 cyclotomic field Q(z).
 
 Here z is a primitive 12th root of unity with minimal polynomial
-z**4 == z**2 - 1.  Every element is stored by its unique coordinates
-(c0, c1, c2, c3) in the basis {1, z, z**2, z**3}, with exact rational
-coordinates, so equality is coordinate-wise and there is no floating
-point anywhere.
+z**4 == z**2 - 1.  Every element is (n0 + n1*z + n2*z**2 + n3*z**3) / d
+with integer numerators n0..n3 over one positive integer denominator d,
+the `nf_elem` layout of ANTIC (W. Hart, *ANTIC: Algebraic Number Theory
+in C*, 2015).  The layout is canonical: d > 0 and
+gcd(n0, n1, n2, n3, d) == 1, so zero is (0, 0, 0, 0, 1), equality is a
+comparison of the five integers, and there is no floating point anywhere.
+The rational coordinates (c0, c1, c2, c3) = (n0/d, ..., n3/d) in the
+basis {1, z, z**2, z**3} are the read-only view `coords`.
 
 The field contains the two special values the identity suites need:
 the imaginary unit i = z**3 (i*i == -1) and the primitive cube root of
@@ -18,12 +22,12 @@ accepts the sugar letters "i" and "w".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 _RAT_TYPES = (int, Fraction)
 
-_FOUR_ZEROS = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+_new = object.__new__
 
 
 class ScalarParseError(ValueError):
@@ -34,15 +38,37 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class CycloScalar:
-    """Element c0 + c1*z + c2*z^2 + c3*z^3 of Q(z), z^4 = z^2 - 1."""
+def _scalar(n0: int, n1: int, n2: int, n3: int, d: int) -> CycloScalar:
+    """The element (n0 + n1*z + n2*z^2 + n3*z^3) / d, for d > 0, made canonical."""
+    g = gcd(n0, n1, n2, n3, d)
+    x = _new(CycloScalar)
+    x.ints = (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g)
+    return x
 
-    coords: tuple
+
+class CycloScalar:
+    """Element (n0 + n1*z + n2*z^2 + n3*z^3) / d of Q(z), z^4 = z^2 - 1.
+
+    `ints` is the canonical tuple (n0, n1, n2, n3, d); treat it as immutable.
+    """
+
+    __slots__ = ("ints",)
+
+    def __init__(self, coords):
+        """The element with the four rational coordinates `coords`."""
+        c = [Fraction(x) for x in coords]
+        d = lcm(*(x.denominator for x in c))
+        self.ints = _scalar(*(x.numerator * (d // x.denominator) for x in c), d).ints
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates (c0, c1, c2, c3) as Fractions."""
+        n0, n1, n2, n3, d = self.ints
+        return (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d), Fraction(n3, d))
 
     @staticmethod
     def from_coords(c0, c1=0, c2=0, c3=0) -> CycloScalar:
-        return CycloScalar((Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
+        return CycloScalar((c0, c1, c2, c3))
 
     @staticmethod
     def of(value) -> CycloScalar:
@@ -50,51 +76,50 @@ class CycloScalar:
         if isinstance(value, CycloScalar):
             return value
         if isinstance(value, _RAT_TYPES):
-            return CycloScalar((Fraction(value),) + _FOUR_ZEROS[1:])
+            return _scalar(value.numerator, 0, 0, 0, value.denominator)
         raise TypeError(f"cannot coerce {type(value).__name__} to CycloScalar")
 
     @property
     def is_zero(self) -> bool:
-        c = self.coords
-        return not (c[0] or c[1] or c[2] or c[3])
+        n = self.ints
+        return not (n[0] or n[1] or n[2] or n[3])
 
     @property
     def is_rational(self) -> bool:
-        c = self.coords
-        return not (c[1] or c[2] or c[3])
+        n = self.ints
+        return not (n[1] or n[2] or n[3])
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloScalar):
-            return self.coords == other.coords
+            return self.ints == other.ints
         if isinstance(other, _RAT_TYPES):
-            return self.coords == (Fraction(other),) + _FOUR_ZEROS[1:]
+            return self.ints == CycloScalar.of(other).ints
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.coords)
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self.ints)
 
     def __add__(self, other) -> CycloScalar:
-        if isinstance(other, CycloScalar):
-            a, b = self.coords, other.coords
-            return CycloScalar((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
-        if isinstance(other, _RAT_TYPES):
-            a = self.coords
-            return CycloScalar((a[0] + Fraction(other), a[1], a[2], a[3]))
-        return NotImplemented
+        if not isinstance(other, CycloScalar):
+            if not isinstance(other, _RAT_TYPES):
+                return NotImplemented
+            other = CycloScalar.of(other)
+        a0, a1, a2, a3, d = self.ints
+        b0, b1, b2, b3, e = other.ints
+        if d == e:
+            return _scalar(a0 + b0, a1 + b1, a2 + b2, a3 + b3, d)
+        return _scalar(a0 * e + b0 * d, a1 * e + b1 * d, a2 * e + b2 * d, a3 * e + b3 * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloScalar:
-        a = self.coords
-        return CycloScalar((-a[0], -a[1], -a[2], -a[3]))
+        n0, n1, n2, n3, d = self.ints
+        x = _new(CycloScalar)
+        x.ints = (-n0, -n1, -n2, -n3, d)
+        return x
 
     def __sub__(self, other) -> CycloScalar:
         if isinstance(other, (CycloScalar,) + _RAT_TYPES):
@@ -108,48 +133,51 @@ class CycloScalar:
 
     def __mul__(self, other) -> CycloScalar:
         if not isinstance(other, CycloScalar):
-            if isinstance(other, _RAT_TYPES):
-                r = Fraction(other)
-                a = self.coords
-                return CycloScalar((r * a[0], r * a[1], r * a[2], r * a[3]))
-            return NotImplemented
-        a, b = self.coords, other.coords
-        if self.is_rational:
-            r = a[0]
-            return CycloScalar((r * b[0], r * b[1], r * b[2], r * b[3]))
-        if other.is_rational:
-            r = b[0]
-            return CycloScalar((r * a[0], r * a[1], r * a[2], r * a[3]))
+            if not isinstance(other, _RAT_TYPES):
+                return NotImplemented
+            other = CycloScalar.of(other)
+        a0, a1, a2, a3, d = self.ints
+        b0, b1, b2, b3, e = other.ints
+        if not (a1 or a2 or a3):
+            return _scalar(a0 * b0, a0 * b1, a0 * b2, a0 * b3, d * e)
+        if not (b1 or b2 or b3):
+            return _scalar(b0 * a0, b0 * a1, b0 * a2, b0 * a3, d * e)
         # convolution up to degree 6, then reduce by z^4 = z^2 - 1
         # (z^5 = z^3 - z, z^6 = -1)
-        c = [Fraction(0)] * 7
-        for i in range(4):
-            if a[i]:
-                ai = a[i]
-                for j in range(4):
-                    c[i + j] += ai * b[j]
-        return CycloScalar(
-            (
-                c[0] - c[4] - c[6],
-                c[1] - c[5],
-                c[2] + c[4],
-                c[3] + c[5],
-            )
+        c4 = a1 * b3 + a2 * b2 + a3 * b1
+        c5 = a2 * b3 + a3 * b2
+        return _scalar(
+            a0 * b0 - c4 - a3 * b3,
+            a0 * b1 + a1 * b0 - c5,
+            a0 * b2 + a1 * b1 + a2 * b0 + c4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c5,
+            d * e,
         )
 
     __rmul__ = __mul__
 
     def inv(self) -> CycloScalar:
-        """Multiplicative inverse via the extended euclidean algorithm."""
+        """Multiplicative inverse by the norm to Q(z^2).
+
+        For self = A(z) / d, the product A(z) * A(-z) = b0 + b2*y lies in
+        Q(y), y = z^2, y^2 = y - 1, where (b0 + b2*y) * (b0 + b2 - b2*y) is
+        the positive rational N = b0^2 + b0*b2 + b2^2.  So the inverse is
+        d * A(-z) * (b0 + b2 - b2*y) / N.
+        """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.is_rational:
-            return CycloScalar((1 / self.coords[0],) + _FOUR_ZEROS[1:])
-        g, s, _ = _poly_xgcd(list(self.coords), list(_MIN_POLY))
-        # minimal polynomial is irreducible over Q, so the gcd is a constant
-        assert len(g) == 1
-        inv_coords = [x / g[0] for x in s] + [Fraction(0)] * 4
-        return CycloScalar(tuple(inv_coords[:4]))
+        n0, n1, n2, n3, d = self.ints
+        b0 = n0 * n0 - n2 * n2 + 2 * n1 * n3 + n3 * n3
+        b2 = 2 * n0 * n2 + n2 * n2 - n1 * n1 - 2 * n1 * n3
+        # A(-z) * (c0 + c2*z^2) with A(-z) = n0 - n1*z + n2*z^2 - n3*z^3, reduced
+        c0, c2 = b0 + b2, -b2
+        return _scalar(
+            d * (n0 * c0 - n2 * c2),
+            d * (n3 * c2 - n1 * c0),
+            d * (n2 * c0 + n0 * c2 + n2 * c2),
+            -d * (n3 * c0 + n1 * c2 + n3 * c2),
+            b0 * b0 + b0 * b2 + b2 * b2,
+        )
 
     def __truediv__(self, other) -> CycloScalar:
         return self * CycloScalar.of(other).inv()
@@ -188,79 +216,22 @@ ZETA = CycloScalar.from_coords(0, 1, 0, 0)
 IMAG = CycloScalar.from_coords(0, 0, 0, 1)  # i = z^3
 OMEGA = CycloScalar.from_coords(-1, 0, 1, 0)  # w = z^2 - 1
 
-# minimal polynomial 1 - x^2 + x^4, coefficients low to high
-_MIN_POLY = (Fraction(1), Fraction(0), Fraction(-1), Fraction(0), Fraction(1))
-
-
-def _poly_trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for k, bk in enumerate(b):
-            a[shift + k] -= c * bk
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
-
-
-def _poly_xgcd(a: list, b: list):
-    """Return (g, s, t) with s*a + t*b = g over Q[x]."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
 
 def format_scalar(x: CycloScalar) -> str:
     """Canonical text form in the basis {1, z, z^2, z^3}."""
     parts: list[tuple[bool, str]] = []  # (negative?, body without sign)
-    for k, c in enumerate(x.coords):
-        if not c:
+    *numerators, d = x.ints
+    for k, n in enumerate(numerators):
+        if not n:
             continue
-        negative = c < 0
-        mag = -c if negative else c
+        negative = n < 0
+        g = gcd(n, d)
+        mag = str(abs(n) // g) if g == d else f"{abs(n) // g}/{d // g}"
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             power = "z" if k == 1 else f"z^{k}"
-            body = power if mag == 1 else f"{mag}*{power}"
+            body = power if mag == "1" else f"{mag}*{power}"
         parts.append((negative, body))
     if not parts:
         return "0"

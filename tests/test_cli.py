@@ -234,6 +234,43 @@ def test_lambda_on_suite_without_lambda_exits_2(capsys, monkeypatch, suite):
     assert f"{suite} takes no lambda" in err
 
 
+@pytest.mark.parametrize("suite, flag, value", [
+    ("thm-nou", "--degree", "2"),
+    ("thm-nou", "--j", "0"),
+    ("rec-3", "--m", "2"),
+    ("vector", "--j", "0"),
+    ("cor-kernel", "--m", "2"),
+    ("exp", "--degree", "4"),
+    ("confluence", "--j", "1"),
+])
+def test_flag_on_suite_that_does_not_read_it_exits_2(capsys, monkeypatch, suite, flag, value):
+    code, err = flag_error(capsys, monkeypatch, "verify", suite, "--n-max", "1", flag, value)
+    assert code == 2
+    assert f"{flag} given, but {suite} does not read it" in err
+
+
+def test_suite_flags_under_all_go_to_their_readers():
+    cli.check_flags("all", SuiteConfig(j=0, m=2, degree=3))
+    cli.check_flags("cor-kernel", SuiteConfig(j=0))
+    cli.check_flags("eq5-matrix", SuiteConfig(m=2))
+    cli.check_flags("confluence", SuiteConfig(degree=3))
+    assert [c["degree"] for c in iter_cases("confluence", SuiteConfig())] == [
+        cli.DEFAULT_CONFLUENCE_DEGREE
+    ] * len(cli.PRESET_NAMES)
+
+
+def test_selfcheck_small_degree_exits_2_before_any_check(capsys, monkeypatch):
+    def no_check(seed, samples):
+        raise AssertionError("a check ran before --degree was checked")
+
+    monkeypatch.setattr(cli, "_selfcheck_scalar_axioms", no_check)
+    code = main(["selfcheck", "--degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--degree must be >= 3" in captured.err
+
+
 def test_empty_run_exits_2(capsys, monkeypatch):
     code, err = flag_error(capsys, monkeypatch, "verify", "chvar-log", "--n-max", "2", "--j", "9")
     assert code == 2

@@ -1,6 +1,8 @@
-"""Field arithmetic tests, with a double-precision numeric cross-check oracle."""
+"""Field arithmetic tests, with an exact Fraction-coordinate oracle and a
+double-precision numeric cross-check oracle."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +117,88 @@ def test_field_axioms_on_random_samples():
         assert (a - a).is_zero
         if not a.is_zero:
             assert a * a.inv() == ONE
+
+
+# independent exact oracle: the same arithmetic on Fraction coordinates,
+# product by convolution and reduction with z^4 = z^2 - 1
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    c = [Fraction(0)] * 7
+    for i in range(4):
+        for j in range(4):
+            c[i + j] += a[i] * b[j]
+    return (c[0] - c[4] - c[6], c[1] - c[5], c[2] + c[4], c[3] + c[5])
+
+
+def assert_canonical(x: CycloScalar):
+    *numerators, d = x.ints
+    assert d > 0
+    assert math.gcd(*numerators, d) == 1
+
+
+def random_oracle_scalar(rng: random.Random) -> CycloScalar:
+    """General, rational, zero, or general over one shared denominator."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return CycloScalar.of(Fraction(rng.randint(-40, 40), rng.randint(1, 30)))
+    if kind == 1:
+        return ZERO
+    if kind == 2:
+        den = rng.randint(1, 30)
+        return CycloScalar(tuple(Fraction(rng.randint(-40, 40), den) for _ in range(4)))
+    return CycloScalar(
+        tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(4))
+    )
+
+
+def test_arithmetic_agrees_with_fraction_oracle():
+    rng = random.Random(31)
+    one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    kinds = set()
+    for _ in range(1500):
+        a, b = random_oracle_scalar(rng), random_oracle_scalar(rng)
+        kinds.add((a.is_rational, b.is_rational, a.ints[4] == b.ints[4]))
+        ca, cb = a.coords, b.coords
+        for got, want in (
+            (a + b, ref_add(ca, cb)),
+            (a - b, ref_sub(ca, cb)),
+            (-a, ref_sub((Fraction(0),) * 4, ca)),
+            (a * b, ref_mul(ca, cb)),
+        ):
+            assert got.coords == want, (a, b)
+            assert_canonical(got)
+        if not b.is_zero:
+            inverse = b.inv()
+            assert_canonical(inverse)
+            assert ref_mul(cb, inverse.coords) == one, b
+    # both operand kinds, with equal and with unequal denominators
+    assert kinds == {(r, s, e) for r in (False, True) for s in (False, True)
+                     for e in (False, True)}
+
+
+def test_canonical_layout():
+    forms = (
+        CycloScalar((Fraction(2, 4), Fraction(0), Fraction(0, 3), 0)),
+        CycloScalar.of(Fraction(1, 2)),
+        parse_scalar("1/2"),
+    )
+    for x in forms:
+        assert x.ints == (1, 0, 0, 0, 2)
+        assert x == forms[0]
+        assert hash(x) == hash(forms[0])
+        assert x.coords == (Fraction(1, 2), 0, 0, 0)
+        assert format_scalar(x) == "1/2"
+    assert (OMEGA - OMEGA).ints == (0, 0, 0, 0, 1)
+    assert CycloScalar.from_coords(Fraction(-2, 6), Fraction(4, 9)).ints == (-3, 4, 0, 0, 9)
 
 
 def test_mul_agrees_with_numeric_oracle():
