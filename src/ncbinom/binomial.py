@@ -8,6 +8,9 @@ with the product factors multiplied left to right in increasing j.  All
 builders expand in the free algebra; the verifiers then compare normal
 forms under the relation preset appropriate to each identity.  Every
 comparison is exact, with no numeric tolerance anywhere.
+
+`binomial_sum` is the one place, here and in `realize`, that forms a sum
+of C(n,k) * L_k * R_(n-k); `running_products` gives its L and R lists.
 """
 
 from __future__ import annotations
@@ -48,22 +51,30 @@ def double_factorial(k: int) -> int:
     return result
 
 
+def running_products(unit, factors) -> list:
+    """[unit, f0, f0*f1, ...], one product per entry; n copies of x give x^0 .. x^n."""
+    products = [unit]
+    for factor in factors:
+        products.append(products[-1] * factor)
+    return products
+
+
+def binomial_sum(n: int, left, right):
+    """Sum over k of C(n,k) * left[k] * right[n-k], for any ring with * and +."""
+    total = left[0] * right[n]
+    for k in range(1, n + 1):
+        total = total + binom(n, k) * (left[k] * right[n - k])
+    return total
+
+
 def build_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
     """Free expansion of the degree-n combination of u and d."""
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = CycloScalar.of(lam)
-    alpha = u.alphabet
-    unit = NcPoly.unit(alpha)
-    total = NcPoly.zero(alpha)
-    prefix = unit  # product of (d - u + j*lam*I) for j < k
-    u_powers = [unit]
-    for _ in range(n):
-        u_powers.append(u_powers[-1] * u)
-    for k in range(n + 1):
-        total = total + binom(n, k) * (prefix * u_powers[n - k])
-        prefix = prefix * (d - u + (lam * k) * unit)
-    return total
+    unit = NcPoly.unit(u.alphabet)
+    prefix = running_products(unit, (d - u + (lam * j) * unit for j in range(n)))
+    return binomial_sum(n, prefix, running_products(unit, [u] * n))
 
 
 def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
@@ -71,18 +82,10 @@ def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
     if n <= 0:
         raise ValueError("alternative expansion requires n > 0")
     lam = CycloScalar.of(lam)
-    alpha = u.alphabet
-    unit = NcPoly.unit(alpha)
-    total = NcPoly.zero(alpha)
-    prefix = unit
-    u_powers = [unit]
-    for _ in range(n):
-        u_powers.append(u_powers[-1] * u)
-    for k in range(n):
-        middle = d + (lam * k) * unit
-        total = total + binom(n - 1, k) * (prefix * middle * u_powers[n - 1 - k])
-        prefix = prefix * (d - u + (lam * k) * unit)
-    return total
+    unit = NcPoly.unit(u.alphabet)
+    prefix = running_products(unit, (d - u + (lam * j) * unit for j in range(n - 1)))
+    left = [p * (d + (lam * k) * unit) for k, p in enumerate(prefix)]
+    return binomial_sum(n - 1, left, running_products(unit, [u] * (n - 1)))
 
 
 def falling_product(n: int, lam, d: NcPoly) -> NcPoly:
@@ -99,14 +102,12 @@ class BinomialSpec:
     n: int
     lam: CycloScalar
     preset: RelationPreset
-    u_name: str = "U"
-    d_name: str = "D"
 
     def u(self) -> NcPoly:
-        return self.preset.generator(self.u_name)
+        return self.preset.generator("U")
 
     def d(self) -> NcPoly:
-        return self.preset.generator(self.d_name)
+        return self.preset.generator("D")
 
     def build(self) -> NcPoly:
         return build_binomial(self.n, self.lam, self.u(), self.d())
@@ -303,11 +304,9 @@ def verify_shift_binomial(n: int) -> VerificationReport:
     a1 = NcPoly.generator(alpha, "A1")
     a2 = NcPoly.generator(alpha, "A2")
     unit = NcPoly.unit(alpha)
-    lhs = NcPoly.zero(alpha)
-    rhs = NcPoly.zero(alpha)
-    for k in range(n + 1):
-        lhs = lhs + binom(n, k) * ((a1 - unit) ** k * (a2 + unit) ** (n - k))
-        rhs = rhs + binom(n, k) * (a1**k * a2 ** (n - k))
+    lhs = binomial_sum(n, running_products(unit, [a1 - unit] * n),
+                       running_products(unit, [a2 + unit] * n))
+    rhs = binomial_sum(n, running_products(unit, [a1] * n), running_products(unit, [a2] * n))
     return report_from_clauses("lemma-eq5", {"n": n}, [Clause("", lhs, rhs)])
 
 
@@ -317,10 +316,9 @@ def verify_noncommuting_binomial_form(n: int, lam) -> VerificationReport:
     preset = cached_preset("invertible-minus", lam)
     spec = BinomialSpec(n, lam, preset)
     u, d = spec.u(), spec.d()
-    uinv = preset.generator("Uinv")
-    core = NcPoly.zero(preset.alphabet)
-    for k in range(n + 1):
-        core = core + binom(n, k) * ((d * u - u * u) ** k * (u * u) ** (n - k))
+    uinv, unit = preset.generator("Uinv"), preset.unit()
+    core = binomial_sum(n, running_products(unit, [d * u - u * u] * n),
+                        running_products(unit, [u * u] * n))
     lhs = normalize(spec.build(), preset)
     rhs = normalize(core * uinv**n, preset)
     return report_from_clauses(

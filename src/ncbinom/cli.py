@@ -47,7 +47,7 @@ NONZERO_LAMBDA = "hypothesis requires lambda != 0"
 FLAG_MINIMUMS = {"n_max": 0, "jobs": 1}
 
 # flags only some suites read; a single named suite that does not rejects them
-SUITE_FLAGS = ("j", "m", "degree")
+SUITE_FLAGS = ("j", "m", "degree", "seed")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class Suite:
     lambdas: tuple[str, ...] | None  # default lambda literals; None: takes no lambda
     grid: Callable  # (suite, n_max, lambda literals, cfg) -> list of case dicts
     run: Callable  # (case, parsed lambda) -> VerificationReport
-    flags: dict = field(default_factory=dict)  # SUITE_FLAGS it reads -> smallest value
+    flags: dict = field(default_factory=dict)  # SUITE_FLAGS it reads -> smallest value, None: any
 
 
 def _seed(cfg: SuiteConfig) -> int:
@@ -219,7 +219,7 @@ SUITES: dict[str, Suite] = {
     "cor-vw": Suite(8, BASE_LAMBDAS, _vw_grid, lambda c, lam: (
         binomial.verify_w_independence(c["n"], lam, parse_scalar(c["mu"]))
         if c["variant"] == "abstract"
-        else realize.verify_w_independence_realized(c["n"], lam, c["seed"]))),
+        else realize.verify_w_independence_realized(c["n"], lam, c["seed"])), {"seed": None}),
     "lemma-l2": Suite(10, WITH_ZERO, _lambda_grid(1),
                       lambda c, lam: binomial.verify_alt_expansion(c["n"], lam)),
     "lemma-l3": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
@@ -239,9 +239,11 @@ SUITES: dict[str, Suite] = {
     "chvar-log": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
         realize.verify_change_of_variables(c["n"], lam, c["j"], "log")), {"j": 0}),
     "vector": Suite(6, BASE_LAMBDAS, _vector_grid, lambda c, lam: (
-        realize.verify_vector_item(c["item"], c["n"], lam, c["m"], c["seed"])), {"m": 1}),
+        realize.verify_vector_item(c["item"], c["n"], lam, c["m"], c["seed"])),
+        {"m": 1, "seed": None}),
     "eq5-matrix": Suite(6, None, _eq5_grid, lambda c, lam: (
-        realize.verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])), {"m": 2}),
+        realize.verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])),
+        {"m": 2, "seed": None}),
     "third-order": Suite(5, ("1",), _third_order_grid, lambda c, lam: (
         realize.third_order_scan([c["n"]], lam, [parse_scalar(c["mu"])])[0])),
     "confluence": Suite(None, None, _confluence_grid, lambda c, lam: _confluence_report(
@@ -278,13 +280,14 @@ def run_case(case: dict) -> VerificationReport:
 def check_flags(suite: str, cfg: SuiteConfig) -> None:
     """Reject out-of-range flags for `suite` (or all) before any case runs.
 
-    Under `all`, --lambda and the SUITE_FLAGS go only to the suites that
-    read them; a single named suite that does not read one rejects it.
+    Under `all`, --lambda, --n-max and the SUITE_FLAGS go only to the
+    suites that read them; a single named suite that does not read one
+    rejects it.
     """
     names = SUITE_ORDER if suite == "all" else (suite,)
     limits = [(flag, low, "") for flag, low in FLAG_MINIMUMS.items()]
-    limits += [(flag, low, f" for {name}")
-               for name in names for flag, low in SUITES[name].flags.items()]
+    limits += [(flag, low, f" for {name}") for name in names
+               for flag, low in SUITES[name].flags.items() if low is not None]
     for flag, low, where in limits:
         value = getattr(cfg, flag)
         if value is not None and value < low:
@@ -296,6 +299,8 @@ def check_flags(suite: str, cfg: SuiteConfig) -> None:
     for flag in SUITE_FLAGS:
         if getattr(cfg, flag) is not None and flag not in SUITES[suite].flags:
             raise ValueError(f"--{flag} given, but {suite} does not read it")
+    if cfg.n_max is not None and SUITES[suite].n_max is None:
+        raise ValueError(f"--n-max given, but {suite} does not read it")
 
 
 def worker_count(jobs: int, cases: int, cpus: int | None) -> int:

@@ -63,16 +63,14 @@ class RelationPreset:
         alphabet: Alphabet,
         rules: tuple[RewriteRule, ...],
         params: dict[str, CycloScalar] | None = None,
-        d_name: str = "D",
     ):
         self.name = name
         self.alphabet = alphabet
         self.rules = rules
         self.params = dict(params or {})
-        self.d_name = d_name
-        self.d_index = alphabet.index(d_name)
+        self.d_index = alphabet.index("D")
         if self.d_index != len(alphabet) - 1:
-            raise ValueError(f"{d_name} must be the maximal generator of {alphabet.names}")
+            raise ValueError(f"D must be the maximal generator of {alphabet.names}")
         rule_map: dict[tuple[int, int], dict[Word, CycloScalar]] = {}
         for rule in rules:
             _validate_rule(alphabet, rule)
@@ -223,23 +221,17 @@ def _all_words(alphabet_size: int, max_length: int):
             indices[k] += 1
 
 
-def check_confluence(
-    preset: RelationPreset,
-    degree: int,
-    randomized_runs: int = 4,
-    seed: int = 0,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> ConfluenceReport:
+def check_confluence(preset: RelationPreset, degree: int) -> ConfluenceReport:
     """Reduce every word up to `degree` under several strategies and compare.
 
-    Strategies: leftmost redex, rightmost redex, `randomized_runs` seeded
-    random choices, plus the memoized engine itself.  Divergence is
-    reported, never raised.
+    Strategies: leftmost redex, rightmost redex, four seeded random
+    choices, plus the memoized engine itself.  Divergence is reported,
+    never raised.
     """
     if degree < 3:
         raise ValueError("confluence check needs degree >= 3")
     divergent: list[tuple[str, tuple[str, ...]]] = []
-    budget = [step_budget]
+    budget = [DEFAULT_STEP_BUDGET]
     count = 0
     for word in _all_words(len(preset.alphabet), degree):
         count += 1
@@ -250,8 +242,8 @@ def check_confluence(
         outcomes.append(
             _reduce_word_with_choice(preset, word, lambda r, _: r[-1], None, budget)
         )
-        for run in range(randomized_runs):
-            rng = random.Random((seed * 1_000_003 + run) ^ hash(word))
+        for run in range(4):
+            rng = random.Random(run ^ hash(word))
             outcomes.append(
                 _reduce_word_with_choice(
                     preset, word, lambda r, g: g.choice(r), rng, budget
@@ -369,8 +361,8 @@ def incomplete_vw_fixture(lam) -> RelationPreset:
     )
 
 
-def free_preset(names: tuple[str, ...] = ("U", "D")) -> RelationPreset:
-    return RelationPreset("free", Alphabet(names), (), {})
+def free_preset() -> RelationPreset:
+    return RelationPreset("free", Alphabet(("U", "D")), (), {})
 
 
 # preset name -> builder taking (lam, mu)

@@ -100,7 +100,11 @@ class CycloScalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.ints)
+        # a rational hashes as the int or Fraction it equals
+        n0, n1, n2, n3, d = self.ints
+        if n1 or n2 or n3:
+            return hash(self.ints)
+        return hash(n0) if d == 1 else hash(Fraction(n0, d))
 
     def __add__(self, other) -> CycloScalar:
         if not isinstance(other, CycloScalar):

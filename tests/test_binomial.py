@@ -1,13 +1,18 @@
 """Builders and symbolic identity verifiers."""
 
+import math
+import random
+
 import pytest
 
 from ncbinom.binomial import (
     BinomialSpec,
+    binomial_sum,
     build_binomial,
     build_binomial_alt,
     double_factorial,
     falling_product,
+    running_products,
     verify_alt_expansion,
     verify_ascending_recurrence,
     verify_central_recurrence,
@@ -21,7 +26,8 @@ from ncbinom.binomial import (
     verify_u_independence,
     verify_w_independence,
 )
-from ncbinom.freealg import Alphabet, NcPoly
+from ncbinom.freealg import Alphabet, NcPoly, ordered_product
+from ncbinom.realize import Matrix, random_matrix
 from ncbinom.rewrite import cached_preset, normalize, restrict_to_kernel
 from ncbinom.scalars import ONE, ZERO, parse_scalar
 
@@ -215,3 +221,77 @@ def test_noncommuting_binomial_form():
     assert verify_noncommuting_binomial_form(0, ONE).passed
     assert verify_noncommuting_binomial_form(1, ONE).passed
     assert verify_noncommuting_binomial_form(3, ONE).passed
+
+
+# ---- independent oracle for binomial_sum and the builders -----------------
+
+ORACLE_LAMBDAS = ["0", "1", "-3", "1/2", "i", "1+i"]
+VWD = Alphabet(("V", "W", "D"))
+V_PLUS_W = NcPoly.generator(VWD, "V") + NcPoly.generator(VWD, "W")
+
+
+def _reference_sum(n, term):
+    """Sum over k of C(n,k) * term(k), with math.comb for the coefficients."""
+    terms = [math.comb(n, k) * term(k) for k in range(n + 1)]
+    return sum(terms[1:], terms[0])
+
+
+def _reference_chain(k, lam, u, d):
+    unit = NcPoly.unit(u.alphabet)
+    return ordered_product(u.alphabet, (d - u + (lam * j) * unit for j in range(k)))
+
+
+def _reference_binomial(n, lam, u, d):
+    return _reference_sum(n, lambda k: _reference_chain(k, lam, u, d) * u ** (n - k))
+
+
+def _reference_binomial_alt(n, lam, u, d):
+    unit = NcPoly.unit(u.alphabet)
+    return _reference_sum(n - 1, lambda k: (
+        _reference_chain(k, lam, u, d) * (d + (lam * k) * unit) * u ** (n - 1 - k)))
+
+
+@pytest.mark.parametrize("lam_text", ORACLE_LAMBDAS)
+def test_builders_agree_with_reference_sum(lam_text):
+    lam = parse_scalar(lam_text)
+    d_vw = NcPoly.generator(VWD, "D")
+    for n in range(7):
+        assert build_binomial(n, lam, U, D) == _reference_binomial(n, lam, U, D)
+        assert (build_binomial(n, lam, V_PLUS_W, d_vw)
+                == _reference_binomial(n, lam, V_PLUS_W, d_vw))
+    for n in range(1, 7):
+        assert build_binomial_alt(n, lam, U, D) == _reference_binomial_alt(n, lam, U, D)
+        assert (build_binomial_alt(n, lam, V_PLUS_W, d_vw)
+                == _reference_binomial_alt(n, lam, V_PLUS_W, d_vw))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_binomial_sum_over_matrices_agrees_with_reference(dim):
+    rng = random.Random(dim)
+    ident = Matrix.identity(dim)
+    for n in range(6):
+        a1, a2 = random_matrix(rng, dim), random_matrix(rng, dim)
+        got = binomial_sum(n, running_products(ident, [a1 - ident] * n),
+                           running_products(ident, [a2 + ident] * n))
+        assert got == _reference_sum(n, lambda k: (a1 - ident) ** k * (a2 + ident) ** (n - k))
+
+
+def test_build_forms_no_word_longer_than_n(monkeypatch):
+    """Building B(n) multiplies out no product of degree above n."""
+    longest = []
+    mul = NcPoly.__mul__
+
+    def recording_mul(self, other):
+        result = mul(self, other)
+        longest.append(result.max_word_length())
+        return result
+
+    monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
+    for n in range(7):
+        longest.clear()
+        build_binomial(n, parse_scalar("1+i"), U, D)
+        assert max(longest, default=0) <= n
+        if n > 0:
+            longest.clear()
+            build_binomial_alt(n, parse_scalar("1+i"), U, D)
+            assert max(longest, default=0) <= n

@@ -242,6 +242,8 @@ def test_lambda_on_suite_without_lambda_exits_2(capsys, monkeypatch, suite):
     ("cor-kernel", "--m", "2"),
     ("exp", "--degree", "4"),
     ("confluence", "--j", "1"),
+    ("thm-nou", "--seed", "5"),
+    ("confluence", "--n-max", "0"),
 ])
 def test_flag_on_suite_that_does_not_read_it_exits_2(capsys, monkeypatch, suite, flag, value):
     code, err = flag_error(capsys, monkeypatch, "verify", suite, "--n-max", "1", flag, value)

@@ -201,6 +201,17 @@ def test_canonical_layout():
     assert CycloScalar.from_coords(Fraction(-2, 6), Fraction(4, 9)).ints == (-3, 4, 0, 0, 9)
 
 
+def test_rational_scalar_hashes_as_the_number_it_equals():
+    for value in (1, -3, Fraction(1, 2)):
+        x = CycloScalar.of(value)
+        assert x == value and hash(x) == hash(value)
+    assert hash(ONE) == hash(1)
+    assert {ONE: "x"}.get(1) == "x"
+    assert {CycloScalar.of(Fraction(1, 2)): "half"}.get(Fraction(1, 2)) == "half"
+    assert {1: "one"}.get(ONE) == "one"
+    assert hash(OMEGA) == hash(OMEGA.ints)
+
+
 def test_mul_agrees_with_numeric_oracle():
     rng = random.Random(7)
     for _ in range(300):
