@@ -31,7 +31,6 @@ from .freealg import NcPoly
 from .scalars import IMAG, OMEGA, ZERO, format_scalar, parse_scalar
 
 DEFAULT_SEED = 1729
-DEFAULT_CONFLUENCE_DEGREE = 6
 
 BASE_LAMBDAS = ("1", "2", "-3", "1/2", "i", "1+i")
 
@@ -47,7 +46,7 @@ NONZERO_LAMBDA = "hypothesis requires lambda != 0"
 FLAG_MINIMUMS = {"n_max": 0, "jobs": 1}
 
 # flags only some suites read; a single named suite that does not rejects them
-SUITE_FLAGS = ("j", "m", "degree", "seed")
+SUITE_FLAGS = ("j", "m", "seed")
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class SuiteConfig:
     j: int | None = None
     m: int | None = None
     seed: int | None = None
-    degree: int | None = None  # None: DEFAULT_CONFLUENCE_DEGREE
     jobs: int = 1
 
 
@@ -121,8 +119,9 @@ def _vw_grid(suite, n_max, lambdas, cfg):
 
 
 def _exp_grid(suite, n_max, lambdas, cfg):
+    # n = 0 reads no j, so it runs only when --j is unset
     return [{"suite": suite, "n": n, "lambda": lam, "j": j}
-            for lam in lambdas for n in range(0, n_max + 1)
+            for lam in lambdas for n in range(0 if cfg.j is None else 1, n_max + 1)
             for j in ([None] if n == 0 else _js(n, cfg)) if j is None or j <= n - 1]
 
 
@@ -184,15 +183,14 @@ def _third_order_grid(suite, n_max, lambdas, cfg):
 
 
 def _confluence_grid(suite, n_max, lambdas, cfg):
-    degree = cfg.degree if cfg.degree is not None else DEFAULT_CONFLUENCE_DEGREE
-    return [{"suite": suite, "preset": name, "degree": degree} for name in PRESET_NAMES]
+    return [{"suite": suite, "preset": name} for name in PRESET_NAMES]
 
 
-def _confluence_report(suite: str, params: dict, preset, degree: int) -> VerificationReport:
-    conf = check_confluence(preset, degree)
+def _confluence_report(suite: str, params: dict, preset) -> VerificationReport:
+    conf = check_confluence(preset)
     return VerificationReport(
         suite, params, PASS if conf.ok else FAIL,
-        f"words-checked: {conf.words_checked}", "confluent", "0" if conf.ok else str(conf),
+        f"overlaps: {conf.overlap_list}", "confluent", "0" if conf.ok else str(conf),
     )
 
 
@@ -247,8 +245,7 @@ SUITES: dict[str, Suite] = {
     "third-order": Suite(5, ("1",), _third_order_grid, lambda c, lam: (
         realize.third_order_scan([c["n"]], lam, [parse_scalar(c["mu"])])[0])),
     "confluence": Suite(None, None, _confluence_grid, lambda c, lam: _confluence_report(
-        c["suite"], {"preset": c["preset"], "degree": c["degree"]},
-        cached_preset(c["preset"], 1, 2), c["degree"]), {"degree": 3}),
+        c["suite"], {"preset": c["preset"]}, cached_preset(c["preset"], 1, 2))),
 }
 
 SUITE_ORDER = tuple(SUITES)
@@ -338,7 +335,7 @@ def cmd_verify(args, out) -> int:
     suites = SUITE_ORDER if args.suite == "all" else (args.suite,)
     cfg = SuiteConfig(
         n_max=args.n_max, lambdas=tuple(args.lambdas.split(",")) if args.lambdas else None,
-        j=args.j, m=args.m, seed=args.seed, degree=args.degree, jobs=args.jobs,
+        j=args.j, m=args.m, seed=args.seed, jobs=args.jobs,
     )
     check_flags(args.suite, cfg)
     cases = [case for suite in suites for case in iter_cases(suite, cfg)]
@@ -429,19 +426,13 @@ def _selfcheck_rho_agreement(seed: int, count: int) -> VerificationReport:
 
 
 def cmd_selfcheck(args, out) -> int:
-    low = SUITES["confluence"].flags["degree"]
-    if args.degree < low:
-        raise ValueError(f"--degree must be >= {low}, got {args.degree}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     reports = [_selfcheck_scalar_axioms(seed, 1000)]
-    checks = [(cached_preset(name, 1, 2), args.degree) for name in PRESET_NAMES]
+    presets = [cached_preset(name, 1, 2) for name in PRESET_NAMES]
     if args.with_broken_fixture:
-        checks.append((incomplete_vw_fixture(parse_scalar("1")), args.degree))
-    for preset, degree in checks:
-        reports.append(_confluence_report(
-            "selfcheck", {"check": "confluence", "preset": preset.name, "degree": degree},
-            preset, degree,
-        ))
+        presets.append(incomplete_vw_fixture(parse_scalar("1")))
+    reports += [_confluence_report("selfcheck", {"check": "confluence", "preset": p.name}, p)
+                for p in presets]
     reports.append(_selfcheck_rho_agreement(seed, 40))
     counts = _emit_reports(reports, args.format, out)
     return 1 if counts["failed"] else 0
@@ -469,12 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--j", type=int)
     verify.add_argument("--m", type=int)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--degree", type=int)
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     selfcheck = sub.add_parser("selfcheck", help="engine soundness checks")
-    selfcheck.add_argument("--degree", type=int, default=DEFAULT_CONFLUENCE_DEGREE)
     selfcheck.add_argument("--seed", type=int)
     selfcheck.add_argument("--format", choices=("text", "json"), default="text")
     selfcheck.add_argument("--with-broken-fixture", action="store_true")

@@ -270,6 +270,8 @@ class Matrix:
         n, m = self.shape
         if n != m:
             raise ValueError("power of a non-square matrix")
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("matrix powers take non-negative integer exponents")
         result = Matrix.identity(n)
         for _ in range(e):
             result = result * self

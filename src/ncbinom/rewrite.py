@@ -3,12 +3,12 @@
 Each preset carries adjacent-pair rewrite rules over its alphabet.  A rule
 replaces one two-letter subword by a polynomial whose monomials are each
 the swapped (ascending) pair, a single letter, or the empty word.  That
-shape is what guarantees termination: every application either strictly
-lowers the inversion count of a word at constant length, or strictly
-shortens the word, so the measure (length, inversions) drops
-lexicographically.  Uniqueness of normal forms is not assumed; it is
-checked by `check_confluence`, which reduces every short word under
-several independent strategies and compares the outcomes.
+shape is what guarantees termination: every monomial of a replacement is
+smaller than the rule's left-hand side in the degree-lexicographic order
+on words (shorter first, then by alphabet order), a total semigroup order
+with no infinite descending chain.  Uniqueness of normal forms is not
+assumed; `check_confluence` proves it by resolving the overlap
+ambiguities (Bergman's diamond lemma).
 
 The designated kernel generator D must be last in alphabet order.  In a
 normal form all remaining D letters sit in a trailing block, which makes
@@ -18,7 +18,6 @@ D-eigenvector" a substitution of the trailing block by a scalar power.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .freealg import Alphabet, NcPoly, Word, accumulate
@@ -157,108 +156,62 @@ def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> NcPoly:
     ))
 
 
-# ---- confluence self-check --------------------------------------------
+# ---- confluence proof ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ConfluenceReport:
     preset_name: str
-    degree: int
-    words_checked: int
-    divergent: tuple[tuple[str, tuple[str, ...]], ...]  # (word, distinct normal forms)
+    overlaps: tuple[str, ...]  # every overlap word abc, in rule order
+    divergent: tuple[tuple[str, tuple[str, ...]], ...]  # (word, normal forms of both reducts)
 
     @property
     def ok(self) -> bool:
         return not self.divergent
 
+    @property
+    def overlap_list(self) -> str:
+        return ", ".join(self.overlaps) or "none"
+
     def __str__(self) -> str:
         if self.ok:
-            return (
-                f"{self.preset_name}: confluent on all {self.words_checked} words "
-                f"up to length {self.degree}"
-            )
+            return f"{self.preset_name}: confluent; overlaps resolved: {self.overlap_list}"
         listing = "; ".join(
             f"{word} -> {{{' | '.join(forms)}}}" for word, forms in self.divergent
         )
         return f"{self.preset_name}: divergent on {listing}"
 
 
-def _reduce_word_with_choice(
-    preset: RelationPreset, word: Word, choose, rng, budget: list[int]
-) -> dict[Word, CycloScalar]:
-    """Full reduction contracting one redex per step, chosen by `choose`."""
-    rule_map = preset._rule_map
+def check_confluence(preset: RelationPreset) -> ConfluenceReport:
+    """Prove unique normal forms at every word length, or name the divergent overlaps.
 
-    def irreducible_terms():
-        stack: list[tuple[Word, CycloScalar]] = [(word, CycloScalar.of(1))]
-        while stack:
-            w, c = stack.pop()
-            redexes = [i for i in range(len(w) - 1) if (w[i], w[i + 1]) in rule_map]
-            if not redexes:
-                yield w, c
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise RewriteBudgetError("step budget exceeded in strategy reduction")
-            i = choose(redexes, rng)
-            for sub, rc in rule_map[(w[i], w[i + 1])].items():
-                stack.append((w[:i] + sub + w[i + 2 :], c * rc))
-
-    return accumulate(irreducible_terms())
-
-
-def _all_words(alphabet_size: int, max_length: int):
-    for length in range(2, max_length + 1):
-        indices = [0] * length
-        while True:
-            yield tuple(indices)
-            k = length - 1
-            while k >= 0 and indices[k] == alphabet_size - 1:
-                indices[k] = 0
-                k -= 1
-            if k < 0:
-                break
-            indices[k] += 1
-
-
-def check_confluence(preset: RelationPreset, degree: int) -> ConfluenceReport:
-    """Reduce every word up to `degree` under several strategies and compare.
-
-    Strategies: leftmost redex, rightmost redex, four seeded random
-    choices, plus the memoized engine itself.  Divergence is reported,
-    never raised.
+    Every rule rewrites a two-letter word to smaller words in the
+    degree-lexicographic order (enforced by `_validate_rule`), so rewriting
+    terminates, and no two rules share a left-hand side, so no ambiguity
+    is an inclusion.  By Bergman's diamond lemma (Adv. Math. 29, 1978)
+    normal forms are then unique for every polynomial once each overlap
+    ambiguity resolves: each word abc whose subwords ab and bc are both
+    left-hand sides.  Each overlap is checked by contracting either redex
+    once and normalizing both reducts.  Divergence is reported, never raised.
     """
-    if degree < 3:
-        raise ValueError("confluence check needs degree >= 3")
+    rule_map = preset._rule_map
+    alphabet = preset.alphabet
+
+    def contracted(head: Word, pair: tuple[int, int], tail: Word) -> NcPoly:
+        """Normal form of head·pair·tail after contracting the redex `pair` once."""
+        terms = {head + sub + tail: coeff for sub, coeff in rule_map[pair].items()}
+        return normalize(NcPoly._raw(alphabet, terms), preset)
+
+    overlaps: list[str] = []
     divergent: list[tuple[str, tuple[str, ...]]] = []
-    budget = [DEFAULT_STEP_BUDGET]
-    count = 0
-    for word in _all_words(len(preset.alphabet), degree):
-        count += 1
-        outcomes: list[dict[Word, CycloScalar]] = []
-        outcomes.append(
-            _reduce_word_with_choice(preset, word, lambda r, _: r[0], None, budget)
-        )
-        outcomes.append(
-            _reduce_word_with_choice(preset, word, lambda r, _: r[-1], None, budget)
-        )
-        for run in range(4):
-            rng = random.Random(run ^ hash(word))
-            outcomes.append(
-                _reduce_word_with_choice(
-                    preset, word, lambda r, g: g.choice(r), rng, budget
-                )
-            )
-        outcomes.append(preset._word_normal_form(word, budget))
-        first = outcomes[0]
-        if any(o != first for o in outcomes[1:]):
-            distinct: list[str] = []
-            for o in outcomes:
-                text = str(NcPoly(preset.alphabet, o))
-                if text not in distinct:
-                    distinct.append(text)
-            divergent.append((preset.alphabet.word_str(word), tuple(distinct)))
-    return ConfluenceReport(preset.name, degree, count, tuple(divergent))
+    for a, b in rule_map:
+        for c in [c for b2, c in rule_map if b2 == b]:
+            word = alphabet.word_str((a, b, c))
+            overlaps.append(word)
+            left, right = contracted((), (a, b), (c,)), contracted((a,), (b, c), ())
+            if left != right:
+                divergent.append((word, (str(left), str(right))))
+    return ConfluenceReport(preset.name, tuple(overlaps), tuple(divergent))
 
 
 # ---- shipped presets ----------------------------------------------------

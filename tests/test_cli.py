@@ -134,21 +134,21 @@ def test_jobs_do_not_change_output(capsys):
 
 
 def test_selfcheck_quick(capsys):
-    code, out = run_cli(capsys, "selfcheck", "--degree", "3")
+    code, out = run_cli(capsys, "selfcheck")
     assert code == 0
     assert "scalar-axioms" in out
     assert "shift-representation" in out
 
 
 def test_selfcheck_broken_fixture(capsys):
-    code, out = run_cli(capsys, "selfcheck", "--degree", "3", "--with-broken-fixture")
+    code, out = run_cli(capsys, "selfcheck", "--with-broken-fixture")
     assert code == 1
     assert "partial-vw-incomplete" in out
 
 
 def test_selfcheck_broken_fixture_reports_word(capsys):
     code, out = run_cli(
-        capsys, "selfcheck", "--degree", "3", "--with-broken-fixture", "--format", "json"
+        capsys, "selfcheck", "--with-broken-fixture", "--format", "json"
     )
     assert code == 1
     divergent = [
@@ -221,12 +221,6 @@ def test_m_below_suite_minimum_exits_2(capsys, monkeypatch):
     assert "--m must be >= 1 for vector" in err
 
 
-def test_small_confluence_degree_exits_2(capsys, monkeypatch):
-    code, err = flag_error(capsys, monkeypatch, "verify", "all", "--n-max", "1", "--degree", "2")
-    assert code == 2
-    assert "--degree must be >= 3 for confluence" in err
-
-
 @pytest.mark.parametrize("suite", ["rec-7", "lemma-eq5", "linear", "eq5-matrix", "confluence"])
 def test_lambda_on_suite_without_lambda_exits_2(capsys, monkeypatch, suite):
     code, err = flag_error(capsys, monkeypatch, "verify", suite, "--n-max", "3", "--lambda", "1")
@@ -235,12 +229,10 @@ def test_lambda_on_suite_without_lambda_exits_2(capsys, monkeypatch, suite):
 
 
 @pytest.mark.parametrize("suite, flag, value", [
-    ("thm-nou", "--degree", "2"),
     ("thm-nou", "--j", "0"),
     ("rec-3", "--m", "2"),
     ("vector", "--j", "0"),
     ("cor-kernel", "--m", "2"),
-    ("exp", "--degree", "4"),
     ("confluence", "--j", "1"),
     ("thm-nou", "--seed", "5"),
     ("confluence", "--n-max", "0"),
@@ -252,31 +244,51 @@ def test_flag_on_suite_that_does_not_read_it_exits_2(capsys, monkeypatch, suite,
 
 
 def test_suite_flags_under_all_go_to_their_readers():
-    cli.check_flags("all", SuiteConfig(j=0, m=2, degree=3))
+    cli.check_flags("all", SuiteConfig(j=0, m=2, seed=5))
     cli.check_flags("cor-kernel", SuiteConfig(j=0))
     cli.check_flags("eq5-matrix", SuiteConfig(m=2))
-    cli.check_flags("confluence", SuiteConfig(degree=3))
-    assert [c["degree"] for c in iter_cases("confluence", SuiteConfig())] == [
-        cli.DEFAULT_CONFLUENCE_DEGREE
-    ] * len(cli.PRESET_NAMES)
+    assert [c["preset"] for c in iter_cases("confluence", SuiteConfig())] == list(
+        cli.PRESET_NAMES
+    )
+
+
+def test_small_confluence_degree_exits_2(capsys):
+    # the confluence proof covers every word length, so --degree is no longer a flag
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "all", "--n-max", "1", "--degree", "2"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --degree 2" in captured.err
 
 
 def test_selfcheck_small_degree_exits_2_before_any_check(capsys, monkeypatch):
     def no_check(seed, samples):
-        raise AssertionError("a check ran before --degree was checked")
+        raise AssertionError("a check ran before the arguments were parsed")
 
     monkeypatch.setattr(cli, "_selfcheck_scalar_axioms", no_check)
-    code = main(["selfcheck", "--degree", "2"])
+    with pytest.raises(SystemExit) as info:
+        main(["selfcheck", "--degree", "2"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert info.value.code == 2
     assert captured.out == ""
-    assert "--degree must be >= 3" in captured.err
+    assert "unrecognized arguments: --degree 2" in captured.err
 
 
 def test_empty_run_exits_2(capsys, monkeypatch):
     code, err = flag_error(capsys, monkeypatch, "verify", "chvar-log", "--n-max", "2", "--j", "9")
     assert code == 2
     assert "no cases" in err
+
+
+def test_exp_with_out_of_range_j_is_an_empty_run(capsys, monkeypatch):
+    # exp n=0 reads no j, so it must not turn an unusable --j into a pass
+    code, err = flag_error(
+        capsys, monkeypatch, "verify", "exp", "--n-max", "3", "--j", "5", "--lambda", "1"
+    )
+    assert code == 2
+    assert "no cases" in err
+    assert {c["n"] for c in iter_cases("exp", SuiteConfig(n_max=2, lambdas=("1",), j=0))} == {1, 2}
 
 
 def test_jobs_below_one_exits_2(capsys, monkeypatch):
@@ -322,15 +334,14 @@ def test_worker_count_is_clamped_to_cpus_and_cases(monkeypatch):
 # both the rational and the general scalar paths
 PINNED_STREAMS = {
     "default-lambdas": (
-        ("verify", "all", "--n-max", "3", "--degree", "3", "--format", "json"),
+        ("verify", "all", "--n-max", "3", "--format", "json"),
         811,
-        "f7546f53009968b6b5e9841c1fa15862d75ba65f2564fc0fbccb86aca4bc99e2",
+        "2d85b8b90e8efeeb16911e95cf5eee93e525f219e91fe24a18a4dbae2a24821e",
     ),
     "mixed-lambdas": (
-        ("verify", "all", "--n-max", "3", "--degree", "3",
-         "--lambda", "1,-3,1/2,i,1+i,0", "--format", "json"),
+        ("verify", "all", "--n-max", "3", "--lambda", "1,-3,1/2,i,1+i,0", "--format", "json"),
         817,
-        "8b0820ba40eaf4703d3eef4c5569afbacc9acb411e59080e135500be53e1c1df",
+        "0423e278c520936a1efa1fb85f7ee1da0441993e1654bad6e81f9ba393b32228",
     ),
 }
 

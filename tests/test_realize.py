@@ -196,6 +196,11 @@ def test_matrix_arithmetic():
         Matrix([[1, 2], [3]])
 
 
+def test_matrix_power_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        Matrix([[1, 2], [3, 4]]) ** -1
+
+
 def test_eq5_matrix_oracle():
     rep = verify_shift_binomial_matrices(1, 2, 7)
     assert rep.passed

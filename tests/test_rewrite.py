@@ -1,12 +1,16 @@
 """Normal ordering: presets, termination guard, kernel ops, confluence."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbinom.binomial import binom, build_binomial
-from ncbinom.freealg import NcPoly, commutator
+from ncbinom.freealg import NcPoly, accumulate, commutator
 from ncbinom.rewrite import (
+    DEFAULT_STEP_BUDGET,
     PRESET_NAMES,
     RewriteBudgetError,
     RewriteRule,
@@ -163,33 +167,113 @@ def test_d_must_be_maximal():
         RelationPreset("bad", Alphabet(("D", "U")), (), {})
 
 
-def test_confluence_first_order_degree6():
-    report = check_confluence(first_order_plus(ONE), 6)
+# ---- confluence: the overlap proof and a brute-force oracle ------------------
+
+EXPECTED_OVERLAPS = {
+    "first-order-plus": (),
+    "first-order-minus": (),
+    "second-order": ("D C U",),
+    "second-order-central": ("D C U",),
+    "invertible-plus": ("D U Uinv", "D Uinv U", "U Uinv U", "Uinv U Uinv"),
+    "invertible-minus": ("D U Uinv", "D Uinv U", "U Uinv U", "Uinv U Uinv"),
+    "partial-vw": ("D W V",),
+    "free": (),
+}
+
+
+def reduce_by_strategy(preset, word, choose):
+    """Slow oracle: full reduction contracting the redex `choose` picks, one per step."""
+    rule_map = preset._rule_map
+
+    def irreducible_terms():
+        stack = [(word, ONE)]
+        while stack:
+            w, c = stack.pop()
+            redexes = [i for i in range(len(w) - 1) if (w[i], w[i + 1]) in rule_map]
+            if not redexes:
+                yield w, c
+                continue
+            i = choose(redexes)
+            for sub, rc in rule_map[(w[i], w[i + 1])].items():
+                stack.append((w[:i] + sub + w[i + 2 :], c * rc))
+
+    return accumulate(irreducible_terms())
+
+
+def strategy_outcomes(preset, word):
+    """Normal forms of `word` under the leftmost, rightmost and one seeded random strategy."""
+    rng = random.Random(0)
+    return [reduce_by_strategy(preset, word, choose)
+            for choose in (lambda r: r[0], lambda r: r[-1], rng.choice)]
+
+
+def assert_oracle_agrees(preset, max_length):
+    for length in range(max_length + 1):
+        for word in itertools.product(range(len(preset.alphabet)), repeat=length):
+            engine = preset._word_normal_form(word, [DEFAULT_STEP_BUDGET])
+            outcomes = strategy_outcomes(preset, word)
+            assert all(o == engine for o in outcomes), preset.alphabet.word_str(word)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_overlaps_of_shipped_presets_resolve(name):
+    report = check_confluence(make_preset(name, parse_scalar("1+i"), parse_scalar("2")))
     assert report.ok
+    assert report.overlaps == EXPECTED_OVERLAPS[name]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_strategy_oracle_agrees_with_engine(name):
+    assert_oracle_agrees(make_preset(name, parse_scalar("1/2"), parse_scalar("-3")), 5)
+
+
+def test_confluence_first_order_degree6():
+    preset = first_order_plus(ONE)
+    assert check_confluence(preset).ok
+    assert_oracle_agrees(preset, 6)
 
 
 def test_confluence_second_order_degree6():
-    report = check_confluence(second_order(parse_scalar("2")), 6)
-    assert report.ok
-
-
-def test_confluence_rejects_small_degree():
-    with pytest.raises(ValueError):
-        check_confluence(first_order_plus(ONE), 2)
+    preset = second_order(parse_scalar("2"))
+    assert check_confluence(preset).ok
+    assert_oracle_agrees(preset, 6)
 
 
 def test_incomplete_vw_fixture_diverges_on_dwv():
-    report = check_confluence(incomplete_vw_fixture(ONE), 3)
+    report = check_confluence(incomplete_vw_fixture(ONE))
     assert not report.ok
+    assert report.overlaps == ("D W V",)
     words = [w for w, _ in report.divergent]
-    assert "D W V" in words
+    assert words == ["D W V"]
     forms = dict(report.divergent)["D W V"]
     assert set(forms) == {"W D V + V W", "D V W"}
 
 
 def test_complete_vw_is_confluent():
-    report = check_confluence(partial_vw(ONE, parse_scalar("2")), 4)
+    report = check_confluence(partial_vw(ONE, parse_scalar("2")))
     assert report.ok
+    assert report.overlaps == ("D W V",)
+
+
+def test_flipped_inverse_sign_diverges():
+    lam = parse_scalar("2")
+    good = invertible_plus(lam)
+    alpha = good.alphabet
+    uinv, d = gens(good, "Uinv", "D")
+    d_uinv = (alpha.index("D"), alpha.index("Uinv"))
+    # D Uinv -> Uinv D + lam Uinv: the sign D U -> U D + lam U would force is -lam
+    rules = tuple(
+        RewriteRule(d_uinv, uinv * d + lam * uinv) if rule.left == d_uinv else rule
+        for rule in good.rules
+    )
+    flipped = RelationPreset("invertible-flipped", alpha, rules, {"lambda": lam})
+    report = check_confluence(flipped)
+    assert report.overlaps == EXPECTED_OVERLAPS["invertible-plus"]
+    assert [w for w, _ in report.divergent] == ["D U Uinv", "D Uinv U"]
+    for text in ("D U Uinv", "D Uinv U"):
+        word = tuple(alpha.index(name) for name in text.split())
+        outcomes = strategy_outcomes(flipped, word)
+        assert any(o != outcomes[0] for o in outcomes[1:]), text
 
 
 def test_make_preset_names():
