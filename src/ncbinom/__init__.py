@@ -10,11 +10,10 @@ from .rewrite import (
     normalize,
     restrict_to_kernel,
 )
-from .binomial import BinomialSpec, build_binomial, build_binomial_alt, double_factorial
+from .binomial import build_binomial, build_binomial_alt, double_factorial
 
 __all__ = [
     "Alphabet",
-    "BinomialSpec",
     "CycloScalar",
     "NcPoly",
     "RelationPreset",

@@ -15,8 +15,7 @@ of C(n,k) * L_k * R_(n-k); `running_products` gives its L and R lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from math import comb
 
 from .freealg import Alphabet, NcPoly, commutator, ordered_product
 from .report import Clause, VerificationReport, parity_clauses, report_from_clauses
@@ -28,16 +27,6 @@ from .rewrite import (
     restrict_to_kernel,
 )
 from .scalars import ZERO, CycloScalar
-
-
-@lru_cache(maxsize=None)
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient by the Pascal recurrence, exact at any size."""
-    if k < 0 or k > n:
-        return 0
-    if k == 0 or k == n:
-        return 1
-    return binom(n - 1, k - 1) + binom(n - 1, k)
 
 
 def double_factorial(k: int) -> int:
@@ -63,7 +52,7 @@ def binomial_sum(n: int, left, right):
     """Sum over k of C(n,k) * left[k] * right[n-k], for any ring with * and +."""
     total = left[0] * right[n]
     for k in range(1, n + 1):
-        total = total + binom(n, k) * (left[k] * right[n - k])
+        total = total + comb(n, k) * (left[k] * right[n - k])
     return total
 
 
@@ -95,27 +84,6 @@ def falling_product(n: int, lam, d: NcPoly) -> NcPoly:
     return ordered_product(d.alphabet, (d + (lam * j) * unit for j in range(n)))
 
 
-@dataclass(frozen=True)
-class BinomialSpec:
-    """One concrete instance: degree, scalar, preset, and generator roles."""
-
-    n: int
-    lam: CycloScalar
-    preset: RelationPreset
-
-    def u(self) -> NcPoly:
-        return self.preset.generator("U")
-
-    def d(self) -> NcPoly:
-        return self.preset.generator("D")
-
-    def build(self) -> NcPoly:
-        return build_binomial(self.n, self.lam, self.u(), self.d())
-
-    def build_alt(self) -> NcPoly:
-        return build_binomial_alt(self.n, self.lam, self.u(), self.d())
-
-
 def expected_even_restriction(n: int, base: NcPoly, preset: RelationPreset) -> NcPoly:
     """(n-1)!! * base^(n/2), normalized; the even-case closed form."""
     if n % 2 != 0 or n <= 0:
@@ -130,10 +98,10 @@ def verify_u_independence(n: int, lam) -> VerificationReport:
     """The combination collapses to the product of (D + j*lam*I) factors."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
-    spec = BinomialSpec(n, lam, preset)
-    lhs = normalize(spec.build(), preset)
+    d = preset.generator("D")
+    lhs = normalize(build_binomial(n, lam, preset.generator("U"), d), preset)
     clauses = [
-        Clause("product-form", lhs, normalize(falling_product(n, lam, spec.d()), preset)),
+        Clause("product-form", lhs, normalize(falling_product(n, lam, d), preset)),
         Clause("no-U", NcPoly.scalar(preset.alphabet, lhs.letter_degree("U")),
                NcPoly.zero(preset.alphabet)),
     ]
@@ -146,13 +114,9 @@ def verify_ascending_recurrence(n: int, lam) -> VerificationReport:
         raise ValueError("recurrence needs n >= 1")
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
-    spec = BinomialSpec(n, lam, preset)
-    unit = preset.unit()
-    lhs = normalize(spec.build(), preset)
-    rhs = normalize(
-        build_binomial(n - 1, lam, spec.u(), spec.d()) * (spec.d() + (lam * (n - 1)) * unit),
-        preset,
-    )
+    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
+    lhs = normalize(build_binomial(n, lam, u, d), preset)
+    rhs = normalize(build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit), preset)
     return report_from_clauses("rec-3", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)])
 
 
@@ -160,15 +124,14 @@ def verify_minus_commutator_theorem(n: int, lam) -> VerificationReport:
     """Kernel restriction under DU -> UD - lam*U: parity dichotomy and shift."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
-    spec = BinomialSpec(n, lam, preset)
-    b = spec.build()
+    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
+    b = build_binomial(n, lam, u, d)
     restricted = restrict_to_kernel(b, preset)
     zero = NcPoly.zero(preset.alphabet)
     clauses = parity_clauses(
-        n, restricted, zero, lambda: expected_even_restriction(n, (-2 * lam) * spec.u(), preset)
+        n, restricted, zero, lambda: expected_even_restriction(n, (-2 * lam) * u, preset)
     )
-    unit = preset.unit()
-    shifted = restrict_to_kernel((2 * spec.d() + (lam * n) * unit) * b, preset)
+    shifted = restrict_to_kernel((2 * d + (lam * n) * unit) * b, preset)
     clauses.append(Clause("shifted-vanishes", shifted, zero))
     return report_from_clauses("thm-wrongsign", {"n": n, "lambda": str(lam)}, clauses)
 
@@ -179,9 +142,8 @@ def verify_minus_recurrence(n: int, lam) -> VerificationReport:
         raise ValueError("recurrence needs n >= 2")
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
-    spec = BinomialSpec(n, lam, preset)
-    u, d, unit = spec.u(), spec.d(), preset.unit()
-    lhs = normalize(spec.build(), preset)
+    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
+    lhs = normalize(build_binomial(n, lam, u, d), preset)
     rhs_free = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit)
     rhs_free = rhs_free - (2 * (n - 1)) * lam * (u * build_binomial(n - 2, lam, u, d))
     if n > 2:
@@ -201,10 +163,9 @@ def verify_second_commutator_theorem(n: int, lam) -> VerificationReport:
     """
     lam = CycloScalar.of(lam)
     preset = cached_preset("second-order", lam)
-    spec = BinomialSpec(n, lam, preset)
-    b = spec.build()
-    c = preset.generator("C")
-    u, d, unit = spec.u(), spec.d(), preset.unit()
+    u, c, d = map(preset.generator, ("U", "C", "D"))
+    unit = preset.unit()
+    b = build_binomial(n, lam, u, d)
     restricted = restrict_to_kernel(b, preset)
     zero = NcPoly.zero(preset.alphabet)
     clauses = [Clause("c-names-commutator", normalize(commutator(d, u), preset), c)]
@@ -226,12 +187,9 @@ def verify_central_recurrence(n: int) -> VerificationReport:
     if n < 3:
         raise ValueError("two-step recurrence needs n >= 3")
     preset = cached_preset("second-order-central", ZERO)
-    spec = BinomialSpec(n, ZERO, preset)
-    c = preset.generator("C")
-    lhs = restrict_to_kernel(spec.build(), preset)
-    prev = restrict_to_kernel(
-        build_binomial(n - 2, ZERO, spec.u(), spec.d()), preset
-    )
+    u, c, d = map(preset.generator, ("U", "C", "D"))
+    lhs = restrict_to_kernel(build_binomial(n, ZERO, u, d), preset)
+    prev = restrict_to_kernel(build_binomial(n - 2, ZERO, u, d), preset)
     rhs = normalize((n - 1) * (c * prev), preset)
     return report_from_clauses("rec-7", {"n": n}, [Clause("", lhs, rhs)])
 
@@ -246,8 +204,8 @@ def verify_kernel_vectors(n: int, lam, j: int) -> VerificationReport:
         raise ValueError("j must be non-negative")
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
-    spec = BinomialSpec(n, lam, preset)
-    value = kernel_eval(spec.build(), preset, -(lam * j))
+    b = build_binomial(n, lam, preset.generator("U"), preset.generator("D"))
+    value = kernel_eval(b, preset, -(lam * j))
     zero = NcPoly.zero(preset.alphabet)
     return report_from_clauses(
         "cor-kernel", {"n": n, "lambda": str(lam), "j": j}, [Clause("", value, zero)]
@@ -277,11 +235,11 @@ def verify_alt_expansion(n: int, lam) -> VerificationReport:
         raise ValueError("alternative expansion requires n > 0")
     lam = CycloScalar.of(lam)
     preset = cached_preset("free")
-    spec = BinomialSpec(n, lam, preset)
+    u, d = preset.generator("U"), preset.generator("D")
     return report_from_clauses(
         "lemma-l2",
         {"n": n, "lambda": str(lam)},
-        [Clause("", spec.build(), spec.build_alt())],
+        [Clause("", build_binomial(n, lam, u, d), build_binomial_alt(n, lam, u, d))],
     )
 
 
@@ -289,10 +247,9 @@ def verify_inverse_factorization(n: int, lam) -> VerificationReport:
     """B(n) equals (D * Uinv)^n * U^n once U is invertible."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-plus", lam)
-    spec = BinomialSpec(n, lam, preset)
-    uinv = preset.generator("Uinv")
-    lhs = normalize(spec.build(), preset)
-    rhs = normalize((spec.d() * uinv) ** n * spec.u() ** n, preset)
+    uinv, u, d = map(preset.generator, ("Uinv", "U", "D"))
+    lhs = normalize(build_binomial(n, lam, u, d), preset)
+    rhs = normalize((d * uinv) ** n * u**n, preset)
     return report_from_clauses(
         "lemma-l3", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)]
     )
@@ -314,12 +271,11 @@ def verify_noncommuting_binomial_form(n: int, lam) -> VerificationReport:
     """B(n) as a binomial sum in DU - U^2 and U^2, times Uinv^n."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-minus", lam)
-    spec = BinomialSpec(n, lam, preset)
-    u, d = spec.u(), spec.d()
-    uinv, unit = preset.generator("Uinv"), preset.unit()
+    uinv, u, d = map(preset.generator, ("Uinv", "U", "D"))
+    unit = preset.unit()
     core = binomial_sum(n, running_products(unit, [d * u - u * u] * n),
                         running_products(unit, [u * u] * n))
-    lhs = normalize(spec.build(), preset)
+    lhs = normalize(build_binomial(n, lam, u, d), preset)
     rhs = normalize(core * uinv**n, preset)
     return report_from_clauses(
         "final-remark", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)]

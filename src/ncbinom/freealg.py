@@ -186,28 +186,6 @@ class NcPoly:
             result = result * self
         return result
 
-    # ---- endomorphisms ------------------------------------------------
-
-    def substitute(self, name: str, replacement: NcPoly) -> NcPoly:
-        """Algebra map sending one generator to `replacement`, fixing the rest."""
-        self._require_same_alphabet(replacement)
-        target = self.alphabet.index(name)
-        out = NcPoly.zero(self.alphabet)
-        single_letter_cache: dict[int, NcPoly] = {}
-        for word, coeff in self.terms.items():
-            image = NcPoly.scalar(self.alphabet, coeff)
-            for letter in word:
-                if letter == target:
-                    image = image * replacement
-                else:
-                    piece = single_letter_cache.get(letter)
-                    if piece is None:
-                        piece = NcPoly(self.alphabet, {(letter,): CycloScalar.of(1)})
-                        single_letter_cache[letter] = piece
-                    image = image * piece
-            out = out + image
-        return out
-
     # ---- canonical output ---------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Word, CycloScalar]]:

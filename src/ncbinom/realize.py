@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .binomial import binomial_sum, build_binomial, double_factorial, running_products
@@ -118,6 +117,12 @@ class FuncExpr:
         if c.is_zero:
             return FuncExpr._raw({})
         return FuncExpr._raw({k: c * v for k, v in self.terms.items()})
+
+    def combine(self, pairs) -> FuncExpr:
+        """Sum of c*g over (scalar c, FuncExpr g) pairs, formed in one pass."""
+        return FuncExpr._raw(accumulate(
+            (key, c * v) for c, g in pairs for key, v in g.terms.items()
+        ))
 
     def differentiate(self, kind: str = D_DX) -> FuncExpr:
         """Exact image under one of the three derivations.
@@ -277,6 +282,10 @@ class Matrix:
             result = result * self
         return result
 
+    def combine(self, pairs) -> Matrix:
+        """Sum of c*g over (scalar c, Matrix g) pairs; the zero sum has this matrix's shape."""
+        return sum((c * g for c, g in pairs), Matrix.zeros(*self.shape))
+
     def __str__(self) -> str:
         return "[" + ", ".join(
             "[" + ", ".join(str(x) for x in row) + "]" for row in self.rows
@@ -358,6 +367,12 @@ class VecFunc:
     def times_func(self, f: FuncExpr) -> VecFunc:
         return VecFunc([e * f for e in self.entries])
 
+    def combine(self, pairs) -> VecFunc:
+        """Sum of c*g over (scalar c, VecFunc g) pairs, slot by slot."""
+        pairs = list(pairs)
+        return VecFunc([entry.combine((c, g.entries[slot]) for c, g in pairs)
+                        for slot, entry in enumerate(self.entries)])
+
     def differentiate(self, kind: str = D_DX) -> VecFunc:
         return VecFunc([e.differentiate(kind) for e in self.entries])
 
@@ -406,52 +421,24 @@ class FuncMatrix:
             out.append(acc)
         return VecFunc(out)
 
-
-# ---- operator assignments -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Derivation:
-    kind: str = D_DX
-
-    def __post_init__(self):
-        if self.kind not in DERIVATION_KINDS:
-            raise ValueError(f"unknown derivation kind {self.kind!r}")
+    def __mul__(self, v: VecFunc) -> VecFunc:
+        return self.matvec(v)
 
 
-@dataclass(frozen=True)
-class MultiplyBy:
-    func: FuncExpr
+# ---- letter actions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplyByMatrix:
-    matrix: FuncMatrix
+def letter_actions(u, kind: str = D_DX) -> dict:
+    """U acts as multiplication by u (a function or a FuncMatrix), D as the derivation `kind`."""
+    return {"U": lambda g: u * g, "D": lambda g: g.differentiate(kind)}
 
 
-Operator = Derivation | MultiplyBy | MultiplyByMatrix
-OperatorAssignment = dict[str, Operator]
-
-
-def _apply_operator(op: Operator, f):
-    if isinstance(op, Derivation):
-        return f.differentiate(op.kind)
-    if isinstance(op, MultiplyBy):
-        if isinstance(f, VecFunc):
-            return f.times_func(op.func)
-        return op.func * f
-    if isinstance(op, MultiplyByMatrix):
-        if not isinstance(f, VecFunc):
-            raise ValueError("matrix multiplication operators act on vector functions")
-        return op.matrix.matvec(f)
-    raise TypeError(f"not an operator: {op!r}")
-
-
-def apply_assigned(p: NcPoly, assignment: OperatorAssignment, f):
+def apply_assigned(p: NcPoly, assignment: dict, f):
     """Act with p on f; the rightmost letter of each word acts first.
 
-    Distinct words share suffixes heavily, so images of suffixes are
-    cached instead of recomputed word by word.
+    `assignment` maps each letter name to a callable g -> g'.  Distinct
+    words share suffixes heavily, so images of suffixes are cached instead
+    of recomputed word by word.  The carrier's `combine` forms the sum.
     """
     names = p.alphabet.names
     for word in p.terms:
@@ -463,24 +450,11 @@ def apply_assigned(p: NcPoly, assignment: OperatorAssignment, f):
     def image_of(word):
         g = suffix_cache.get(word)
         if g is None:
-            g = _apply_operator(assignment[names[word[0]]], image_of(word[1:]))
+            g = assignment[names[word[0]]](image_of(word[1:]))
             suffix_cache[word] = g
         return g
 
-    def merge(acc: dict, func: FuncExpr, coeff: CycloScalar) -> None:
-        accumulate(((key, coeff * value) for key, value in func.terms.items()), acc)
-
-    if isinstance(f, VecFunc):
-        acc_vec = [dict() for _ in range(f.dim)]
-        for word, coeff in p.terms.items():
-            image = image_of(word)
-            for slot, entry in zip(acc_vec, image.entries):
-                merge(slot, entry, coeff)
-        return VecFunc([FuncExpr._raw(slot) for slot in acc_vec])
-    acc: dict = {}
-    for word, coeff in p.terms.items():
-        merge(acc, image_of(word), coeff)
-    return FuncExpr._raw(acc)
+    return f.combine((coeff, image_of(word)) for word, coeff in p.terms.items())
 
 
 # ---- scalar-function verifiers --------------------------------------------
@@ -521,7 +495,7 @@ def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[NcPoly, list
     """B(n) with the operator's mu, and its parity and shift clauses on the constant 1."""
     u, mu, base = dichotomy_operator(kind, lam)
     b = _abstract(n, mu)
-    result = apply_assigned(b, {"U": MultiplyBy(u), "D": Derivation()}, FuncExpr.one())
+    result = apply_assigned(b, letter_actions(u), FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(n, result, zero, lambda: _closed_form(n, mu, base))
     if n > 0:
@@ -537,7 +511,7 @@ def verify_exponential(n: int, lam, j: int | None) -> VerificationReport:
     b, dichotomy = _scalar_dichotomy("decay", n, lam)
     clauses = []
     if j is not None and n > 0:
-        grow = {"U": MultiplyBy(FuncExpr.exponential(lam)), "D": Derivation()}
+        grow = letter_actions(FuncExpr.exponential(lam))
         target = FuncExpr.exponential(-(lam * j))
         clauses.append(Clause("kernel-target", apply_assigned(b, grow, target), FuncExpr.zero()))
     params = {"n": n, "lambda": str(lam)}
@@ -558,8 +532,7 @@ def verify_linear(n: int, a, b) -> VerificationReport:
     a = CycloScalar.of(a)
     b = CycloScalar.of(b)
     u = FuncExpr.monomial(1).scaled(a) + FuncExpr.term(b)
-    asg = {"U": MultiplyBy(u), "D": Derivation()}
-    result = apply_assigned(_abstract(n, ZERO), asg, FuncExpr.one())
+    result = apply_assigned(_abstract(n, ZERO), letter_actions(u), FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(
         n, result, zero, lambda: FuncExpr.term(double_factorial(n - 1) * a ** (n // 2))
@@ -578,13 +551,10 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> Verificatio
         raise ValueError(f"j={j} outside 0..{n - 1}")
     half = CycloScalar.of(Fraction(1, 2))
     if variant == "gauss":
-        asg = {
-            "U": MultiplyBy(FuncExpr.exponential(0, lam * half)),
-            "D": Derivation(XINV_D_DX),
-        }
+        asg = letter_actions(FuncExpr.exponential(0, lam * half), XINV_D_DX)
         target = FuncExpr.exponential(0, -(lam * half * j))
     elif variant == "log":
-        asg = {"U": MultiplyBy(FuncExpr.monomial(lam)), "D": Derivation(X_D_DX)}
+        asg = letter_actions(FuncExpr.monomial(lam), X_D_DX)
         target = FuncExpr.monomial(-(lam * j))
     else:
         raise ValueError(f"unknown change-of-variables variant {variant!r}")
@@ -608,12 +578,11 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
     a = random_matrix(rng, m)
     cvec = VecFunc.constant(random_vector(rng, m))
     zero = VecFunc.zero(m)
-    deriv = {"D": Derivation()}
     params = {"item": item, "n": n, "lambda": str(lam), "m": m, "seed": seed}
     clauses: list[Clause] = []
 
     if item == 1:
-        asg = deriv | {"U": MultiplyByMatrix(FuncMatrix.from_constant(a, FuncExpr.exponential(lam)))}
+        asg = letter_actions(FuncMatrix.from_constant(a, FuncExpr.exponential(lam)))
         b = _abstract(n, lam)
         for j in range(n):
             target_scalar = FuncExpr.exponential(-(lam * j))
@@ -624,7 +593,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
                 clauses.append(Clause(f"j={j},col={col}", apply_assigned(b, asg, basis), zero))
     elif item in range(2, 8):
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
-        asg = deriv | {"U": MultiplyByMatrix(FuncMatrix.from_constant(a, u))}
+        asg = letter_actions(FuncMatrix.from_constant(a, u))
         result = apply_assigned(_abstract(n, mu), asg, cvec)
         if item in (2, 5) and n % 2 == 1:
             clauses.append(Clause("odd-vanishes", result, zero))
@@ -649,7 +618,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
             raise ValueError("item 8 requires commuting matrices")
         x_part = FuncMatrix.from_constant(a1, FuncExpr.monomial(1))
         const_part = FuncMatrix.from_constant(a2)
-        asg = deriv | {"U": MultiplyByMatrix(x_part + const_part)}
+        asg = letter_actions(x_part + const_part)
         result = apply_assigned(_abstract(n, ZERO), asg, cvec)
         clauses += parity_clauses(
             n, result, zero,
@@ -707,8 +676,8 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> VerificationReport
     v = random_func_expr(rng)
     w = FuncExpr.exponential(lam)
     b = _abstract(n, lam)
-    with_w = {"U": MultiplyBy(v + w), "D": Derivation()}
-    without_w = {"U": MultiplyBy(v), "D": Derivation()}
+    with_w = letter_actions(v + w)
+    without_w = letter_actions(v)
     clauses = []
     for idx in range(5):
         f = random_func_expr(rng)
@@ -744,21 +713,12 @@ def truncated_shift_matrix(p: NcPoly, preset: RelationPreset, size: int) -> Matr
     if size < u_deg + 2:
         raise ValueError(f"size {size} too small; need at least U-degree + 2 = {u_deg + 2}")
     dim = size + 1
-    u_idx = p.alphabet.index("U")
-    d_idx = p.alphabet.index("D")
-    total = Matrix.zeros(dim)
-    ident = Matrix.identity(dim)
     shift = Matrix([[1 if i == j + 1 else 0 for j in range(dim)] for i in range(dim)])
     diag = Matrix(
         [[(sign * i) * lam if i == j else ZERO for j in range(dim)] for i in range(dim)]
     )
-    letters = {u_idx: shift, d_idx: diag}
-    for word, coeff in p.terms.items():
-        mat = ident
-        for letter in word:
-            mat = mat * letters[letter]
-        total = total + coeff * mat
-    return total
+    actions = {"U": lambda g: shift * g, "D": lambda g: diag * g}
+    return apply_assigned(p, actions, Matrix.identity(dim))
 
 
 def safe_block(mat: Matrix, size: int) -> Matrix:
@@ -792,8 +752,7 @@ def third_order_scan(n_list, lam, mu_candidates=None) -> list[VerificationReport
             raise ValueError("the scan covers odd n >= 3")
         for mu in mu_candidates:
             mu = CycloScalar.of(mu)
-            asg = {"U": MultiplyBy(u), "D": Derivation()}
-            result = apply_assigned(_abstract(n, mu), asg, FuncExpr.one())
+            result = apply_assigned(_abstract(n, mu), letter_actions(u), FuncExpr.one())
             reports.append(
                 report_from_clauses(
                     "third-order",

@@ -11,9 +11,9 @@ assumed; `check_confluence` proves it by resolving the overlap
 ambiguities (Bergman's diamond lemma).
 
 The designated kernel generator D must be last in alphabet order.  In a
-normal form all remaining D letters sit in a trailing block, which makes
-"restrict to the D-kernel" a purely syntactic deletion and "evaluate on a
-D-eigenvector" a substitution of the trailing block by a scalar power.
+normal form all remaining D letters sit in a trailing block, so "evaluate
+on a D-eigenvector" replaces the trailing block by a scalar power, and
+"restrict to the D-kernel" is the same evaluation at eigenvalue zero.
 """
 
 from __future__ import annotations
@@ -132,13 +132,6 @@ def normalize(p: NcPoly, preset: RelationPreset, step_budget: int = DEFAULT_STEP
     ))
 
 
-def restrict_to_kernel(p: NcPoly, preset: RelationPreset) -> NcPoly:
-    """Normal form with every monomial containing D deleted (action on ker D)."""
-    nf = normalize(p, preset)
-    d = preset.d_index
-    return NcPoly(preset.alphabet, {w: c for w, c in nf.terms.items() if d not in w})
-
-
 def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> NcPoly:
     """Normal form with each trailing D-block D^c replaced by the scalar mu^c."""
     nf = normalize(p, preset)
@@ -154,6 +147,11 @@ def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> NcPoly:
     return NcPoly._raw(preset.alphabet, accumulate(
         evaluated(word, coeff) for word, coeff in nf.terms.items()
     ))
+
+
+def restrict_to_kernel(p: NcPoly, preset: RelationPreset) -> NcPoly:
+    """Action on ker D: every monomial of the normal form that ends in D vanishes."""
+    return kernel_eval(p, preset, ZERO)
 
 
 # ---- confluence proof ---------------------------------------------------

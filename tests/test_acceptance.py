@@ -11,18 +11,16 @@ import random
 import time
 
 from ncbinom.binomial import (
-    BinomialSpec,
     build_binomial,
     verify_kernel_vectors,
 )
 from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import (
-    Derivation,
     FuncExpr,
-    MultiplyBy,
     apply_assigned,
     cos_func,
+    letter_actions,
     safe_block,
     sin_func,
     truncated_shift_matrix,
@@ -86,8 +84,9 @@ def test_criterion_04_minus_commutator_theorem():
     reports, failed = run_suite("thm-wrongsign", n_max=10, lambdas=NONZERO_LAMBDAS)
     lam = parse_scalar("2")
     preset = cached_preset("first-order-minus", lam)
-    spec = BinomialSpec(2, lam, preset)
-    spot = restrict_to_kernel(spec.build(), preset) == (-2 * lam) * preset.generator("U")
+    u = preset.generator("U")
+    b2 = build_binomial(2, lam, u, preset.generator("D"))
+    spot = restrict_to_kernel(b2, preset) == (-2 * lam) * u
     ok = not failed and len(reports) == 11 * 6 and spot
     announce(4, "minus-commutator kernel forms, with the n=2 spot value -2*lam*U", ok)
 
@@ -147,10 +146,10 @@ def test_criterion_09_elementary_functions():
     ud = Alphabet(("U", "D"))
     u, d = NcPoly.generator(ud, "U"), NcPoly.generator(ud, "D")
     lam = parse_scalar("2")
-    decay = {"U": MultiplyBy(FuncExpr.exponential(-lam)), "D": Derivation()}
+    decay = letter_actions(FuncExpr.exponential(-lam))
     exp_spot = apply_assigned(build_binomial(2, lam, u, d), decay, FuncExpr.one())
     spot1 = exp_spot == FuncExpr.exponential(-lam).scaled(-2 * lam)
-    sine = {"U": MultiplyBy(sin_func(lam)), "D": Derivation()}
+    sine = letter_actions(sin_func(lam))
     sin_spot = apply_assigned(build_binomial(2, IMAG * lam, u, d), sine, FuncExpr.one())
     spot2 = sin_spot == FuncExpr.exponential(-(IMAG * lam)).scaled(lam)
 
@@ -201,13 +200,10 @@ def test_criterion_11_oracle_coherence():
         plus = cached_preset("first-order-plus", lam)
         minus = cached_preset("first-order-minus", lam)
         second = cached_preset("second-order", IMAG * lam)
-        asg_plus = {"U": MultiplyBy(FuncExpr.exponential(lam)), "D": Derivation()}
-        asg_minus = {"U": MultiplyBy(FuncExpr.exponential(-lam)), "D": Derivation()}
-        asg_second = {
-            "U": MultiplyBy(sin_func(lam)),
-            "C": MultiplyBy(cos_func(lam).scaled(lam)),
-            "D": Derivation(),
-        }
+        asg_plus = letter_actions(FuncExpr.exponential(lam))
+        asg_minus = letter_actions(FuncExpr.exponential(-lam))
+        lam_cos = cos_func(lam).scaled(lam)
+        asg_second = letter_actions(sin_func(lam)) | {"C": lambda g: lam_cos * g}
         for preset, asg in ((plus, asg_plus), (minus, asg_minus), (second, asg_second)):
             u = preset.generator("U")
             d = preset.generator("D")

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from ncbinom.binomial import (
-    BinomialSpec,
     binomial_sum,
     build_binomial,
     build_binomial_alt,
@@ -89,9 +88,8 @@ def test_u_independence_small():
     rep = verify_u_independence(2, ONE)
     assert rep.passed
     preset = cached_preset("first-order-plus", ONE)
-    spec = BinomialSpec(2, ONE, preset)
-    nf = normalize(spec.build(), preset)
     d = preset.generator("D")
+    nf = normalize(build_binomial(2, ONE, preset.generator("U"), d), preset)
     assert nf == d * d + d
     assert verify_u_independence(0, parse_scalar("i")).passed
     assert verify_u_independence(7, parse_scalar("1/2")).passed
@@ -101,8 +99,9 @@ def test_u_independence_no_u_letters():
     for lam_text in ("1", "i", "1/2"):
         lam = parse_scalar(lam_text)
         preset = cached_preset("first-order-plus", lam)
+        u, d = preset.generator("U"), preset.generator("D")
         for n in range(7):
-            nf = normalize(BinomialSpec(n, lam, preset).build(), preset)
+            nf = normalize(build_binomial(n, lam, u, d), preset)
             assert nf.letter_degree("U") == 0
 
 
@@ -110,8 +109,7 @@ def test_homogeneity_of_product_form():
     for lam_text in ("2", "-3", "i", "1/2"):
         lam = parse_scalar(lam_text)
         for n in range(6):
-            plain = falling_product(n, ONE, D)
-            rescaled = lam**n * plain.substitute("D", lam.inv() * D)
+            rescaled = lam**n * falling_product(n, ONE, lam.inv() * D)
             assert rescaled == falling_product(n, lam, D)
 
 
@@ -128,20 +126,19 @@ def test_minus_theorem_spot_values():
     assert verify_minus_commutator_theorem(1, ONE).passed
     lam = ONE
     preset = cached_preset("first-order-minus", lam)
-    spec = BinomialSpec(2, lam, preset)
-    assert restrict_to_kernel(spec.build(), preset) == (-2 * lam) * preset.generator("U")
+    u, d = preset.generator("U"), preset.generator("D")
+    assert restrict_to_kernel(build_binomial(2, lam, u, d), preset) == (-2 * lam) * u
     # n = 4: 3!! * (-2)^2 = 12 on U^2
-    spec4 = BinomialSpec(4, lam, preset)
-    u = preset.generator("U")
-    assert restrict_to_kernel(spec4.build(), preset) == 12 * (u * u)
+    assert restrict_to_kernel(build_binomial(4, lam, u, d), preset) == 12 * (u * u)
     assert verify_minus_commutator_theorem(4, ONE).passed
 
 
 def test_minus_theorem_parity_dichotomy():
     lam = parse_scalar("2")
     preset = cached_preset("first-order-minus", lam)
+    u, d = preset.generator("U"), preset.generator("D")
     for n in range(9):
-        restricted = restrict_to_kernel(BinomialSpec(n, lam, preset).build(), preset)
+        restricted = restrict_to_kernel(build_binomial(n, lam, u, d), preset)
         assert restricted.is_zero == (n % 2 == 1)
 
 
@@ -156,23 +153,22 @@ def test_minus_recurrence():
 def test_second_theorem_spot_values():
     lam = ONE
     preset = cached_preset("second-order", lam)
-    spec = BinomialSpec(2, lam, preset)
-    c = preset.generator("C")
-    u = preset.generator("U")
-    assert restrict_to_kernel(spec.build(), preset) == c - lam * u
+    u, c, d = preset.generator("U"), preset.generator("C"), preset.generator("D")
+    assert restrict_to_kernel(build_binomial(2, lam, u, d), preset) == c - lam * u
     assert verify_second_commutator_theorem(2, ONE).passed
     assert verify_second_commutator_theorem(1, ZERO).passed
     # at lam = 0 the restriction of the n=2 case is the commutator itself
     preset0 = cached_preset("second-order", ZERO)
-    spec0 = BinomialSpec(2, ZERO, preset0)
-    assert restrict_to_kernel(spec0.build(), preset0) == preset0.generator("C")
+    b2 = build_binomial(2, ZERO, preset0.generator("U"), preset0.generator("D"))
+    assert restrict_to_kernel(b2, preset0) == preset0.generator("C")
 
 
 def test_second_theorem_parity_dichotomy():
     lam = parse_scalar("i")
     preset = cached_preset("second-order", lam)
+    u, d = preset.generator("U"), preset.generator("D")
     for n in range(8):
-        restricted = restrict_to_kernel(BinomialSpec(n, lam, preset).build(), preset)
+        restricted = restrict_to_kernel(build_binomial(n, lam, u, d), preset)
         assert restricted.is_zero == (n % 2 == 1)
 
 
@@ -182,7 +178,8 @@ def test_central_recurrence():
     assert rep.passed
     preset = cached_preset("second-order-central", ZERO)
     c = preset.generator("C")
-    lhs = restrict_to_kernel(BinomialSpec(4, ZERO, preset).build(), preset)
+    b4 = build_binomial(4, ZERO, preset.generator("U"), preset.generator("D"))
+    lhs = restrict_to_kernel(b4, preset)
     assert lhs == 3 * (c * c)
     assert verify_central_recurrence(5).passed
     with pytest.raises(ValueError):
@@ -274,6 +271,11 @@ def test_binomial_sum_over_matrices_agrees_with_reference(dim):
         got = binomial_sum(n, running_products(ident, [a1 - ident] * n),
                            running_products(ident, [a2 + ident] * n))
         assert got == _reference_sum(n, lambda k: (a1 - ident) ** k * (a2 + ident) ** (n - k))
+
+
+def test_binomial_sum_at_large_degree():
+    # the coefficients come from math.comb: no recursion depth, no cache to grow
+    assert binomial_sum(1200, [1] * 1201, [1] * 1201) == 2**1200
 
 
 def test_build_forms_no_word_longer_than_n(monkeypatch):

@@ -48,27 +48,6 @@ def test_commutator_examples():
     assert commutator(I, p).is_zero
 
 
-def test_substitution_examples():
-    lam = parse_scalar("2")
-    b2 = D * D + D * U - U * D + lam * D - lam * U
-    assert b2.substitute("D", D) == b2
-    # setting U to zero leaves the pure-D part
-    assert b2.substitute("U", NcPoly.zero(UD)) == D * D + lam * D
-    # rescaling D by 1/lam then multiplying by lam^2 recovers the lam-product
-    plain = ordered_product(UD, [D, D + I])
-    scaled = (lam * lam) * plain.substitute("D", lam.inv() * D)
-    assert scaled == ordered_product(UD, [D, D + lam * I])
-
-
-def test_substitution_by_sum_expands():
-    VWD = Alphabet(("V", "W", "D"))
-    v = NcPoly.generator(VWD, "V")
-    w = NcPoly.generator(VWD, "W")
-    d = NcPoly.generator(VWD, "D")
-    p = d * v * d
-    assert p.substitute("V", v + w) == d * v * d + d * w * d
-
-
 def test_alphabet_mismatch_raises():
     other = NcPoly.generator(Alphabet(("A", "B")), "A")
     with pytest.raises(ValueError):

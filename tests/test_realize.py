@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from ncbinom.binomial import build_binomial
 from ncbinom.freealg import Alphabet, NcPoly, commutator
 from ncbinom.realize import (
-    Derivation,
     FuncExpr,
+    FuncMatrix,
     Matrix,
-    MultiplyBy,
     VecFunc,
     X_D_DX,
     XINV_D_DX,
     apply_assigned,
     cos_func,
+    letter_actions,
     random_func_expr,
     safe_block,
     sin_func,
@@ -66,7 +66,7 @@ def test_mul_examples():
 
 def test_apply_examples():
     lam = parse_scalar("2")
-    asg = {"D": Derivation(), "U": MultiplyBy(FuncExpr.exponential(lam))}
+    asg = letter_actions(FuncExpr.exponential(lam))
     f = FuncExpr.exponential(lam)
     assert apply_assigned(D, asg, f) == f.scaled(lam)
     g = FuncExpr.term(1, c=3, alpha=1)
@@ -78,12 +78,12 @@ def test_apply_examples():
 
 def test_apply_requires_assignment():
     with pytest.raises(ValueError):
-        apply_assigned(D * U, {"D": Derivation()}, FuncExpr.one())
+        apply_assigned(D * U, {"D": FuncExpr.differentiate}, FuncExpr.one())
 
 
 def test_sin_cos_commutator_closure():
     lam = parse_scalar("2")
-    asg = {"D": Derivation(), "U": MultiplyBy(sin_func(lam))}
+    asg = letter_actions(sin_func(lam))
     f = FuncExpr.term(1, c=1, alpha=parse_scalar("1/2"))
     first = apply_assigned(commutator(D, U), asg, f)
     assert first == (cos_func(lam) * f).scaled(lam)
@@ -115,8 +115,7 @@ def test_leibniz_rule(f, g):
 @settings(max_examples=40)
 @given(funcs)
 def test_apply_is_homomorphism(f):
-    lam = ONE
-    asg = {"D": Derivation(), "U": MultiplyBy(FuncExpr.exponential(lam))}
+    asg = letter_actions(FuncExpr.exponential(ONE))
     p = D * U + 2 * U
     q = U * D - D
     lhs = apply_assigned(p * q, asg, f)
@@ -127,7 +126,7 @@ def test_apply_is_homomorphism(f):
 def test_exponential_identities():
     assert verify_exponential(1, ONE, 0).passed
     lam = ONE
-    asg = {"D": Derivation(), "U": MultiplyBy(FuncExpr.exponential(-lam))}
+    asg = letter_actions(FuncExpr.exponential(-lam))
     got = apply_assigned(build_binomial(2, lam, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.exponential(-lam).scaled(-2)
     got4 = apply_assigned(build_binomial(4, lam, U, D), asg, FuncExpr.one())
@@ -140,7 +139,7 @@ def test_exponential_identities():
 def test_sine_identities():
     assert verify_sine(1, ONE).passed
     lam = ONE
-    asg = {"D": Derivation(), "U": MultiplyBy(sin_func(lam))}
+    asg = letter_actions(sin_func(lam))
     got = apply_assigned(build_binomial(2, IMAG * lam, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.exponential(-IMAG)
     assert verify_sine(2, ONE).passed
@@ -150,7 +149,7 @@ def test_sine_identities():
 def test_linear_identities():
     rep = verify_linear(2, 1, 0)
     assert rep.passed
-    asg = {"D": Derivation(), "U": MultiplyBy(FuncExpr.monomial(1))}
+    asg = letter_actions(FuncExpr.monomial(1))
     got = apply_assigned(build_binomial(2, ZERO, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.one()
     assert verify_linear(3, 2, 5).passed
@@ -246,6 +245,56 @@ def test_shift_matrix_agrees_with_normalize():
             assert safe_block(lhs, block) == safe_block(rhs, block)
 
 
+def word_by_word_shift_matrix(p: NcPoly, preset, size: int) -> Matrix:
+    """Reference: sum of coeff times the product of the letters' matrices, word by word."""
+    dim = size + 1
+    sign = 1 if preset.name == "first-order-plus" else -1
+    lam = preset.params["lambda"]
+    letters = {
+        p.alphabet.index("U"): Matrix([[int(i == j + 1) for j in range(dim)] for i in range(dim)]),
+        p.alphabet.index("D"): Matrix(
+            [[(sign * i) * lam if i == j else ZERO for j in range(dim)] for i in range(dim)]
+        ),
+    }
+    total = Matrix.zeros(dim)
+    for word, coeff in p.terms.items():
+        mat = Matrix.identity(dim)
+        for letter in word:
+            mat = mat * letters[letter]
+        total = total + coeff * mat
+    return total
+
+
+@pytest.mark.parametrize("preset_name", ["first-order-plus", "first-order-minus"])
+def test_shift_matrix_matches_word_by_word_reference(preset_name):
+    rng = random.Random(2718)
+    preset = cached_preset(preset_name, parse_scalar("1+i"))
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+            terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
+        p = NcPoly(preset.alphabet, terms)
+        size = p.letter_degree("U") + 3
+        assert truncated_shift_matrix(p, preset, size) == word_by_word_shift_matrix(p, preset, size)
+
+
+def test_vector_apply_under_diagonal_matrix_is_slotwise():
+    lam = parse_scalar("1/2")
+    u1, u2 = FuncExpr.exponential(lam), sin_func(parse_scalar("2"))
+    diag = FuncMatrix([[u1, FuncExpr.zero()], [FuncExpr.zero(), u2]])
+    rng = random.Random(11)
+    f1, f2 = random_func_expr(rng), random_func_expr(rng)
+    for n in range(5):
+        b = build_binomial(n, lam, U, D)
+        got = apply_assigned(b, letter_actions(diag), VecFunc([f1, f2]))
+        assert got == VecFunc([apply_assigned(b, letter_actions(u1), f1),
+                               apply_assigned(b, letter_actions(u2), f2)])
+    # the zero polynomial sends any vector to the zero vector of its dimension
+    zero_poly = NcPoly.zero(UD)
+    assert apply_assigned(zero_poly, letter_actions(diag), VecFunc([f1, f2])) == VecFunc.zero(2)
+
+
 def test_pipeline_consistency():
     # normalizing before applying the operators never changes the result
     lam = parse_scalar("2")
@@ -253,7 +302,7 @@ def test_pipeline_consistency():
     alpha = preset.alphabet
     u = NcPoly.generator(alpha, "U")
     d = NcPoly.generator(alpha, "D")
-    asg = {"U": MultiplyBy(FuncExpr.exponential(lam)), "D": Derivation()}
+    asg = letter_actions(FuncExpr.exponential(lam))
     rng = random.Random(5)
     for n in range(5):
         b = build_binomial(n, lam, u, d)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncbinom.binomial import binom, build_binomial
+from ncbinom.binomial import build_binomial
 from ncbinom.freealg import NcPoly, accumulate, commutator
 from ncbinom.rewrite import (
     DEFAULT_STEP_BUDGET,
@@ -100,6 +100,26 @@ def test_restrict_examples():
     # free expansion of the n=2 combination, restricted: -2*lam*U
     b2 = d * d + d * u - u * d + lam * d - lam * u
     assert restrict_to_kernel(b2, p) == (-2 * lam) * u
+
+
+def test_restrict_keeps_words_with_an_inner_d():
+    # under `free` nothing reorders, so D U is a normal form and D does not act first
+    p = make_preset("free")
+    u, d = gens(p, "U", "D")
+    assert restrict_to_kernel(d * u, p) == d * u
+    assert restrict_to_kernel(u * d + d * u * u - 3 * p.unit(), p) == d * u * u - 3 * p.unit()
+
+
+@pytest.mark.parametrize("name", ["first-order-minus", "second-order", "second-order-central"])
+def test_restrict_agrees_with_deleting_d_words(name):
+    for lam_text in ("1", "1+i"):
+        p = make_preset(name, parse_scalar(lam_text))
+        u, d = gens(p, "U", "D")
+        for n in range(7):
+            b = build_binomial(n, p.params["lambda"], u, d)
+            nf = normalize(b, p)
+            deleted = NcPoly(p.alphabet, {w: c for w, c in nf.terms.items() if p.d_index not in w})
+            assert restrict_to_kernel(b, p) == deleted
 
 
 def test_kernel_eval_examples():
@@ -321,9 +341,3 @@ def test_normalize_multiplicative_mod_relations(p, q):
     lhs = normalize(p * q, _second)
     rhs = normalize(normalize(p, _second) * normalize(q, _second), _second)
     assert lhs == rhs
-
-
-def test_pascal_binomials():
-    assert [binom(5, k) for k in range(6)] == [1, 5, 10, 10, 5, 1]
-    assert binom(10, 3) == 120
-    assert binom(3, 5) == 0
