@@ -12,7 +12,7 @@ Usage: python scripts/third_order_sweep.py [--lambda L] [--n-list 3,5,7]
 import argparse
 from fractions import Fraction
 
-from ncbinom.realize import third_order_scan
+from ncbinom.realize import verify_third_order
 from ncbinom.scalars import IMAG, OMEGA, ONE, CycloScalar, parse_scalar
 
 
@@ -37,7 +37,7 @@ def main() -> int:
     lam = parse_scalar(args.lam)
     n_list = [int(x) for x in args.n_list.split(",")]
     mus = list(candidate_grid(lam))
-    reports = third_order_scan(n_list, lam, mus)
+    reports = [verify_third_order(n, lam, mu) for n in n_list for mu in mus]
 
     vanish = 0
     for rep in reports:

@@ -11,6 +11,7 @@ comparison is exact, with no numeric tolerance anywhere.
 
 `binomial_sum` is the one place, here and in `realize`, that forms a sum
 of C(n,k) * L_k * R_(n-k); `running_products` gives its L and R lists.
+Likewise `parity_clauses` is the one statement of the parity dichotomy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from math import comb
 
 from .freealg import Alphabet, NcPoly, commutator, ordered_product
-from .report import Clause, VerificationReport, parity_clauses, report_from_clauses
+from .report import Clause, VerificationReport, report_from_clauses
 from .rewrite import (
     RelationPreset,
     cached_preset,
@@ -56,6 +57,25 @@ def binomial_sum(n: int, left, right):
     return total
 
 
+def power_sum(n: int, a, b, unit):
+    """Sum over k of C(n,k) * a^k * b^(n-k), each power a product from `unit`."""
+    return binomial_sum(n, running_products(unit, [a] * n), running_products(unit, [b] * n))
+
+
+def parity_clauses(n: int, result, zero, base, embed) -> list[Clause]:
+    """The parity dichotomy: odd n vanishes, even n > 0 is embed((n-1)!! * base^(n/2)).
+
+    `embed` carries the closed form into the space of `result` (a normal
+    form, a function, a vector); n = 0 gives no clause.
+    """
+    if n % 2 == 1:
+        return [Clause("odd-vanishes", result, zero)]
+    if n > 0:
+        return [Clause("even-closed-form", result,
+                       embed(double_factorial(n - 1) * base ** (n // 2)))]
+    return []
+
+
 def build_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
     """Free expansion of the degree-n combination of u and d."""
     if n < 0:
@@ -84,11 +104,21 @@ def falling_product(n: int, lam, d: NcPoly) -> NcPoly:
     return ordered_product(d.alphabet, (d + (lam * j) * unit for j in range(n)))
 
 
-def expected_even_restriction(n: int, base: NcPoly, preset: RelationPreset) -> NcPoly:
-    """(n-1)!! * base^(n/2), normalized; the even-case closed form."""
-    if n % 2 != 0 or n <= 0:
-        raise ValueError("even-case closed form needs even n > 0")
-    return normalize(double_factorial(n - 1) * base ** (n // 2), preset)
+def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,
+                     base: NcPoly) -> tuple[NcPoly, list[Clause]]:
+    """B(n) restricted to ker D, with its parity clauses and the shift clause.
+
+    On ker D the restriction vanishes for odd n and is (n-1)!! * base^(n/2)
+    for even n > 0; (2D + n*lam) * B(n) vanishes there for every n.
+    """
+    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
+    b = build_binomial(n, lam, u, d)
+    restricted = restrict_to_kernel(b, preset)
+    zero = NcPoly.zero(preset.alphabet)
+    clauses = parity_clauses(n, restricted, zero, base, lambda p: normalize(p, preset))
+    shifted = restrict_to_kernel((2 * d + (lam * n) * unit) * b, preset)
+    clauses.append(Clause("shifted-vanishes", shifted, zero))
+    return restricted, clauses
 
 
 # ---- symbolic verifiers --------------------------------------------------
@@ -124,15 +154,7 @@ def verify_minus_commutator_theorem(n: int, lam) -> VerificationReport:
     """Kernel restriction under DU -> UD - lam*U: parity dichotomy and shift."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
-    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
-    b = build_binomial(n, lam, u, d)
-    restricted = restrict_to_kernel(b, preset)
-    zero = NcPoly.zero(preset.alphabet)
-    clauses = parity_clauses(
-        n, restricted, zero, lambda: expected_even_restriction(n, (-2 * lam) * u, preset)
-    )
-    shifted = restrict_to_kernel((2 * d + (lam * n) * unit) * b, preset)
-    clauses.append(Clause("shifted-vanishes", shifted, zero))
+    _, clauses = kernel_dichotomy(n, lam, preset, (-2 * lam) * preset.generator("U"))
     return report_from_clauses("thm-wrongsign", {"n": n, "lambda": str(lam)}, clauses)
 
 
@@ -164,16 +186,8 @@ def verify_second_commutator_theorem(n: int, lam) -> VerificationReport:
     lam = CycloScalar.of(lam)
     preset = cached_preset("second-order", lam)
     u, c, d = map(preset.generator, ("U", "C", "D"))
-    unit = preset.unit()
-    b = build_binomial(n, lam, u, d)
-    restricted = restrict_to_kernel(b, preset)
-    zero = NcPoly.zero(preset.alphabet)
-    clauses = [Clause("c-names-commutator", normalize(commutator(d, u), preset), c)]
-    clauses += parity_clauses(
-        n, restricted, zero, lambda: expected_even_restriction(n, c - lam * u, preset)
-    )
-    shifted = restrict_to_kernel((2 * d + (lam * n) * unit) * b, preset)
-    clauses.append(Clause("shifted-vanishes", shifted, zero))
+    restricted, dichotomy = kernel_dichotomy(n, lam, preset, c - lam * u)
+    clauses = [Clause("c-names-commutator", normalize(commutator(d, u), preset), c)] + dichotomy
     if lam.is_zero and n >= 3:
         prev = restrict_to_kernel(build_binomial(n - 2, lam, u, d), preset)
         clauses.append(
@@ -261,9 +275,8 @@ def verify_shift_binomial(n: int) -> VerificationReport:
     a1 = NcPoly.generator(alpha, "A1")
     a2 = NcPoly.generator(alpha, "A2")
     unit = NcPoly.unit(alpha)
-    lhs = binomial_sum(n, running_products(unit, [a1 - unit] * n),
-                       running_products(unit, [a2 + unit] * n))
-    rhs = binomial_sum(n, running_products(unit, [a1] * n), running_products(unit, [a2] * n))
+    lhs = power_sum(n, a1 - unit, a2 + unit, unit)
+    rhs = power_sum(n, a1, a2, unit)
     return report_from_clauses("lemma-eq5", {"n": n}, [Clause("", lhs, rhs)])
 
 
@@ -273,8 +286,7 @@ def verify_noncommuting_binomial_form(n: int, lam) -> VerificationReport:
     preset = cached_preset("invertible-minus", lam)
     uinv, u, d = map(preset.generator, ("Uinv", "U", "D"))
     unit = preset.unit()
-    core = binomial_sum(n, running_products(unit, [d * u - u * u] * n),
-                        running_products(unit, [u * u] * n))
+    core = power_sum(n, d * u - u * u, u * u, unit)
     lhs = normalize(build_binomial(n, lam, u, d), preset)
     rhs = normalize(core * uinv**n, preset)
     return report_from_clauses(

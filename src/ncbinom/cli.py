@@ -173,8 +173,9 @@ def _third_order_grid(suite, n_max, lambdas, cfg):
     for lam_text in lambdas:
         lam = parse_scalar(lam_text)
         if lam.is_zero:
-            cases.append({"suite": suite, "n": 3, "lambda": lam_text,
-                          "skip": "scan needs lambda != 0"})
+            if n_max >= 3:
+                cases.append({"suite": suite, "n": 3, "lambda": lam_text,
+                              "skip": "scan needs lambda != 0"})
             continue
         mus = (lam, OMEGA * lam, OMEGA * OMEGA * lam, IMAG * lam)
         cases += [{"suite": suite, "n": n, "lambda": lam_text, "mu": format_scalar(mu)}
@@ -243,7 +244,7 @@ SUITES: dict[str, Suite] = {
         realize.verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])),
         {"m": 2, "seed": None}),
     "third-order": Suite(5, ("1",), _third_order_grid, lambda c, lam: (
-        realize.third_order_scan([c["n"]], lam, [parse_scalar(c["mu"])])[0])),
+        realize.verify_third_order(c["n"], lam, parse_scalar(c["mu"])))),
     "confluence": Suite(None, None, _confluence_grid, lambda c, lam: _confluence_report(
         c["suite"], {"preset": c["preset"]}, cached_preset(c["preset"], 1, 2))),
 }
@@ -453,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite_pos", nargs="?", metavar="SUITE")
-    verify.add_argument("--suite", dest="suite_flag")
+    verify.add_argument("suite", choices=SUITE_ORDER + ("all",), metavar="SUITE")
     verify.add_argument("--n-max", dest="n_max", type=int)
     verify.add_argument("--lambda", dest="lambdas", metavar="LIST")
     verify.add_argument("--j", type=int)
@@ -479,16 +479,6 @@ def main(argv=None) -> int:
         if args.command == "expand":
             return cmd_expand(args, out)
         if args.command == "verify":
-            suite = args.suite_flag or args.suite_pos
-            if not suite:
-                parser.error("verify needs a suite (positional or --suite)")
-            if args.suite_flag and args.suite_pos and args.suite_flag != args.suite_pos:
-                parser.error("conflicting suite names given")
-            if suite != "all" and suite not in SUITES:
-                parser.error(
-                    f"unknown suite {suite!r}; choose from {', '.join(SUITE_ORDER)} or all"
-                )
-            args.suite = suite
             return cmd_verify(args, out)
         if args.command == "selfcheck":
             return cmd_selfcheck(args, out)

@@ -10,8 +10,8 @@ arithmetic in the ground field (it contains i).
 Also here: constant matrices over the scalars (for the vector-valued
 variants and the shifted-binomial matrix oracle), vector- and
 matrix-valued functions, the truncated shift representation that serves
-as an independent check on the rewrite engine, and the scan showing that
-no candidate scalar makes the combination vanish for a genuinely
+as an independent check on the rewrite engine, and the check that a
+candidate scalar does not make the combination vanish for a genuinely
 third-order exponential sum.
 """
 
@@ -21,9 +21,9 @@ import operator
 import random
 from fractions import Fraction
 
-from .binomial import binomial_sum, build_binomial, double_factorial, running_products
+from .binomial import build_binomial, parity_clauses, power_sum
 from .freealg import Alphabet, NcPoly, accumulate
-from .report import Clause, VerificationReport, parity_clauses, report_from_clauses
+from .report import Clause, VerificationReport, report_from_clauses
 from .rewrite import RelationPreset
 from .scalars import IMAG, OMEGA, ONE, ZERO, CycloScalar
 
@@ -480,10 +480,9 @@ def dichotomy_operator(kind: str, lam: CycloScalar) -> tuple[FuncExpr, CycloScal
     return sin_func(lam), IMAG * lam, lam
 
 
-def _closed_form(n: int, mu: CycloScalar, base: CycloScalar) -> FuncExpr:
-    """(n-1)!! * base^(n/2) * e^(-mu*n*x/2), the even-case closed form."""
-    scale = double_factorial(n - 1) * base ** (n // 2)
-    return FuncExpr.exponential(-(mu * Fraction(n, 2))).scaled(scale)
+def _decay(n: int, mu: CycloScalar) -> FuncExpr:
+    """e^(-mu*n*x/2), the exponential of the even-case closed form."""
+    return FuncExpr.exponential(-(mu * Fraction(n, 2)))
 
 
 def _shifted(result, mu: CycloScalar, n: int):
@@ -497,7 +496,7 @@ def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[NcPoly, list
     b = _abstract(n, mu)
     result = apply_assigned(b, letter_actions(u), FuncExpr.one())
     zero = FuncExpr.zero()
-    clauses = parity_clauses(n, result, zero, lambda: _closed_form(n, mu, base))
+    clauses = parity_clauses(n, result, zero, base, _decay(n, mu).scaled)
     if n > 0:
         clauses.append(Clause("shifted-vanishes", _shifted(result, mu, n), zero))
     return b, clauses
@@ -534,9 +533,7 @@ def verify_linear(n: int, a, b) -> VerificationReport:
     u = FuncExpr.monomial(1).scaled(a) + FuncExpr.term(b)
     result = apply_assigned(_abstract(n, ZERO), letter_actions(u), FuncExpr.one())
     zero = FuncExpr.zero()
-    clauses = parity_clauses(
-        n, result, zero, lambda: FuncExpr.term(double_factorial(n - 1) * a ** (n // 2))
-    )
+    clauses = parity_clauses(n, result, zero, a, FuncExpr.term)
     if n > 0:
         clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
     return report_from_clauses(
@@ -595,12 +592,10 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
         asg = letter_actions(FuncMatrix.from_constant(a, u))
         result = apply_assigned(_abstract(n, mu), asg, cvec)
-        if item in (2, 5) and n % 2 == 1:
-            clauses.append(Clause("odd-vanishes", result, zero))
-        elif item in (3, 6) and n % 2 == 0 and n > 0:
-            power_c = _matvec_const(a ** (n // 2), cvec)
-            clauses.append(Clause("even-closed-form", result,
-                                  power_c.times_func(_closed_form(n, mu, base))))
+        # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
+        if item in (2, 3, 5, 6) and (item in (2, 5)) == (n % 2 == 1):
+            clauses += parity_clauses(n, result, zero, base * a, lambda mat: (
+                _matvec_const(mat, cvec).times_func(_decay(n, mu))))
         elif item == 4:  # the sign probe on (2 d/dx +/- mu n)
             clauses.append(Clause("shift-plus-vanishes", _shifted(result, mu, n), zero))
             params["minus_also_zero"] = _shifted(result, -mu, n).is_zero
@@ -620,10 +615,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
         const_part = FuncMatrix.from_constant(a2)
         asg = letter_actions(x_part + const_part)
         result = apply_assigned(_abstract(n, ZERO), asg, cvec)
-        clauses += parity_clauses(
-            n, result, zero,
-            lambda: _matvec_const(a1 ** (n // 2), cvec).scaled(double_factorial(n - 1)),
-        )
+        clauses += parity_clauses(n, result, zero, a1, lambda mat: _matvec_const(mat, cvec))
         if n > 0:
             clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
     else:
@@ -643,9 +635,8 @@ def verify_shift_binomial_matrices(n: int, dim: int, seed: int) -> VerificationR
     a1 = random_matrix(rng, dim)
     a2 = random_matrix(rng, dim)
     ident = Matrix.identity(dim)
-    lhs = binomial_sum(n, running_products(ident, [a1 - ident] * n),
-                       running_products(ident, [a2 + ident] * n))
-    rhs = binomial_sum(n, running_products(ident, [a1] * n), running_products(ident, [a2] * n))
+    lhs = power_sum(n, a1 - ident, a2 + ident, ident)
+    rhs = power_sum(n, a1, a2, ident)
     return report_from_clauses(
         "eq5-matrix", {"n": n, "dim": dim, "seed": seed}, [Clause("", lhs, rhs)]
     )
@@ -725,39 +716,25 @@ def safe_block(mat: Matrix, size: int) -> Matrix:
     return Matrix([row[: size + 1] for row in mat.rows[: size + 1]])
 
 
-# ---- third-order scan --------------------------------------------------------
+# ---- third-order check -------------------------------------------------------
 
 
-def third_order_scan(n_list, lam, mu_candidates=None) -> list[VerificationReport]:
-    """Residuals of the combination for a genuinely third-order exponential sum.
+def verify_third_order(n: int, lam, mu) -> VerificationReport:
+    """Residual of the combination at parameter mu for a genuinely third-order sum.
 
     u = e^{lam x} + e^{w lam x} + e^{w^2 lam x} satisfies u''' = lam^3 u
-    and no lower-order equation of that shape.  A case passes when its
-    residual is nonzero, i.e. when the candidate parameter fails to
-    reproduce the first-order collapse; n = 1 is excluded as degenerate.
+    and no lower-order equation of that shape.  The case passes when its
+    residual is nonzero, i.e. when mu fails to reproduce the first-order
+    collapse; n = 1 is excluded as degenerate.
     """
     lam = CycloScalar.of(lam)
     if lam.is_zero:
         raise ValueError("the third-order scan needs lam != 0")
-    if mu_candidates is None:
-        mu_candidates = (lam, OMEGA * lam, OMEGA * OMEGA * lam, IMAG * lam)
-    u = (
-        FuncExpr.exponential(lam)
-        + FuncExpr.exponential(OMEGA * lam)
-        + FuncExpr.exponential(OMEGA * OMEGA * lam)
-    )
-    reports = []
-    for n in n_list:
-        if n % 2 == 0 or n < 3:
-            raise ValueError("the scan covers odd n >= 3")
-        for mu in mu_candidates:
-            mu = CycloScalar.of(mu)
-            result = apply_assigned(_abstract(n, mu), letter_actions(u), FuncExpr.one())
-            reports.append(
-                report_from_clauses(
-                    "third-order",
-                    {"n": n, "lambda": str(lam), "mu": str(mu)},
-                    [Clause("nonvanishing-residual", result, FuncExpr.zero(), expect_zero=False)],
-                )
-            )
-    return reports
+    if n % 2 == 0 or n < 3:
+        raise ValueError("the scan covers odd n >= 3")
+    mu = CycloScalar.of(mu)
+    u = (FuncExpr.exponential(lam) + FuncExpr.exponential(OMEGA * lam)
+         + FuncExpr.exponential(OMEGA * OMEGA * lam))
+    result = apply_assigned(_abstract(n, mu), letter_actions(u), FuncExpr.one())
+    return report_from_clauses("third-order", {"n": n, "lambda": str(lam), "mu": str(mu)}, [
+        Clause("nonvanishing-residual", result, FuncExpr.zero(), expect_zero=False)])

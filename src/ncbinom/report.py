@@ -75,18 +75,5 @@ def report_from_clauses(suite: str, params: dict, clauses: list[Clause]) -> Veri
     return VerificationReport(suite, params, PASS if ok else FAIL, lhs, rhs, residual)
 
 
-def parity_clauses(n: int, result, zero, even_form) -> list[Clause]:
-    """The parity dichotomy: odd n vanishes, even n > 0 meets a closed form.
-
-    `even_form` is called, to build the closed form, only when n is even
-    and positive; n = 0 gives no clause.
-    """
-    if n % 2 == 1:
-        return [Clause("odd-vanishes", result, zero)]
-    if n > 0:
-        return [Clause("even-closed-form", result, even_form())]
-    return []
-
-
 def skipped_report(suite: str, params: dict, reason: str) -> VerificationReport:
     return VerificationReport(suite, params, SKIPPED, "", "", reason)

@@ -142,7 +142,10 @@ def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> NcPoly:
         count = 0
         while count < len(word) and word[len(word) - 1 - count] == d:
             count += 1
-        return word[: len(word) - count], coeff * mu**count
+        if count == 0:
+            return word, coeff
+        # a zero value is dropped by `accumulate`
+        return word[: len(word) - count], ZERO if mu.is_zero else coeff * mu**count
 
     return NcPoly._raw(preset.alphabet, accumulate(
         evaluated(word, coeff) for word, coeff in nf.terms.items()

@@ -11,6 +11,7 @@ from ncbinom.binomial import (
     build_binomial_alt,
     double_factorial,
     falling_product,
+    power_sum,
     running_products,
     verify_alt_expansion,
     verify_ascending_recurrence,
@@ -271,6 +272,7 @@ def test_binomial_sum_over_matrices_agrees_with_reference(dim):
         got = binomial_sum(n, running_products(ident, [a1 - ident] * n),
                            running_products(ident, [a2 + ident] * n))
         assert got == _reference_sum(n, lambda k: (a1 - ident) ** k * (a2 + ident) ** (n - k))
+        assert power_sum(n, a1, a2, ident) == _reference_sum(n, lambda k: a1**k * a2 ** (n - k))
 
 
 def test_binomial_sum_at_large_degree():

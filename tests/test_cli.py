@@ -95,10 +95,19 @@ def test_verify_skips_zero_lambda_where_hypothesis_needs_nonzero(capsys):
     assert all("SKIPPED" in line for line in lines[:-1])
 
 
-def test_verify_suite_flag_matches_positional(capsys):
-    code1, out1 = run_cli(capsys, "verify", "lemma-eq5", "--n-max", "3")
-    code2, out2 = run_cli(capsys, "verify", "--suite", "lemma-eq5", "--n-max", "3")
-    assert (code1, out1) == (code2, out2)
+def test_verify_suite_is_positional_only(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "lemma-eq5", "--n-max", "3"])
+    assert info.value.code == 2
+
+
+def test_third_order_at_zero_lambda_below_its_degree_is_an_empty_run(capsys):
+    # the lambda = 0 skip row sits at n = 3, so --n-max 2 leaves no case at all
+    code, out = run_cli(capsys, "verify", "third-order", "--n-max", "2", "--lambda", "0")
+    assert (code, out) == (2, "")
+    code, out = run_cli(capsys, "verify", "third-order", "--n-max", "3", "--lambda", "0")
+    assert code == 0
+    assert out.strip().splitlines()[-1].endswith("skipped=1")
 
 
 def test_verify_unknown_suite_exits_2(capsys):

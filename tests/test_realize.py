@@ -21,13 +21,13 @@ from ncbinom.realize import (
     random_func_expr,
     safe_block,
     sin_func,
-    third_order_scan,
     truncated_shift_matrix,
     verify_change_of_variables,
     verify_exponential,
     verify_linear,
     verify_shift_binomial_matrices,
     verify_sine,
+    verify_third_order,
     verify_vector_item,
     verify_w_independence_realized,
 )
@@ -310,14 +310,15 @@ def test_pipeline_consistency():
         assert apply_assigned(b, asg, f) == apply_assigned(normalize(b, preset), asg, f)
 
 
-def test_third_order_scan():
-    reports = third_order_scan([3], ONE)
-    assert len(reports) == 4
-    assert all(r.passed for r in reports)  # pass means residual nonzero
+def test_verify_third_order():
+    from ncbinom.scalars import OMEGA
+
+    for mu in (ONE, OMEGA, OMEGA * OMEGA, IMAG):
+        assert verify_third_order(3, ONE, mu).passed  # pass means residual nonzero
     with pytest.raises(ValueError):
-        third_order_scan([2], ONE)
+        verify_third_order(2, ONE, ONE)
     with pytest.raises(ValueError):
-        third_order_scan([3], ZERO)
+        verify_third_order(3, ZERO, ONE)
 
 
 def test_third_order_base_function_is_genuinely_third_order():

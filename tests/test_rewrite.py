@@ -27,7 +27,7 @@ from ncbinom.rewrite import (
     restrict_to_kernel,
     second_order,
 )
-from ncbinom.scalars import ONE, ZERO, parse_scalar
+from ncbinom.scalars import ONE, ZERO, CycloScalar, parse_scalar
 
 
 def gens(preset, *names):
@@ -120,6 +120,24 @@ def test_restrict_agrees_with_deleting_d_words(name):
             nf = normalize(b, p)
             deleted = NcPoly(p.alphabet, {w: c for w, c in nf.terms.items() if p.d_index not in w})
             assert restrict_to_kernel(b, p) == deleted
+
+
+def test_restrict_takes_no_scalar_powers(monkeypatch):
+    # on ker D a term either keeps its coefficient or vanishes: no mu**count is formed
+    cases = []
+    for name in ("first-order-minus", "second-order"):
+        p = make_preset(name, parse_scalar("1+i"))
+        u, d = gens(p, "U", "D")
+        for n in range(7):
+            b = build_binomial(n, p.params["lambda"], u, d)
+            cases.append((b, p, restrict_to_kernel(b, p)))
+
+    def no_power(self, exponent):
+        raise AssertionError("restrict_to_kernel took a scalar power")
+
+    monkeypatch.setattr(CycloScalar, "__pow__", no_power)
+    for b, p, restricted in cases:
+        assert restrict_to_kernel(b, p) == restricted
 
 
 def test_kernel_eval_examples():
