@@ -4,9 +4,13 @@ The central object is the degree-n combination
 
     sum over k of  C(n,k) * [product over j < k of (D - U + j*lam*I)] * U^(n-k)
 
-with the product factors multiplied left to right in increasing j.  All
-builders expand in the free algebra; the verifiers then compare normal
-forms under the relation preset appropriate to each identity.  Every
+with the product factors multiplied left to right in increasing j.  The
+builders compute in whatever arithmetic their arguments carry: plain
+`NcPoly` generators give the free expansion (503 words over U, D at
+n = 8), and `Normal` generators of a preset give the normal form directly,
+each product normalized as it is formed.  Every verifier except the free
+identity `lemma-l2` takes its preset's generators as `Normal` values, so it
+compares normal forms under the relations of its identity.  Every
 comparison is exact, with no numeric tolerance anywhere.
 
 `binomial_sum` is the one place, here and in `realize`, that forms a sum
@@ -21,10 +25,10 @@ from math import comb
 from .freealg import Alphabet, NcPoly, commutator, ordered_product
 from .report import Clause, VerificationReport, report_from_clauses
 from .rewrite import (
+    Normal,
     RelationPreset,
     cached_preset,
     kernel_eval,
-    normalize,
     restrict_to_kernel,
 )
 from .scalars import ZERO, CycloScalar
@@ -77,11 +81,26 @@ def parity_clauses(n: int, result, zero, base, embed) -> list[Clause]:
 
 
 def build_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
-    """Free expansion of the degree-n combination of u and d."""
+    """The degree-n combination of u and d, in the arithmetic of u and d.
+
+    Plain generators give the free expansion.  `Normal` generators give the
+    normal form, built once per (n, lam, u, d) and memoized on their preset.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = CycloScalar.of(lam)
-    unit = NcPoly.unit(u.alphabet)
+    if not isinstance(u, Normal):
+        return _expand_binomial(n, lam, u, d)
+    cache = u.preset._binomial_cache
+    key = (n, lam, frozenset(u.terms.items()), frozenset(d.terms.items()))
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = _expand_binomial(n, lam, u, d)
+    return value
+
+
+def _expand_binomial(n: int, lam: CycloScalar, u: NcPoly, d: NcPoly) -> NcPoly:
+    unit = u**0  # the unit in the arithmetic of u
     prefix = running_products(unit, (d - u + (lam * j) * unit for j in range(n)))
     return binomial_sum(n, prefix, running_products(unit, [u] * n))
 
@@ -91,7 +110,7 @@ def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
     if n <= 0:
         raise ValueError("alternative expansion requires n > 0")
     lam = CycloScalar.of(lam)
-    unit = NcPoly.unit(u.alphabet)
+    unit = u**0
     prefix = running_products(unit, (d - u + (lam * j) * unit for j in range(n - 1)))
     left = [p * (d + (lam * k) * unit) for k, p in enumerate(prefix)]
     return binomial_sum(n - 1, left, running_products(unit, [u] * (n - 1)))
@@ -100,8 +119,8 @@ def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
 def falling_product(n: int, lam, d: NcPoly) -> NcPoly:
     """Ordered product of (D + j*lam*I) for j = 0 .. n-1."""
     lam = CycloScalar.of(lam)
-    unit = NcPoly.unit(d.alphabet)
-    return ordered_product(d.alphabet, (d + (lam * j) * unit for j in range(n)))
+    unit = d**0  # the unit in the arithmetic of d
+    return ordered_product(unit, (d + (lam * j) * unit for j in range(n)))
 
 
 def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,
@@ -111,11 +130,11 @@ def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,
     On ker D the restriction vanishes for odd n and is (n-1)!! * base^(n/2)
     for even n > 0; (2D + n*lam) * B(n) vanishes there for every n.
     """
-    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
+    u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
     b = build_binomial(n, lam, u, d)
     restricted = restrict_to_kernel(b, preset)
     zero = NcPoly.zero(preset.alphabet)
-    clauses = parity_clauses(n, restricted, zero, base, lambda p: normalize(p, preset))
+    clauses = parity_clauses(n, restricted, zero, base, lambda p: p)
     shifted = restrict_to_kernel((2 * d + (lam * n) * unit) * b, preset)
     clauses.append(Clause("shifted-vanishes", shifted, zero))
     return restricted, clauses
@@ -128,10 +147,10 @@ def verify_u_independence(n: int, lam) -> VerificationReport:
     """The combination collapses to the product of (D + j*lam*I) factors."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
-    d = preset.generator("D")
-    lhs = normalize(build_binomial(n, lam, preset.generator("U"), d), preset)
+    d = preset.normal_generator("D")
+    lhs = build_binomial(n, lam, preset.normal_generator("U"), d)
     clauses = [
-        Clause("product-form", lhs, normalize(falling_product(n, lam, d), preset)),
+        Clause("product-form", lhs, falling_product(n, lam, d)),
         Clause("no-U", NcPoly.scalar(preset.alphabet, lhs.letter_degree("U")),
                NcPoly.zero(preset.alphabet)),
     ]
@@ -144,9 +163,9 @@ def verify_ascending_recurrence(n: int, lam) -> VerificationReport:
         raise ValueError("recurrence needs n >= 1")
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
-    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
-    lhs = normalize(build_binomial(n, lam, u, d), preset)
-    rhs = normalize(build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit), preset)
+    u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
+    lhs = build_binomial(n, lam, u, d)
+    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit)
     return report_from_clauses("rec-3", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)])
 
 
@@ -154,7 +173,7 @@ def verify_minus_commutator_theorem(n: int, lam) -> VerificationReport:
     """Kernel restriction under DU -> UD - lam*U: parity dichotomy and shift."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
-    _, clauses = kernel_dichotomy(n, lam, preset, (-2 * lam) * preset.generator("U"))
+    _, clauses = kernel_dichotomy(n, lam, preset, (-2 * lam) * preset.normal_generator("U"))
     return report_from_clauses("thm-wrongsign", {"n": n, "lambda": str(lam)}, clauses)
 
 
@@ -164,15 +183,14 @@ def verify_minus_recurrence(n: int, lam) -> VerificationReport:
         raise ValueError("recurrence needs n >= 2")
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
-    u, d, unit = preset.generator("U"), preset.generator("D"), preset.unit()
-    lhs = normalize(build_binomial(n, lam, u, d), preset)
-    rhs_free = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit)
-    rhs_free = rhs_free - (2 * (n - 1)) * lam * (u * build_binomial(n - 2, lam, u, d))
+    u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
+    lhs = build_binomial(n, lam, u, d)
+    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit)
+    rhs = rhs - (2 * (n - 1)) * lam * (u * build_binomial(n - 2, lam, u, d))
     if n > 2:
-        rhs_free = rhs_free + (2 * (n - 1) * (n - 2)) * (lam * lam) * (
+        rhs = rhs + (2 * (n - 1) * (n - 2)) * (lam * lam) * (
             u * build_binomial(n - 3, lam, u, d)
         )
-    rhs = normalize(rhs_free, preset)
     return report_from_clauses("rec-6", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)])
 
 
@@ -185,14 +203,12 @@ def verify_second_commutator_theorem(n: int, lam) -> VerificationReport:
     """
     lam = CycloScalar.of(lam)
     preset = cached_preset("second-order", lam)
-    u, c, d = map(preset.generator, ("U", "C", "D"))
+    u, c, d = map(preset.normal_generator, ("U", "C", "D"))
     restricted, dichotomy = kernel_dichotomy(n, lam, preset, c - lam * u)
-    clauses = [Clause("c-names-commutator", normalize(commutator(d, u), preset), c)] + dichotomy
+    clauses = [Clause("c-names-commutator", commutator(d, u), c)] + dichotomy
     if lam.is_zero and n >= 3:
         prev = restrict_to_kernel(build_binomial(n - 2, lam, u, d), preset)
-        clauses.append(
-            Clause("two-step-recurrence", restricted, normalize((n - 1) * (c * prev), preset))
-        )
+        clauses.append(Clause("two-step-recurrence", restricted, (n - 1) * (c * prev)))
     return report_from_clauses("thm-2nd", {"n": n, "lambda": str(lam)}, clauses)
 
 
@@ -201,11 +217,10 @@ def verify_central_recurrence(n: int) -> VerificationReport:
     if n < 3:
         raise ValueError("two-step recurrence needs n >= 3")
     preset = cached_preset("second-order-central", ZERO)
-    u, c, d = map(preset.generator, ("U", "C", "D"))
+    u, c, d = map(preset.normal_generator, ("U", "C", "D"))
     lhs = restrict_to_kernel(build_binomial(n, ZERO, u, d), preset)
     prev = restrict_to_kernel(build_binomial(n - 2, ZERO, u, d), preset)
-    rhs = normalize((n - 1) * (c * prev), preset)
-    return report_from_clauses("rec-7", {"n": n}, [Clause("", lhs, rhs)])
+    return report_from_clauses("rec-7", {"n": n}, [Clause("", lhs, (n - 1) * (c * prev))])
 
 
 def verify_kernel_vectors(n: int, lam, j: int) -> VerificationReport:
@@ -218,7 +233,7 @@ def verify_kernel_vectors(n: int, lam, j: int) -> VerificationReport:
         raise ValueError("j must be non-negative")
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
-    b = build_binomial(n, lam, preset.generator("U"), preset.generator("D"))
+    b = build_binomial(n, lam, preset.normal_generator("U"), preset.normal_generator("D"))
     value = kernel_eval(b, preset, -(lam * j))
     zero = NcPoly.zero(preset.alphabet)
     return report_from_clauses(
@@ -231,11 +246,9 @@ def verify_w_independence(n: int, lam, mu) -> VerificationReport:
     lam = CycloScalar.of(lam)
     mu = CycloScalar.of(mu)
     preset = cached_preset("partial-vw", lam, mu)
-    v = preset.generator("V")
-    w = preset.generator("W")
-    d = preset.generator("D")
-    lhs = normalize(build_binomial(n, lam, v + w, d), preset)
-    rhs = normalize(build_binomial(n, lam, v, d), preset)
+    v, w, d = map(preset.normal_generator, ("V", "W", "D"))
+    lhs = build_binomial(n, lam, v + w, d)
+    rhs = build_binomial(n, lam, v, d)
     return report_from_clauses(
         "cor-vw",
         {"n": n, "lambda": str(lam), "mu": str(mu), "variant": "abstract"},
@@ -261,9 +274,9 @@ def verify_inverse_factorization(n: int, lam) -> VerificationReport:
     """B(n) equals (D * Uinv)^n * U^n once U is invertible."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-plus", lam)
-    uinv, u, d = map(preset.generator, ("Uinv", "U", "D"))
-    lhs = normalize(build_binomial(n, lam, u, d), preset)
-    rhs = normalize((d * uinv) ** n * u**n, preset)
+    uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
+    lhs = build_binomial(n, lam, u, d)
+    rhs = (d * uinv) ** n * u**n
     return report_from_clauses(
         "lemma-l3", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)]
     )
@@ -284,11 +297,10 @@ def verify_noncommuting_binomial_form(n: int, lam) -> VerificationReport:
     """B(n) as a binomial sum in DU - U^2 and U^2, times Uinv^n."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-minus", lam)
-    uinv, u, d = map(preset.generator, ("Uinv", "U", "D"))
-    unit = preset.unit()
-    core = power_sum(n, d * u - u * u, u * u, unit)
-    lhs = normalize(build_binomial(n, lam, u, d), preset)
-    rhs = normalize(core * uinv**n, preset)
+    uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
+    core = power_sum(n, d * u - u * u, u * u, preset.unit())
+    lhs = build_binomial(n, lam, u, d)
+    rhs = core * uinv**n
     return report_from_clauses(
         "final-remark", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)]
     )

@@ -14,6 +14,13 @@ The designated kernel generator D must be last in alphabet order.  In a
 normal form all remaining D letters sit in a trailing block, so "evaluate
 on a D-eigenvector" replaces the trailing block by a scalar power, and
 "restrict to the D-kernel" is the same evaluation at eigenvalue zero.
+
+Once confluence is proved the normal words are a basis of the quotient
+algebra, so the normal form of a product is the normal form of the
+product of normal forms.  `Normal` is a polynomial held in normal form
+under one preset; its `*` normalizes each product at once, so any builder
+written for "a ring with * and +" computes in the quotient algebra when
+handed `Normal` generators, without ever forming the free expansion.
 """
 
 from __future__ import annotations
@@ -78,6 +85,8 @@ class RelationPreset:
             rule_map[rule.left] = dict(rule.right.terms)
         self._rule_map = rule_map
         self._nf_cache: dict[Word, dict[Word, CycloScalar]] = {}
+        # normal B(n) keyed by (n, lam, u terms, d terms); see binomial.build_binomial
+        self._binomial_cache: dict[tuple, Normal] = {}
 
     def __repr__(self) -> str:
         return f"RelationPreset({self.name!r})"
@@ -87,6 +96,9 @@ class RelationPreset:
 
     def unit(self) -> NcPoly:
         return NcPoly.unit(self.alphabet)
+
+    def normal_generator(self, name: str) -> Normal:
+        return normalize(self.generator(name), self)
 
     # ---- word-level normalization (memoized leftmost strategy) --------
 
@@ -118,21 +130,87 @@ class RelationPreset:
         return result
 
 
-def normalize(p: NcPoly, preset: RelationPreset, step_budget: int = DEFAULT_STEP_BUDGET) -> NcPoly:
-    """Rewrite to the unique normal form under the preset's relations."""
+class Normal(NcPoly):
+    """A polynomial in normal form under `preset`.
+
+    `*` normalizes each product at once; `+`, `-` and scalar `*` keep a
+    `Normal`.  A plain `NcPoly` operand, on either side, is normalized
+    first.  Two `Normal` values of different presets never combine, even
+    over one alphabet.
+
+    The value is an element of the preset's quotient algebra, and `*` its
+    product, only when the preset is confluent (`check_confluence(preset).ok`,
+    proved for every shipped preset).  Under a non-confluent preset such as
+    `incomplete_vw_fixture` a normal form depends on the rewrite order, and
+    a product of normal forms need not be the normal form of the product.
+    """
+
+    __slots__ = ("preset",)
+
+    @classmethod
+    def _of(cls, preset: RelationPreset, clean_terms: dict[Word, CycloScalar]) -> Normal:
+        obj = cls._raw(preset.alphabet, clean_terms)
+        object.__setattr__(obj, "preset", preset)
+        return obj
+
+    def _coerce(self, other: NcPoly) -> Normal:
+        if isinstance(other, Normal) and other.preset is not self.preset:
+            raise ValueError(
+                f"normal forms of presets {self.preset.name} and {other.preset.name} do not combine"
+            )
+        return normalize(other, self.preset)
+
+    def __add__(self, other) -> Normal:
+        if not isinstance(other, NcPoly):
+            return NotImplemented
+        other = self._coerce(other)
+        return Normal._of(self.preset, accumulate(other.terms.items(), dict(self.terms)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Normal:
+        return Normal._of(self.preset, {w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, other) -> Normal:
+        if isinstance(other, NcPoly):
+            return normalize(NcPoly.__mul__(self, self._coerce(other)), self.preset)
+        return self._scaled(other)
+
+    def __rmul__(self, other) -> Normal:
+        if isinstance(other, NcPoly):
+            return normalize(NcPoly.__mul__(self._coerce(other), self), self.preset)
+        return self._scaled(other)
+
+    def _scaled(self, value) -> Normal:
+        return Normal._of(self.preset, NcPoly._scaled(self, value).terms)
+
+    def __pow__(self, exponent: int) -> Normal:
+        # the zero power is the plain unit, which is normal
+        return normalize(NcPoly.__pow__(self, exponent), self.preset)
+
+
+def normalize(p: NcPoly, preset: RelationPreset, step_budget: int = DEFAULT_STEP_BUDGET) -> Normal:
+    """Rewrite to the normal form under the preset's relations.
+
+    The normal form is unique, and the result's `*` is the quotient
+    algebra's product, when the preset is confluent (see `Normal`).  A
+    `Normal` of this same preset is returned as it is.
+    """
+    if isinstance(p, Normal) and p.preset is preset:
+        return p
     if p.alphabet != preset.alphabet:
         raise ValueError(
             f"polynomial alphabet {p.alphabet.names} does not match preset {preset.name}"
         )
     budget = [step_budget]
-    return NcPoly._raw(preset.alphabet, accumulate(
+    return Normal._of(preset, accumulate(
         (w2, coeff * c2)
         for word, coeff in p.terms.items()
         for w2, c2 in preset._word_normal_form(word, budget).items()
     ))
 
 
-def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> NcPoly:
+def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> Normal:
     """Normal form with each trailing D-block D^c replaced by the scalar mu^c."""
     nf = normalize(p, preset)
     d = preset.d_index
@@ -147,12 +225,13 @@ def kernel_eval(p: NcPoly, preset: RelationPreset, mu: CycloScalar) -> NcPoly:
         # a zero value is dropped by `accumulate`
         return word[: len(word) - count], ZERO if mu.is_zero else coeff * mu**count
 
-    return NcPoly._raw(preset.alphabet, accumulate(
+    # a prefix of a normal word is normal
+    return Normal._of(preset, accumulate(
         evaluated(word, coeff) for word, coeff in nf.terms.items()
     ))
 
 
-def restrict_to_kernel(p: NcPoly, preset: RelationPreset) -> NcPoly:
+def restrict_to_kernel(p: NcPoly, preset: RelationPreset) -> Normal:
     """Action on ker D: every monomial of the normal form that ends in D vanishes."""
     return kernel_eval(p, preset, ZERO)
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ncbinom import cli
+from ncbinom import cli, rewrite
 from ncbinom.cli import SuiteConfig, iter_cases, main, run_case
 
 
@@ -362,3 +362,23 @@ def test_report_stream_is_pinned(capsys, name):
     assert code == 0
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SYMBOLIC_SUITES = ("thm-nou", "rec-3", "thm-wrongsign", "rec-6", "thm-2nd", "rec-7",
+                   "cor-kernel", "cor-vw", "lemma-l2", "lemma-l3", "final-remark")
+
+
+def test_symbolic_reports_do_not_depend_on_suite_order(monkeypatch):
+    """A case that finds its B(n) memoized on the preset reports what a fresh build does."""
+    cfg = SuiteConfig(n_max=5)
+
+    def reports(order):
+        monkeypatch.setattr(rewrite, "_preset_cache", {})
+        # the realized cor-vw cases use no preset
+        return {suite: "".join(json.dumps(run_case(case).to_json_obj()) + "\n"
+                               for case in iter_cases(suite, cfg)
+                               if case.get("variant") != "realized")
+                for suite in order}
+
+    forward = reports(SYMBOLIC_SUITES)
+    assert reports(SYMBOLIC_SUITES[::-1]) == forward

@@ -34,11 +34,11 @@ def test_poly_mul_examples():
 
 
 def test_ordered_product_examples():
-    assert ordered_product(UD, []) == I
+    assert ordered_product(I, []) == I
     # the two factors of the k=2 term at lam = 1, expanded by hand
-    got = ordered_product(UD, [D - U, D - U + I])
+    got = ordered_product(I, [D - U, D - U + I])
     assert got == D * D - D * U - U * D + U * U + D - U
-    assert ordered_product(UD, [D - U]) == D - U
+    assert ordered_product(I, [D - U]) == D - U
 
 
 def test_commutator_examples():

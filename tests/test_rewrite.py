@@ -14,6 +14,7 @@ from ncbinom.rewrite import (
     PRESET_NAMES,
     RewriteBudgetError,
     RewriteRule,
+    Normal,
     RelationPreset,
     check_confluence,
     first_order_minus,
@@ -138,6 +139,53 @@ def test_restrict_takes_no_scalar_powers(monkeypatch):
     monkeypatch.setattr(CycloScalar, "__pow__", no_power)
     for b, p, restricted in cases:
         assert restrict_to_kernel(b, p) == restricted
+
+
+def test_normal_arithmetic_stays_in_its_preset():
+    p = first_order_plus(parse_scalar("1+i"))
+    u, d = p.normal_generator("U"), p.normal_generator("D")
+    free_u, free_d = gens(p, "U", "D")
+    unit = p.unit()
+    for value, free in (
+        (d * u, free_d * free_u),
+        (free_d * u, free_d * free_u),
+        (d * free_u, free_d * free_u),
+        (2 * d - u + unit, 2 * free_d - free_u + unit),
+        (free_u - d, free_u - free_d),
+        (-(d * u), -(free_d * free_u)),
+        (d**3, free_d**3),
+        (d**0, unit),
+    ):
+        assert isinstance(value, Normal) and value.preset is p
+        assert value == normalize(free, p)
+
+
+def test_normal_values_of_different_presets_do_not_combine():
+    # the plus and minus presets share the alphabet (U, D): only the preset tells them apart
+    plus, minus = first_order_plus(ONE), first_order_minus(ONE)
+    u, d = plus.normal_generator("U"), minus.normal_generator("D")
+    for combine in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        for left, right in ((d, u), (u, d)):
+            with pytest.raises(ValueError, match="do not combine"):
+                combine(left, right)
+    # normalize reads a Normal of another preset as a plain polynomial
+    cubed = normalize(d * d * d, plus)
+    assert isinstance(cubed, Normal) and cubed.preset is plus
+
+
+def test_normalize_returns_a_normal_of_its_preset_unchanged(monkeypatch):
+    p = first_order_minus(parse_scalar("1+i"))
+    mu = parse_scalar("2")
+    b = build_binomial(6, p.params["lambda"], p.normal_generator("U"), p.normal_generator("D"))
+    evaluated, restricted = kernel_eval(b, p, mu), restrict_to_kernel(b, p)
+
+    def no_rewrite(self, word, budget):
+        raise AssertionError("a normal form was normalized again")
+
+    monkeypatch.setattr(RelationPreset, "_word_normal_form", no_rewrite)
+    assert normalize(b, p) is b
+    assert kernel_eval(b, p, mu) == evaluated
+    assert restrict_to_kernel(b, p) == restricted
 
 
 def test_kernel_eval_examples():
