@@ -17,6 +17,7 @@ third-order exponential sum.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from fractions import Fraction
@@ -34,6 +35,12 @@ XINV_D_DX = "x^-1*d/dx"
 DERIVATION_KINDS = (D_DX, X_D_DX, XINV_D_DX)
 
 FuncKey = tuple[CycloScalar, CycloScalar, CycloScalar]  # (c, alpha, beta)
+
+# shifts of the power of x in the three images of x^c e^{ax+bx^2}, per kind
+_POWER_SHIFTS = {
+    kind: tuple(CycloScalar.of(shift + k) for k in (-1, 0, 1))
+    for kind, shift in ((D_DX, 0), (X_D_DX, 1), (XINV_D_DX, -1))
+}
 
 
 class FuncExpr:
@@ -133,14 +140,17 @@ class FuncExpr:
         """
         if kind not in DERIVATION_KINDS:
             raise ValueError(f"unknown derivation kind {kind!r}")
-        shift = {D_DX: 0, X_D_DX: 1, XINV_D_DX: -1}[kind]
+        low, mid, high = _POWER_SHIFTS[kind]
 
         def images():
+            # a zero factor gives a zero image, which accumulate would drop
             for (c, a, b), v in self.terms.items():
-                base = c + (shift - 1)
-                yield (base, a, b), v * c
-                yield (base + 1, a, b), v * a
-                yield (base + 2, a, b), v * (2 * b)
+                if c:
+                    yield (c + low, a, b), v * c
+                if a:
+                    yield (c + mid, a, b), v * a
+                if b:
+                    yield (c + high, a, b), v * (2 * b)
 
         return FuncExpr._raw(accumulate(images()))
 
@@ -461,8 +471,16 @@ def apply_assigned(p: NcPoly, assignment: dict, f):
 
 _UD = Alphabet(("U", "D"))
 
+# free B(n) values kept per process; the default `verify all` asks for 112 (n, lam) pairs
+ABSTRACT_CACHE_SIZE = 128
 
+
+@functools.lru_cache(maxsize=ABSTRACT_CACHE_SIZE)
 def _abstract(n: int, lam) -> NcPoly:
+    """B(n) on the plain generators U, D, built once per (n, lam) while it stays cached.
+
+    NcPoly is immutable, so every case that asks for the same pair shares one value.
+    """
     return build_binomial(
         n, lam, NcPoly.generator(_UD, "U"), NcPoly.generator(_UD, "D")
     )

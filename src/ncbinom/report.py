@@ -55,24 +55,21 @@ class Clause:
     def residual(self):
         return self.lhs - self.rhs
 
-    def holds(self) -> bool:
-        zero = self.residual().is_zero
-        return zero if self.expect_zero else not zero
-
 
 def report_from_clauses(suite: str, params: dict, clauses: list[Clause]) -> VerificationReport:
+    """One report over the clauses; each clause's residual is formed once."""
     if not clauses:
         return VerificationReport(suite, params, PASS, "", "", "0")
-    ok = all(c.holds() for c in clauses)
+    residuals = [c.residual() for c in clauses]
+    ok = all(r.is_zero == c.expect_zero for c, r in zip(clauses, residuals))
+    status = PASS if ok else FAIL
     if len(clauses) == 1 and not clauses[0].label:
         c = clauses[0]
-        return VerificationReport(
-            suite, params, PASS if ok else FAIL, str(c.lhs), str(c.rhs), str(c.residual())
-        )
+        return VerificationReport(suite, params, status, str(c.lhs), str(c.rhs), str(residuals[0]))
     lhs = " | ".join(f"{c.label}: {c.lhs}" for c in clauses)
     rhs = " | ".join(f"{c.label}: {c.rhs}" for c in clauses)
-    residual = " | ".join(f"{c.label}: {c.residual()}" for c in clauses)
-    return VerificationReport(suite, params, PASS if ok else FAIL, lhs, rhs, residual)
+    residual = " | ".join(f"{c.label}: {r}" for c, r in zip(clauses, residuals))
+    return VerificationReport(suite, params, status, lhs, rhs, residual)
 
 
 def skipped_report(suite: str, params: dict, reason: str) -> VerificationReport:

@@ -113,6 +113,11 @@ class CycloScalar:
             other = CycloScalar.of(other)
         a0, a1, a2, a3, d = self.ints
         b0, b1, b2, b3, e = other.ints
+        # canonical and immutable: adding zero can return the other operand
+        if not (b0 or b1 or b2 or b3):
+            return self
+        if not (a0 or a1 or a2 or a3):
+            return other
         if d == e:
             return _scalar(a0 + b0, a1 + b1, a2 + b2, a3 + b3, d)
         return _scalar(a0 * e + b0 * d, a1 * e + b1 * d, a2 * e + b2 * d, a3 * e + b3 * d, d * e)
@@ -142,9 +147,16 @@ class CycloScalar:
             other = CycloScalar.of(other)
         a0, a1, a2, a3, d = self.ints
         b0, b1, b2, b3, e = other.ints
+        # a canonical rational is exactly one when n0 == d (both then equal 1)
         if not (a1 or a2 or a3):
+            if a0 == d:
+                return other
+            if b0 == e and not (b1 or b2 or b3):
+                return self
             return _scalar(a0 * b0, a0 * b1, a0 * b2, a0 * b3, d * e)
         if not (b1 or b2 or b3):
+            if b0 == e:
+                return self
             return _scalar(b0 * a0, b0 * a1, b0 * a2, b0 * a3, d * e)
         # convolution up to degree 6, then reduce by z^4 = z^2 - 1
         # (z^5 = z^3 - z, z^6 = -1)

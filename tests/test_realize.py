@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncbinom import realize
 from ncbinom.binomial import build_binomial
-from ncbinom.freealg import Alphabet, NcPoly, commutator
+from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
 from ncbinom.realize import (
+    D_DX,
+    DERIVATION_KINDS,
     FuncExpr,
     FuncMatrix,
     Matrix,
@@ -345,3 +348,46 @@ def test_vecfunc_basics():
     assert v.differentiate().is_zero
     with pytest.raises(ValueError):
         v + VecFunc.constant([1, 2, 3])
+
+
+def differentiate_all_images(f: FuncExpr, kind: str) -> FuncExpr:
+    """Reference: every term emits all three images, zero ones included."""
+    shift = {D_DX: 0, X_D_DX: 1, XINV_D_DX: -1}[kind]
+    images = []
+    for (c, a, b), v in f.terms.items():
+        base = c + (shift - 1)
+        images += [((base, a, b), v * c), ((base + 1, a, b), v * a),
+                   ((base + 2, a, b), v * (2 * b))]
+    return FuncExpr._raw(accumulate(images))
+
+
+@pytest.mark.parametrize("kind", DERIVATION_KINDS)
+def test_differentiate_matches_all_images_reference(kind):
+    rng = random.Random(4242)
+    exponents = (ZERO, ONE, parse_scalar("2"), parse_scalar("-1/2"), IMAG, parse_scalar("1+i"))
+    zero_and_nonzero = set()
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            key = tuple(rng.choice(exponents) for _ in range(3))
+            terms[key] = CycloScalar.of(rng.randint(-3, 3)) + rng.choice((ZERO, IMAG))
+            zero_and_nonzero.update((slot, x.is_zero) for slot, x in enumerate(key))
+        f = FuncExpr(terms)
+        got, want = f.differentiate(kind), differentiate_all_images(f, kind)
+        assert list(got.terms.items()) == list(want.terms.items())
+    # each of c, alpha and beta is zero in some terms and nonzero in others
+    assert zero_and_nonzero == {(slot, z) for slot in range(3) for z in (False, True)}
+
+
+def test_free_binomial_is_built_once_per_pair_under_a_cap():
+    for lam in (ZERO, ONE, IMAG, parse_scalar("1+i")):
+        for n in range(9):
+            b = realize._abstract(n, lam)
+            assert b == build_binomial(n, lam, U, D)
+            assert realize._abstract(n, lam) is b
+    cap = realize._abstract.cache_info().maxsize
+    assert cap == realize.ABSTRACT_CACHE_SIZE
+    for n in range(2):
+        for k in range(cap):
+            realize._abstract(n, CycloScalar.of(k))
+    assert realize._abstract.cache_info().currsize <= cap

@@ -1,0 +1,53 @@
+"""Reports built from clauses: status, text fields, and one residual per clause."""
+
+from ncbinom.report import FAIL, PASS, Clause, report_from_clauses
+
+
+class Counted:
+    """Integer value that counts how often a residual is formed."""
+
+    subtractions = 0
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __sub__(self, other):
+        Counted.subtractions += 1
+        return Counted(self.value - other.value)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.value == 0
+
+    def __str__(self) -> str:
+        return str(self.value)
+
+
+def report_and_subtractions(clauses):
+    Counted.subtractions = 0
+    report = report_from_clauses("demo", {"n": 1}, clauses)
+    return report, Counted.subtractions
+
+
+def test_each_clause_residual_is_formed_once():
+    one, two = Counted(1), Counted(2)
+    report, subs = report_and_subtractions([Clause("", two, one)])
+    assert subs == 1
+    assert (report.status, report.lhs, report.rhs, report.residual) == (FAIL, "2", "1", "1")
+
+    clauses = [Clause("a", one, one), Clause("b", two, two),
+               Clause("c", two, one, expect_zero=False)]
+    report, subs = report_and_subtractions(clauses)
+    assert subs == 3
+    assert report.status == PASS
+    assert report.lhs == "a: 1 | b: 2 | c: 2"
+    assert report.rhs == "a: 1 | b: 2 | c: 1"
+    assert report.residual == "a: 0 | b: 0 | c: 1"
+
+    # a failing first clause still reports, and computes, every residual once
+    report, subs = report_and_subtractions([Clause("a", two, one), Clause("b", one, one)])
+    assert subs == 2
+    assert (report.status, report.residual) == (FAIL, "a: 1 | b: 0")
+
+    report, subs = report_and_subtractions([Clause("", one, one, expect_zero=False)])
+    assert (report.status, subs) == (FAIL, 1)

@@ -246,3 +246,41 @@ def test_format_examples():
 def test_pow_negative_exponent():
     assert ZETA**-1 == ZETA.inv()
     assert (2 * IMAG) ** -2 == ((2 * IMAG) ** 2).inv()
+
+
+def test_adding_zero_and_multiplying_by_one_return_the_operand():
+    half = CycloScalar.of(Fraction(1, 2))
+    general = CycloScalar.from_coords(Fraction(1, 3), -2, 0, Fraction(5, 7))
+    for x in (ZERO, ONE, half, -ONE, IMAG, OMEGA, general):
+        assert x + ZERO is x
+        assert ZERO + x is x
+        assert ONE * x is x
+        assert x * ONE is x
+    # a zero or a one that is not the module constant takes the same path
+    assert general + (OMEGA - OMEGA) is general
+    assert (IMAG * IMAG.inv()) * general is general
+    assert general + 0 is general and 0 + general is general
+    assert general * 1 is general and 1 * general is general
+
+
+def test_fast_paths_agree_with_fraction_oracle():
+    rng = random.Random(97)
+
+    def operand():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice((ZERO, OMEGA - OMEGA))
+        if kind == 1:
+            return rng.choice((ONE, -ONE, IMAG * IMAG.inv()))
+        return random_oracle_scalar(rng)
+
+    seen = set()
+    for _ in range(500):
+        a, b = operand(), operand()
+        seen.update(("zero" if x.is_zero else "one" if x == ONE else
+                     "rational" if x.is_rational else "general") for x in (a, b))
+        ca, cb = a.coords, b.coords
+        for got, want in ((a + b, ref_add(ca, cb)), (a * b, ref_mul(ca, cb))):
+            assert got.ints == CycloScalar(want).ints, (a, b)
+            assert_canonical(got)
+    assert seen == {"zero", "one", "rational", "general"}
