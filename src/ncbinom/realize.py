@@ -8,11 +8,12 @@ Sines enter through their exponential encoding, which keeps the
 arithmetic in the ground field (it contains i).
 
 Also here: constant matrices over the scalars (for the vector-valued
-variants and the shifted-binomial matrix oracle), vector- and
-matrix-valued functions, the truncated shift representation that serves
-as an independent check on the rewrite engine, and the check that a
-candidate scalar does not make the combination vanish for a genuinely
-third-order exponential sum.
+variants and the shifted-binomial matrix oracle), vector-valued
+functions and the multipliers sum_k A_k*u_k(x) that act on them (A_k
+constant matrices, u_k scalar functions), the truncated shift
+representation that serves as an independent check on the rewrite
+engine, and the check that a candidate scalar does not make the
+combination vanish for a genuinely third-order exponential sum.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class FuncExpr:
             for key, coeff in terms.items():
                 coeff = CycloScalar.of(coeff)
                 if not coeff.is_zero:
-                    clean[key] = coeff
+                    clean[tuple(map(CycloScalar.of, key))] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -73,8 +74,7 @@ class FuncExpr:
 
     @staticmethod
     def term(coeff, c=0, alpha=0, beta=0) -> FuncExpr:
-        key = (CycloScalar.of(c), CycloScalar.of(alpha), CycloScalar.of(beta))
-        return FuncExpr({key: CycloScalar.of(coeff)})
+        return FuncExpr({(c, alpha, beta): coeff})
 
     @staticmethod
     def one() -> FuncExpr:
@@ -361,21 +361,10 @@ class VecFunc:
             return NotImplemented
         return self.entries == other.entries
 
-    def __add__(self, other: VecFunc) -> VecFunc:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return VecFunc([a + b for a, b in zip(self.entries, other.entries)])
-
     def __sub__(self, other: VecFunc) -> VecFunc:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return VecFunc([a - b for a, b in zip(self.entries, other.entries)])
-
-    def scaled(self, value) -> VecFunc:
-        return VecFunc([e.scaled(value) for e in self.entries])
-
-    def times_func(self, f: FuncExpr) -> VecFunc:
-        return VecFunc([e * f for e in self.entries])
 
     def combine(self, pairs) -> VecFunc:
         """Sum of c*g over (scalar c, VecFunc g) pairs, slot by slot."""
@@ -391,45 +380,37 @@ class VecFunc:
 
 
 class FuncMatrix:
-    """Square matrix of function expressions, used as a multiplication operator."""
+    """Multiplication by sum_k A_k*u_k(x); parts are (Matrix A_k, FuncExpr u_k), A_k square."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("parts",)
 
-    def __init__(self, rows):
-        data = tuple(tuple(rows_entry for rows_entry in row) for row in rows)
-        if any(len(r) != len(data) for r in data):
-            raise ValueError("multiplication matrices must be square")
-        object.__setattr__(self, "rows", data)
+    def __init__(self, parts):
+        data = tuple(parts)
+        if not data:
+            raise ValueError("a multiplier needs at least one part")
+        m = len(data[0][0].rows)
+        if any(a.shape != (m, m) for a, _ in data):
+            raise ValueError("multiplication matrices must be square and of one size")
+        object.__setattr__(self, "parts", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("FuncMatrix is immutable")
 
-    @staticmethod
-    def from_constant(a: Matrix, f: FuncExpr | None = None) -> FuncMatrix:
-        f = FuncExpr.one() if f is None else f
-        return FuncMatrix([[f.scaled(x) for x in row] for row in a.rows])
-
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-    def __add__(self, other: FuncMatrix) -> FuncMatrix:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return FuncMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return len(self.parts[0][0].rows)
 
     def matvec(self, v: VecFunc) -> VecFunc:
         if v.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = FuncExpr.zero()
-            for entry, comp in zip(row, v.entries):
-                acc = acc + entry * comp
-            out.append(acc)
-        return VecFunc(out)
+        # each part forms its m products u_k*v_j once; slot i sums A_k[i][j] times them
+        parts = [(a.rows, [u * g for g in v.entries]) for a, u in self.parts]
+        zero = FuncExpr.zero()
+        return VecFunc([
+            zero.combine((x, g) for rows, products in parts
+                         for x, g in zip(rows[i], products) if x)
+            for i in range(self.dim)
+        ])
 
     def __mul__(self, v: VecFunc) -> VecFunc:
         return self.matvec(v)
@@ -505,7 +486,7 @@ def _decay(n: int, mu: CycloScalar) -> FuncExpr:
 
 def _shifted(result, mu: CycloScalar, n: int):
     """(2 d/dx + mu*n) applied to a scalar or vector function."""
-    return result.differentiate().scaled(2) + result.scaled(mu * n)
+    return result.combine(((2, result.differentiate()), (mu * n, result)))
 
 
 def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[NcPoly, list[Clause]]:
@@ -597,7 +578,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
     clauses: list[Clause] = []
 
     if item == 1:
-        asg = letter_actions(FuncMatrix.from_constant(a, FuncExpr.exponential(lam)))
+        asg = letter_actions(FuncMatrix([(a, FuncExpr.exponential(lam))]))
         b = _abstract(n, lam)
         for j in range(n):
             target_scalar = FuncExpr.exponential(-(lam * j))
@@ -608,12 +589,12 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
                 clauses.append(Clause(f"j={j},col={col}", apply_assigned(b, asg, basis), zero))
     elif item in range(2, 8):
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
-        asg = letter_actions(FuncMatrix.from_constant(a, u))
+        asg = letter_actions(FuncMatrix([(a, u)]))
         result = apply_assigned(_abstract(n, mu), asg, cvec)
         # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
         if item in (2, 3, 5, 6) and (item in (2, 5)) == (n % 2 == 1):
-            clauses += parity_clauses(n, result, zero, base * a, lambda mat: (
-                _matvec_const(mat, cvec).times_func(_decay(n, mu))))
+            clauses += parity_clauses(n, result, zero, base * a,
+                                      lambda mat: FuncMatrix([(mat, _decay(n, mu))]) * cvec)
         elif item == 4:  # the sign probe on (2 d/dx +/- mu n)
             clauses.append(Clause("shift-plus-vanishes", _shifted(result, mu, n), zero))
             params["minus_also_zero"] = _shifted(result, -mu, n).is_zero
@@ -629,20 +610,15 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
         )
         if a1 * a2 != a2 * a1:
             raise ValueError("item 8 requires commuting matrices")
-        x_part = FuncMatrix.from_constant(a1, FuncExpr.monomial(1))
-        const_part = FuncMatrix.from_constant(a2)
-        asg = letter_actions(x_part + const_part)
+        asg = letter_actions(FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())]))
         result = apply_assigned(_abstract(n, ZERO), asg, cvec)
-        clauses += parity_clauses(n, result, zero, a1, lambda mat: _matvec_const(mat, cvec))
+        clauses += parity_clauses(n, result, zero, a1,
+                                  lambda mat: FuncMatrix([(mat, FuncExpr.one())]) * cvec)
         if n > 0:
             clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
     else:
         raise ValueError("vector item must be 1..8")
     return report_from_clauses("vector", params, clauses)
-
-
-def _matvec_const(a: Matrix, v: VecFunc) -> VecFunc:
-    return FuncMatrix.from_constant(a).matvec(v)
 
 
 def verify_shift_binomial_matrices(n: int, dim: int, seed: int) -> VerificationReport:

@@ -1,6 +1,7 @@
 """Function-space realization: exact calculus, vector variants, oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from ncbinom.realize import (
     cos_func,
     letter_actions,
     random_func_expr,
+    random_matrix,
+    random_rational,
     safe_block,
     sin_func,
     truncated_shift_matrix,
@@ -285,7 +288,7 @@ def test_shift_matrix_matches_word_by_word_reference(preset_name):
 def test_vector_apply_under_diagonal_matrix_is_slotwise():
     lam = parse_scalar("1/2")
     u1, u2 = FuncExpr.exponential(lam), sin_func(parse_scalar("2"))
-    diag = FuncMatrix([[u1, FuncExpr.zero()], [FuncExpr.zero(), u2]])
+    diag = FuncMatrix([(Matrix([[1, 0], [0, 0]]), u1), (Matrix([[0, 0], [0, 1]]), u2)])
     rng = random.Random(11)
     f1, f2 = random_func_expr(rng), random_func_expr(rng)
     for n in range(5):
@@ -347,7 +350,79 @@ def test_vecfunc_basics():
     assert (v - w).is_zero
     assert v.differentiate().is_zero
     with pytest.raises(ValueError):
-        v + VecFunc.constant([1, 2, 3])
+        v - VecFunc.constant([1, 2, 3])
+
+
+def grid_matvec(parts, v: VecFunc) -> VecFunc:
+    """Reference: the grid entry_ij = sum_k A_k[i][j]*u_k, then slot_i = sum_j entry_ij*v_j."""
+    m = v.dim
+    grid = [[FuncExpr.zero()] * m for _ in range(m)]
+    for a, u in parts:
+        for i in range(m):
+            for j in range(m):
+                grid[i][j] = grid[i][j] + a.rows[i][j] * u
+    slots = []
+    for row in grid:
+        acc = FuncExpr.zero()
+        for entry, comp in zip(row, v.entries):
+            acc = acc + entry * comp
+        slots.append(acc)
+    return VecFunc(slots)
+
+
+def test_matvec_matches_grid_reference_with_one_product_per_part_and_slot(monkeypatch):
+    rng = random.Random(1729)
+    products = 0
+    plain_mul = FuncExpr.__mul__
+
+    def counted_mul(self, other):
+        nonlocal products
+        products += 1
+        return plain_mul(self, other)
+
+    seen = set()
+    for m in (1, 2, 3):
+        for n_parts in (1, 2):
+            for trial in range(6):
+                parts = [
+                    (Matrix([[rng.choice((0, random_rational(rng))) for _ in range(m)]
+                             for _ in range(m)]),
+                     sin_func(1 + k) if (trial + k) % 2 else random_func_expr(rng))
+                    for k in range(n_parts)
+                ]
+                v = VecFunc([rng.choice((FuncExpr.zero(), random_func_expr(rng)))
+                             for _ in range(m)])
+                seen.update(x.is_zero for a, _ in parts for row in a.rows for x in row)
+                seen.update(("zero slot", g.is_zero) for g in v.entries)
+                want = grid_matvec(parts, v)
+                products = 0
+                with monkeypatch.context() as patched:
+                    patched.setattr(FuncExpr, "__mul__", counted_mul)
+                    got = FuncMatrix(parts) * v
+                assert got == want
+                assert products == n_parts * m
+    # zero and nonzero matrix entries and vector slots all occurred
+    assert seen == {False, True, ("zero slot", False), ("zero slot", True)}
+
+    u = sin_func(1)
+    with pytest.raises(ValueError):
+        FuncMatrix([])
+    with pytest.raises(ValueError):
+        FuncMatrix([(Matrix([[1, 2]]), u)])
+    with pytest.raises(ValueError):
+        FuncMatrix([(random_matrix(rng, 2), u), (random_matrix(rng, 3), u)])
+    with pytest.raises(ValueError):
+        FuncMatrix([(random_matrix(rng, 2), u)]) * VecFunc.constant([1, 2, 3])
+
+
+def test_funcexpr_coerces_plain_number_keys_like_term():
+    for c, alpha, beta in ((0, 1, 0), (2, Fraction(-1, 2), 0), (Fraction(1, 3), 0, 3)):
+        plain = FuncExpr({(c, alpha, beta): Fraction(3, 2)})
+        want = FuncExpr.term(Fraction(3, 2), c=c, alpha=alpha, beta=beta)
+        assert str(plain) == str(want)
+        assert plain == want
+        assert plain.differentiate() == want.differentiate()
+        assert str(plain.differentiate(X_D_DX)) == str(want.differentiate(X_D_DX))
 
 
 def differentiate_all_images(f: FuncExpr, kind: str) -> FuncExpr:
