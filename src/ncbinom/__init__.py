@@ -1,7 +1,7 @@
 """Exact verification engine for binomial-type identities of non-commuting operators."""
 
 from .scalars import CycloScalar, parse_scalar, format_scalar
-from .freealg import Alphabet, NcPoly, commutator, ordered_product
+from .freealg import Alphabet, NcPoly, commutator
 from .rewrite import (
     RelationPreset,
     check_confluence,
@@ -26,7 +26,6 @@ __all__ = [
     "kernel_eval",
     "make_preset",
     "normalize",
-    "ordered_product",
     "parse_scalar",
     "restrict_to_kernel",
 ]

@@ -14,15 +14,17 @@ compares normal forms under the relations of its identity.  Every
 comparison is exact, with no numeric tolerance anywhere.
 
 `binomial_sum` is the one place, here and in `realize`, that forms a sum
-of C(n,k) * L_k * R_(n-k); `running_products` gives its L and R lists.
-Likewise `parity_clauses` is the one statement of the parity dichotomy.
+of C(n,k) * F_0 ... F_(k-1) * R_(n-k); it nests the sum by Horner's rule,
+so each product has one factor F_k as an operand.  With the powers of U
+from `running_products` as R, B(n) takes 2n products.  Likewise
+`parity_clauses` is the one statement of the parity dichotomy.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .freealg import Alphabet, NcPoly, commutator, ordered_product
+from .freealg import Alphabet, NcPoly, commutator
 from .report import Clause, VerificationReport, report_from_clauses
 from .rewrite import (
     Normal,
@@ -53,17 +55,20 @@ def running_products(unit, factors) -> list:
     return products
 
 
-def binomial_sum(n: int, left, right):
-    """Sum over k of C(n,k) * left[k] * right[n-k], for any ring with * and +."""
-    total = left[0] * right[n]
-    for k in range(1, n + 1):
-        total = total + comb(n, k) * (left[k] * right[n - k])
+def binomial_sum(n: int, factors, right):
+    """Sum over k of C(n,k) * factors[0] ... factors[k-1] * right[n-k], for any ring.
+
+    Horner's rule: n products, each factors[k] times the sum so far.
+    """
+    total = right[0]
+    for k in range(n - 1, -1, -1):
+        total = comb(n, k) * right[n - k] + factors[k] * total
     return total
 
 
 def power_sum(n: int, a, b, unit):
-    """Sum over k of C(n,k) * a^k * b^(n-k), each power a product from `unit`."""
-    return binomial_sum(n, running_products(unit, [a] * n), running_products(unit, [b] * n))
+    """Sum over k of C(n,k) * a^k * b^(n-k), each power of b a product from `unit`."""
+    return binomial_sum(n, [a] * n, running_products(unit, [b] * n))
 
 
 def parity_clauses(n: int, result, zero, base, embed) -> list[Clause]:
@@ -101,8 +106,8 @@ def build_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
 
 def _expand_binomial(n: int, lam: CycloScalar, u: NcPoly, d: NcPoly) -> NcPoly:
     unit = u**0  # the unit in the arithmetic of u
-    prefix = running_products(unit, (d - u + (lam * j) * unit for j in range(n)))
-    return binomial_sum(n, prefix, running_products(unit, [u] * n))
+    factors = [d - u + (lam * j) * unit for j in range(n)]
+    return binomial_sum(n, factors, running_products(unit, [u] * n))
 
 
 def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
@@ -111,16 +116,17 @@ def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
         raise ValueError("alternative expansion requires n > 0")
     lam = CycloScalar.of(lam)
     unit = u**0
-    prefix = running_products(unit, (d - u + (lam * j) * unit for j in range(n - 1)))
-    left = [p * (d + (lam * k) * unit) for k, p in enumerate(prefix)]
-    return binomial_sum(n - 1, left, running_products(unit, [u] * (n - 1)))
+    factors = [d - u + (lam * j) * unit for j in range(n - 1)]
+    powers = running_products(unit, [u] * (n - 1))
+    right = [(d + (lam * (n - 1 - j)) * unit) * p for j, p in enumerate(powers)]
+    return binomial_sum(n - 1, factors, right)
 
 
 def falling_product(n: int, lam, d: NcPoly) -> NcPoly:
     """Ordered product of (D + j*lam*I) for j = 0 .. n-1."""
     lam = CycloScalar.of(lam)
     unit = d**0  # the unit in the arithmetic of d
-    return ordered_product(unit, (d + (lam * j) * unit for j in range(n)))
+    return running_products(unit, (d + (lam * j) * unit for j in range(n)))[-1]
 
 
 def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,

@@ -231,17 +231,5 @@ def _term_str(alphabet: Alphabet, word: Word, coeff: CycloScalar) -> str:
     return f"{coeff_str} * {alphabet.word_str(word)}"
 
 
-def ordered_product(unit: NcPoly, factors) -> NcPoly:
-    """Product of the factors left to right; the empty product is `unit`.
-
-    The unit fixes the arithmetic: a plain unit gives the free product, a
-    `Normal` unit the product in its preset's quotient algebra.
-    """
-    result = unit
-    for factor in factors:
-        result = result * factor
-    return result
-
-
 def commutator(p: NcPoly, q: NcPoly) -> NcPoly:
     return p * q - q * p

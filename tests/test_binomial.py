@@ -26,7 +26,7 @@ from ncbinom.binomial import (
     verify_u_independence,
     verify_w_independence,
 )
-from ncbinom.freealg import Alphabet, NcPoly, ordered_product
+from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import Matrix, random_matrix
 from ncbinom.rewrite import Normal, cached_preset, make_preset, normalize, restrict_to_kernel
 from ncbinom.scalars import ONE, ZERO, parse_scalar
@@ -236,7 +236,10 @@ def _reference_sum(n, term):
 
 def _reference_chain(k, lam, u, d):
     unit = NcPoly.unit(u.alphabet)
-    return ordered_product(unit, (d - u + (lam * j) * unit for j in range(k)))
+    chain = unit
+    for j in range(k):
+        chain = chain * (d - u + (lam * j) * unit)
+    return chain
 
 
 def _reference_binomial(n, lam, u, d):
@@ -253,11 +256,11 @@ def _reference_binomial_alt(n, lam, u, d):
 def test_builders_agree_with_reference_sum(lam_text):
     lam = parse_scalar(lam_text)
     d_vw = NcPoly.generator(VWD, "D")
-    for n in range(7):
+    for n in range(8):
         assert build_binomial(n, lam, U, D) == _reference_binomial(n, lam, U, D)
         assert (build_binomial(n, lam, V_PLUS_W, d_vw)
                 == _reference_binomial(n, lam, V_PLUS_W, d_vw))
-    for n in range(1, 7):
+    for n in range(1, 8):
         assert build_binomial_alt(n, lam, U, D) == _reference_binomial_alt(n, lam, U, D)
         assert (build_binomial_alt(n, lam, V_PLUS_W, d_vw)
                 == _reference_binomial_alt(n, lam, V_PLUS_W, d_vw))
@@ -269,15 +272,33 @@ def test_binomial_sum_over_matrices_agrees_with_reference(dim):
     ident = Matrix.identity(dim)
     for n in range(6):
         a1, a2 = random_matrix(rng, dim), random_matrix(rng, dim)
-        got = binomial_sum(n, running_products(ident, [a1 - ident] * n),
-                           running_products(ident, [a2 + ident] * n))
+        got = binomial_sum(n, [a1 - ident] * n, running_products(ident, [a2 + ident] * n))
         assert got == _reference_sum(n, lambda k: (a1 - ident) ** k * (a2 + ident) ** (n - k))
         assert power_sum(n, a1, a2, ident) == _reference_sum(n, lambda k: a1**k * a2 ** (n - k))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_binomial_sum_takes_each_factor_in_order(dim):
+    """A different F_k at each position and distinct right terms: the k-th
+    term is C(n,k) * F_0 ... F_(k-1) * right[n-k], multiplied left to right."""
+    rng = random.Random(10 + dim)
+    ident = Matrix.identity(dim)
+    for n in range(7):
+        factors = [random_matrix(rng, dim) for _ in range(n)]
+        right = [random_matrix(rng, dim) for _ in range(n + 1)]
+
+        def term(k):
+            chain = ident
+            for factor in factors[:k]:
+                chain = chain * factor
+            return chain * right[n - k]
+
+        assert binomial_sum(n, factors, right) == _reference_sum(n, term)
+
+
 def test_binomial_sum_at_large_degree():
     # the coefficients come from math.comb: no recursion depth, no cache to grow
-    assert binomial_sum(1200, [1] * 1201, [1] * 1201) == 2**1200
+    assert binomial_sum(1200, [1] * 1200, [1] * 1201) == 2**1200
 
 
 def test_build_forms_no_word_longer_than_n(monkeypatch):
@@ -299,6 +320,27 @@ def test_build_forms_no_word_longer_than_n(monkeypatch):
             longest.clear()
             build_binomial_alt(n, parse_scalar("1+i"), U, D)
             assert max(longest, default=0) <= n
+
+
+@pytest.mark.parametrize("arithmetic", ["free", "normal"])
+def test_build_makes_2n_products_each_with_a_small_operand(monkeypatch, arithmetic):
+    """Horner's rule: n powers of u and n products by one factor D - u + j*lam*I."""
+    preset = make_preset("partial-vw", ONE, parse_scalar("2"))
+    generator = preset.generator if arithmetic == "free" else preset.normal_generator
+    u, d = generator("V") + generator("W"), generator("D")
+    shapes = []
+    mul = NcPoly.__mul__
+
+    def recording_mul(self, other):
+        shapes.append((len(self.terms), len(other.terms)))
+        return mul(self, other)
+
+    monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
+    for n in range(1, 9):
+        shapes.clear()
+        build_binomial(n, ONE, u, d)
+        assert len(shapes) == 2 * n
+        assert all(min(shape) <= 4 for shape in shapes)
 
 
 # ---- normal arithmetic against the free expansion ---------------------------
@@ -323,13 +365,13 @@ def _free_and_normal(preset, *names):
 
 @pytest.mark.parametrize("lam_text", ["1", "1+i"])
 def test_normal_arithmetic_agrees_with_free_expansion(lam_text):
-    """B(n) from Normal generators is the normal form of the free expansion, n <= 6."""
+    """B(n) from Normal generators is the normal form of the free expansion, n <= 7."""
     for name, build_lam, u_names in NORMAL_PATH_CASES:
         preset = make_preset(name, parse_scalar(lam_text), parse_scalar("2"))
         lam = parse_scalar(build_lam or lam_text)
         (free_d,), (normal_d,) = _free_and_normal(preset, "D")
         free_u, normal_u = (sum(g[1:], g[0]) for g in _free_and_normal(preset, *u_names))
-        for n in range(7):
+        for n in range(8):
             normal = build_binomial(n, lam, normal_u, normal_d)
             assert isinstance(normal, Normal) and normal.preset is preset
             assert normal == normalize(build_binomial(n, lam, free_u, free_d), preset)

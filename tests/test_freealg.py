@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator, ordered_product
+from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
 from ncbinom.scalars import ONE, parse_scalar
 
 UD = Alphabet(("U", "D"))
@@ -31,14 +31,6 @@ def test_poly_mul_examples():
     expansion = (D - U) * (D - U)
     assert expansion == D * D - D * U - U * D + U * U
     assert I * expansion == expansion
-
-
-def test_ordered_product_examples():
-    assert ordered_product(I, []) == I
-    # the two factors of the k=2 term at lam = 1, expanded by hand
-    got = ordered_product(I, [D - U, D - U + I])
-    assert got == D * D - D * U - U * D + U * U + D - U
-    assert ordered_product(I, [D - U]) == D - U
 
 
 def test_commutator_examples():
