@@ -12,8 +12,8 @@ Usage: python scripts/third_order_sweep.py [--lambda L] [--n-list 3,5,7]
 import argparse
 from fractions import Fraction
 
-from ncbinom.realize import verify_third_order
-from ncbinom.scalars import IMAG, OMEGA, ONE, CycloScalar, parse_scalar
+from ncbinom.cli import run_case
+from ncbinom.scalars import IMAG, OMEGA, ONE, CycloScalar, format_scalar, parse_scalar
 
 
 def candidate_grid(lam):
@@ -37,7 +37,8 @@ def main() -> int:
     lam = parse_scalar(args.lam)
     n_list = [int(x) for x in args.n_list.split(",")]
     mus = list(candidate_grid(lam))
-    reports = [verify_third_order(n, lam, mu) for n in n_list for mu in mus]
+    reports = [run_case({"suite": "third-order", "n": n, "lambda": format_scalar(lam),
+                         "mu": format_scalar(mu)}) for n in n_list for mu in mus]
 
     vanish = 0
     for rep in reports:

@@ -10,8 +10,10 @@ builders compute in whatever arithmetic their arguments carry: plain
 n = 8), and `Normal` generators of a preset give the normal form directly,
 each product normalized as it is formed.  Every verifier except the free
 identity `lemma-l2` takes its preset's generators as `Normal` values, so it
-compares normal forms under the relations of its identity.  Every
-comparison is exact, with no numeric tolerance anywhere.
+compares normal forms under the relations of its identity.  A verifier
+returns its list of clauses and nothing else; `cli.run_case` names the
+case and builds its report.  Every comparison is exact, with no numeric
+tolerance anywhere.
 
 `binomial_sum` is the one place, here and in `realize`, that forms a sum
 of C(n,k) * F_0 ... F_(k-1) * R_(n-k); it nests the sum by Horner's rule,
@@ -25,7 +27,7 @@ from __future__ import annotations
 from math import comb
 
 from .freealg import Alphabet, NcPoly, commutator
-from .report import Clause, VerificationReport, report_from_clauses
+from .report import Clause
 from .rewrite import (
     Normal,
     RelationPreset,
@@ -149,21 +151,20 @@ def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,
 # ---- symbolic verifiers --------------------------------------------------
 
 
-def verify_u_independence(n: int, lam) -> VerificationReport:
+def verify_u_independence(n: int, lam) -> list[Clause]:
     """The combination collapses to the product of (D + j*lam*I) factors."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
     d = preset.normal_generator("D")
     lhs = build_binomial(n, lam, preset.normal_generator("U"), d)
-    clauses = [
+    return [
         Clause("product-form", lhs, falling_product(n, lam, d)),
         Clause("no-U", NcPoly.scalar(preset.alphabet, lhs.letter_degree("U")),
                NcPoly.zero(preset.alphabet)),
     ]
-    return report_from_clauses("thm-nou", {"n": n, "lambda": str(lam)}, clauses)
 
 
-def verify_ascending_recurrence(n: int, lam) -> VerificationReport:
+def verify_ascending_recurrence(n: int, lam) -> list[Clause]:
     """B(n) equals B(n-1) * (D + (n-1)*lam*I) modulo the plus relations."""
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
@@ -172,18 +173,17 @@ def verify_ascending_recurrence(n: int, lam) -> VerificationReport:
     u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
     lhs = build_binomial(n, lam, u, d)
     rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit)
-    return report_from_clauses("rec-3", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)])
+    return [Clause("", lhs, rhs)]
 
 
-def verify_minus_commutator_theorem(n: int, lam) -> VerificationReport:
+def verify_minus_commutator_theorem(n: int, lam) -> list[Clause]:
     """Kernel restriction under DU -> UD - lam*U: parity dichotomy and shift."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
-    _, clauses = kernel_dichotomy(n, lam, preset, (-2 * lam) * preset.normal_generator("U"))
-    return report_from_clauses("thm-wrongsign", {"n": n, "lambda": str(lam)}, clauses)
+    return kernel_dichotomy(n, lam, preset, (-2 * lam) * preset.normal_generator("U"))[1]
 
 
-def verify_minus_recurrence(n: int, lam) -> VerificationReport:
+def verify_minus_recurrence(n: int, lam) -> list[Clause]:
     """Three-term recurrence under the minus relations (two-term at n = 2)."""
     if n < 2:
         raise ValueError("recurrence needs n >= 2")
@@ -197,10 +197,10 @@ def verify_minus_recurrence(n: int, lam) -> VerificationReport:
         rhs = rhs + (2 * (n - 1) * (n - 2)) * (lam * lam) * (
             u * build_binomial(n - 3, lam, u, d)
         )
-    return report_from_clauses("rec-6", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)])
+    return [Clause("", lhs, rhs)]
 
 
-def verify_second_commutator_theorem(n: int, lam) -> VerificationReport:
+def verify_second_commutator_theorem(n: int, lam) -> list[Clause]:
     """Kernel restriction when the second commutator is lam^2 * U.
 
     The generator C stands for the commutator of D and U.  At lam = 0 the
@@ -215,10 +215,10 @@ def verify_second_commutator_theorem(n: int, lam) -> VerificationReport:
     if lam.is_zero and n >= 3:
         prev = restrict_to_kernel(build_binomial(n - 2, lam, u, d), preset)
         clauses.append(Clause("two-step-recurrence", restricted, (n - 1) * (c * prev)))
-    return report_from_clauses("thm-2nd", {"n": n, "lambda": str(lam)}, clauses)
+    return clauses
 
 
-def verify_central_recurrence(n: int) -> VerificationReport:
+def verify_central_recurrence(n: int) -> list[Clause]:
     """Restriction drops by two degrees at multiplier (n-1)*C when lam = 0."""
     if n < 3:
         raise ValueError("two-step recurrence needs n >= 3")
@@ -226,10 +226,10 @@ def verify_central_recurrence(n: int) -> VerificationReport:
     u, c, d = map(preset.normal_generator, ("U", "C", "D"))
     lhs = restrict_to_kernel(build_binomial(n, ZERO, u, d), preset)
     prev = restrict_to_kernel(build_binomial(n - 2, ZERO, u, d), preset)
-    return report_from_clauses("rec-7", {"n": n}, [Clause("", lhs, (n - 1) * (c * prev))])
+    return [Clause("", lhs, (n - 1) * (c * prev))]
 
 
-def verify_kernel_vectors(n: int, lam, j: int) -> VerificationReport:
+def verify_kernel_vectors(n: int, lam, j: int) -> list[Clause]:
     """Eigenvector evaluation at mu = -j*lam annihilates the combination.
 
     Out-of-range j is allowed and simply fails, serving as the negative
@@ -241,13 +241,10 @@ def verify_kernel_vectors(n: int, lam, j: int) -> VerificationReport:
     preset = cached_preset("first-order-plus", lam)
     b = build_binomial(n, lam, preset.normal_generator("U"), preset.normal_generator("D"))
     value = kernel_eval(b, preset, -(lam * j))
-    zero = NcPoly.zero(preset.alphabet)
-    return report_from_clauses(
-        "cor-kernel", {"n": n, "lambda": str(lam), "j": j}, [Clause("", value, zero)]
-    )
+    return [Clause("", value, NcPoly.zero(preset.alphabet))]
 
 
-def verify_w_independence(n: int, lam, mu) -> VerificationReport:
+def verify_w_independence(n: int, lam, mu) -> list[Clause]:
     """Replacing V by V + W does not change the combination, abstractly."""
     lam = CycloScalar.of(lam)
     mu = CycloScalar.of(mu)
@@ -255,40 +252,30 @@ def verify_w_independence(n: int, lam, mu) -> VerificationReport:
     v, w, d = map(preset.normal_generator, ("V", "W", "D"))
     lhs = build_binomial(n, lam, v + w, d)
     rhs = build_binomial(n, lam, v, d)
-    return report_from_clauses(
-        "cor-vw",
-        {"n": n, "lambda": str(lam), "mu": str(mu), "variant": "abstract"},
-        [Clause("", lhs, rhs)],
-    )
+    return [Clause("", lhs, rhs)]
 
 
-def verify_alt_expansion(n: int, lam) -> VerificationReport:
+def verify_alt_expansion(n: int, lam) -> list[Clause]:
     """The two expansions agree term by term with no relations applied."""
     if n < 1:
         raise ValueError("alternative expansion requires n > 0")
     lam = CycloScalar.of(lam)
     preset = cached_preset("free")
     u, d = preset.generator("U"), preset.generator("D")
-    return report_from_clauses(
-        "lemma-l2",
-        {"n": n, "lambda": str(lam)},
-        [Clause("", build_binomial(n, lam, u, d), build_binomial_alt(n, lam, u, d))],
-    )
+    return [Clause("", build_binomial(n, lam, u, d), build_binomial_alt(n, lam, u, d))]
 
 
-def verify_inverse_factorization(n: int, lam) -> VerificationReport:
+def verify_inverse_factorization(n: int, lam) -> list[Clause]:
     """B(n) equals (D * Uinv)^n * U^n once U is invertible."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-plus", lam)
     uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
     lhs = build_binomial(n, lam, u, d)
     rhs = (d * uinv) ** n * u**n
-    return report_from_clauses(
-        "lemma-l3", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)]
-    )
+    return [Clause("", lhs, rhs)]
 
 
-def verify_shift_binomial(n: int) -> VerificationReport:
+def verify_shift_binomial(n: int) -> list[Clause]:
     """Shifting A1 down and A2 up by the unit leaves the binomial sum fixed."""
     alpha = Alphabet(("A1", "A2"))
     a1 = NcPoly.generator(alpha, "A1")
@@ -296,10 +283,10 @@ def verify_shift_binomial(n: int) -> VerificationReport:
     unit = NcPoly.unit(alpha)
     lhs = power_sum(n, a1 - unit, a2 + unit, unit)
     rhs = power_sum(n, a1, a2, unit)
-    return report_from_clauses("lemma-eq5", {"n": n}, [Clause("", lhs, rhs)])
+    return [Clause("", lhs, rhs)]
 
 
-def verify_noncommuting_binomial_form(n: int, lam) -> VerificationReport:
+def verify_noncommuting_binomial_form(n: int, lam) -> list[Clause]:
     """B(n) as a binomial sum in DU - U^2 and U^2, times Uinv^n."""
     lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-minus", lam)
@@ -307,6 +294,4 @@ def verify_noncommuting_binomial_form(n: int, lam) -> VerificationReport:
     core = power_sum(n, d * u - u * u, u * u, preset.unit())
     lhs = build_binomial(n, lam, u, d)
     rhs = core * uinv**n
-    return report_from_clauses(
-        "final-remark", {"n": n, "lambda": str(lam)}, [Clause("", lhs, rhs)]
-    )
+    return [Clause("", lhs, rhs)]

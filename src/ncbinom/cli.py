@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import binomial, realize
-from .report import FAIL, PASS, VerificationReport, skipped_report
+from .report import FAIL, PASS, VerificationReport, report_from_clauses, skipped_report
 from .rewrite import (
     PRESET_NAMES,
     cached_preset,
@@ -35,7 +35,7 @@ DEFAULT_SEED = 1729
 BASE_LAMBDAS = ("1", "2", "-3", "1/2", "i", "1+i")
 
 VW_MU_SAMPLES = ("0", "2")
-LINEAR_AB_SAMPLES = ((1, 0), (2, 5))
+LINEAR_AB_SAMPLES = (("1", "0"), ("2", "5"))  # canonical literals
 EQ5_DIMS = (2, 3)
 EQ5_SEEDS = (7, 42)
 VECTOR_DIMS = (2, 3)
@@ -66,7 +66,7 @@ class Suite:
     n_max: int | None  # default degree bound; None when the grid has no degree
     lambdas: tuple[str, ...] | None  # default lambda literals; None: takes no lambda
     grid: Callable  # (suite, n_max, lambda literals, cfg) -> list of case dicts
-    run: Callable  # (case, parsed lambda) -> VerificationReport
+    run: Callable | None  # (case, parsed lambda) -> list of Clause; None for confluence
     flags: dict = field(default_factory=dict)  # SUITE_FLAGS it reads -> smallest value, None: any
 
 
@@ -119,10 +119,14 @@ def _vw_grid(suite, n_max, lambdas, cfg):
 
 
 def _exp_grid(suite, n_max, lambdas, cfg):
-    # n = 0 reads no j, so it runs only when --j is unset
-    return [{"suite": suite, "n": n, "lambda": lam, "j": j}
-            for lam in lambdas for n in range(0 if cfg.j is None else 1, n_max + 1)
-            for j in ([None] if n == 0 else _js(n, cfg)) if j is None or j <= n - 1]
+    cases = []
+    for lam in lambdas:
+        # n = 0 reads no j, so it carries none and runs only when --j is unset
+        if cfg.j is None:
+            cases.append({"suite": suite, "n": 0, "lambda": lam})
+        cases += [{"suite": suite, "n": n, "lambda": lam, "j": j}
+                  for n in range(1, n_max + 1) for j in _js(n, cfg) if j <= n - 1]
+    return cases
 
 
 def _linear_grid(suite, n_max, lambdas, cfg):
@@ -156,7 +160,7 @@ def _vector_grid(suite, n_max, lambdas, cfg):
                                   "lambda": lam, "m": m, "seed": seed})
                     if zero_lam and item in (5, 6, 7):
                         cases[-1]["skip"] = "sine items need lambda != 0"
-    cases += [{"suite": suite, "item": 8, "n": n, "m": m, "seed": seed}
+    cases += [{"suite": suite, "item": 8, "n": n, "lambda": "0", "m": m, "seed": seed}
               for n in range(0, n_max + 1) for m in dims]
     return cases
 
@@ -228,11 +232,11 @@ SUITES: dict[str, Suite] = {
     "final-remark": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
                           lambda c, lam: binomial.verify_noncommuting_binomial_form(c["n"], lam)),
     "exp": Suite(8, BASE_LAMBDAS, _exp_grid,
-                 lambda c, lam: realize.verify_exponential(c["n"], lam, c["j"]), {"j": 0}),
+                 lambda c, lam: realize.verify_exponential(c["n"], lam, c.get("j")), {"j": 0}),
     "sin": Suite(8, BASE_LAMBDAS, _lambda_grid(0, nonzero=True),
                  lambda c, lam: realize.verify_sine(c["n"], lam)),
-    "linear": Suite(8, None, _linear_grid,
-                    lambda c, lam: realize.verify_linear(c["n"], c["a"], c["b"])),
+    "linear": Suite(8, None, _linear_grid, lambda c, lam: (
+        realize.verify_linear(c["n"], parse_scalar(c["a"]), parse_scalar(c["b"])))),
     "chvar-gauss": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
         realize.verify_change_of_variables(c["n"], lam, c["j"], "gauss")), {"j": 0}),
     "chvar-log": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
@@ -245,8 +249,7 @@ SUITES: dict[str, Suite] = {
         {"m": 2, "seed": None}),
     "third-order": Suite(5, ("1",), _third_order_grid, lambda c, lam: (
         realize.verify_third_order(c["n"], lam, parse_scalar(c["mu"])))),
-    "confluence": Suite(None, None, _confluence_grid, lambda c, lam: _confluence_report(
-        c["suite"], {"preset": c["preset"]}, cached_preset(c["preset"], 1, 2))),
+    "confluence": Suite(None, None, _confluence_grid, None),  # run_case reports it
 }
 
 SUITE_ORDER = tuple(SUITES)
@@ -266,13 +269,19 @@ def iter_cases(suite: str, cfg: SuiteConfig) -> list[dict]:
 
 
 def run_case(case: dict) -> VerificationReport:
-    """Execute one case; pure function of the case dict."""
+    """Execute one case; pure function of the case dict.
+
+    The one place that names a case: its report's params are the case's
+    fields but suite and skip, in order, over the clauses its runner returns.
+    """
     suite = case["suite"]
+    params = {k: v for k, v in case.items() if k not in ("suite", "skip")}
     if "skip" in case:
-        params = {k: v for k, v in case.items() if k not in ("suite", "skip")}
         return skipped_report(suite, params, case["skip"])
+    if suite == "confluence":
+        return _confluence_report(suite, params, cached_preset(case["preset"], 1, 2))
     lam = parse_scalar(case["lambda"]) if "lambda" in case else ZERO
-    return SUITES[suite].run(case, lam)
+    return report_from_clauses(suite, params, SUITES[suite].run(case, lam))
 
 
 def check_flags(suite: str, cfg: SuiteConfig) -> None:
@@ -335,7 +344,8 @@ def _run_cases(cases: list[dict], jobs: int) -> list[VerificationReport]:
 def cmd_verify(args, out) -> int:
     suites = SUITE_ORDER if args.suite == "all" else (args.suite,)
     cfg = SuiteConfig(
-        n_max=args.n_max, lambdas=tuple(args.lambdas.split(",")) if args.lambdas else None,
+        n_max=args.n_max,
+        lambdas=None if args.lambdas is None else tuple(args.lambdas.split(",")),
         j=args.j, m=args.m, seed=args.seed, jobs=args.jobs,
     )
     check_flags(args.suite, cfg)
@@ -348,7 +358,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_expand(args, out) -> int:
-    lam = parse_scalar(args.lambdas) if args.lambdas else ZERO
+    lam = parse_scalar(args.lambdas)
     preset_name = args.preset or "free"
     preset = make_preset(preset_name, lam, ZERO)
     names = preset.alphabet.names

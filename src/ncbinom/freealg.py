@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import ZERO, CycloScalar
+from .scalars import CycloScalar
 
 Word = tuple[int, ...]
 
@@ -118,10 +118,6 @@ class NcPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, *names: str) -> CycloScalar:
-        word = tuple(self.alphabet.index(n) for n in names)
-        return self.terms.get(word, ZERO)
 
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)

@@ -13,7 +13,9 @@ functions and the multipliers sum_k A_k*u_k(x) that act on them (A_k
 constant matrices, u_k scalar functions), the truncated shift
 representation that serves as an independent check on the rewrite
 engine, and the check that a candidate scalar does not make the
-combination vanish for a genuinely third-order exponential sum.
+combination vanish for a genuinely third-order exponential sum.  As in
+`binomial`, each verifier returns its list of clauses; `cli.run_case`
+names the case and builds its report.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .binomial import build_binomial, parity_clauses, power_sum
 from .freealg import Alphabet, NcPoly, accumulate
-from .report import Clause, VerificationReport, report_from_clauses
+from .report import Clause
 from .rewrite import RelationPreset
 from .scalars import IMAG, OMEGA, ONE, ZERO, CycloScalar
 
@@ -501,7 +503,7 @@ def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[NcPoly, list
     return b, clauses
 
 
-def verify_exponential(n: int, lam, j: int | None) -> VerificationReport:
+def verify_exponential(n: int, lam, j: int | None) -> list[Clause]:
     """All four displayed identities for exponential multiplication operators."""
     lam = CycloScalar.of(lam)
     if j is not None and not (0 <= j <= n - 1):
@@ -512,20 +514,16 @@ def verify_exponential(n: int, lam, j: int | None) -> VerificationReport:
         grow = letter_actions(FuncExpr.exponential(lam))
         target = FuncExpr.exponential(-(lam * j))
         clauses.append(Clause("kernel-target", apply_assigned(b, grow, target), FuncExpr.zero()))
-    params = {"n": n, "lambda": str(lam)}
-    if j is not None:
-        params["j"] = j
-    return report_from_clauses("exp", params, clauses + dichotomy)
+    return clauses + dichotomy
 
 
-def verify_sine(n: int, lam) -> VerificationReport:
+def verify_sine(n: int, lam) -> list[Clause]:
     """Sine multiplication operator with binomial parameter i*lam."""
     lam = CycloScalar.of(lam)
-    _, clauses = _scalar_dichotomy("sine", n, lam)
-    return report_from_clauses("sin", {"n": n, "lambda": str(lam)}, clauses)
+    return _scalar_dichotomy("sine", n, lam)[1]
 
 
-def verify_linear(n: int, a, b) -> VerificationReport:
+def verify_linear(n: int, a, b) -> list[Clause]:
     """Multiplication by a*x + b with zero binomial parameter."""
     a = CycloScalar.of(a)
     b = CycloScalar.of(b)
@@ -535,12 +533,10 @@ def verify_linear(n: int, a, b) -> VerificationReport:
     clauses = parity_clauses(n, result, zero, a, FuncExpr.term)
     if n > 0:
         clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
-    return report_from_clauses(
-        "linear", {"n": n, "a": str(a), "b": str(b)}, clauses
-    )
+    return clauses
 
 
-def verify_change_of_variables(n: int, lam, j: int, variant: str) -> VerificationReport:
+def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause]:
     """Identities transported by x -> x^2/2 (gauss) and x -> ln x (log)."""
     lam = CycloScalar.of(lam)
     if not (0 <= j <= n - 1):
@@ -554,18 +550,13 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> Verificatio
         target = FuncExpr.monomial(-(lam * j))
     else:
         raise ValueError(f"unknown change-of-variables variant {variant!r}")
-    result = apply_assigned(_abstract(n, lam), asg, target)
-    return report_from_clauses(
-        "chvar-" + variant,
-        {"n": n, "lambda": str(lam), "j": j},
-        [Clause("", result, FuncExpr.zero())],
-    )
+    return [Clause("", apply_assigned(_abstract(n, lam), asg, target), FuncExpr.zero())]
 
 
 # ---- vector-function verifiers ---------------------------------------------
 
 
-def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> VerificationReport:
+def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause]:
     """One of the eight vector-valued statements, with seeded exact data."""
     lam = CycloScalar.of(lam)
     if m < 1:
@@ -574,7 +565,6 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
     a = random_matrix(rng, m)
     cvec = VecFunc.constant(random_vector(rng, m))
     zero = VecFunc.zero(m)
-    params = {"item": item, "n": n, "lambda": str(lam), "m": m, "seed": seed}
     clauses: list[Clause] = []
 
     if item == 1:
@@ -597,7 +587,8 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
                                       lambda mat: FuncMatrix([(mat, _decay(n, mu))]) * cvec)
         elif item == 4:  # the sign probe on (2 d/dx +/- mu n)
             clauses.append(Clause("shift-plus-vanishes", _shifted(result, mu, n), zero))
-            params["minus_also_zero"] = _shifted(result, -mu, n).is_zero
+            clauses.append(Clause("minus_also_zero", _shifted(result, -mu, n), zero,
+                                  expect_zero=None))
         elif item == 7 and n > 0:
             clauses.append(Clause("shifted-vanishes", _shifted(result, mu, n), zero))
     elif item == 8:
@@ -618,10 +609,10 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> Verificatio
             clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
     else:
         raise ValueError("vector item must be 1..8")
-    return report_from_clauses("vector", params, clauses)
+    return clauses
 
 
-def verify_shift_binomial_matrices(n: int, dim: int, seed: int) -> VerificationReport:
+def verify_shift_binomial_matrices(n: int, dim: int, seed: int) -> list[Clause]:
     """Matrix oracle for the shifted binomial sum identity."""
     if dim < 2:
         raise ValueError("matrix oracle needs dim >= 2")
@@ -631,9 +622,7 @@ def verify_shift_binomial_matrices(n: int, dim: int, seed: int) -> VerificationR
     ident = Matrix.identity(dim)
     lhs = power_sum(n, a1 - ident, a2 + ident, ident)
     rhs = power_sum(n, a1, a2, ident)
-    return report_from_clauses(
-        "eq5-matrix", {"n": n, "dim": dim, "seed": seed}, [Clause("", lhs, rhs)]
-    )
+    return [Clause("", lhs, rhs)]
 
 
 # ---- realized W-independence ------------------------------------------------
@@ -649,7 +638,7 @@ def random_func_expr(rng: random.Random) -> FuncExpr:
     return out
 
 
-def verify_w_independence_realized(n: int, lam, seed: int) -> VerificationReport:
+def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
     """W-independence with concrete multiplication operators.
 
     V multiplies by a pseudo-random exponential-polynomial (so no
@@ -673,11 +662,7 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> VerificationReport
                 apply_assigned(b, without_w, f),
             )
         )
-    return report_from_clauses(
-        "cor-vw",
-        {"n": n, "lambda": str(lam), "seed": seed, "variant": "realized"},
-        clauses,
-    )
+    return clauses
 
 
 # ---- truncated shift representation (oracle for the rewrite engine) --------
@@ -713,7 +698,7 @@ def safe_block(mat: Matrix, size: int) -> Matrix:
 # ---- third-order check -------------------------------------------------------
 
 
-def verify_third_order(n: int, lam, mu) -> VerificationReport:
+def verify_third_order(n: int, lam, mu) -> list[Clause]:
     """Residual of the combination at parameter mu for a genuinely third-order sum.
 
     u = e^{lam x} + e^{w lam x} + e^{w^2 lam x} satisfies u''' = lam^3 u
@@ -730,5 +715,4 @@ def verify_third_order(n: int, lam, mu) -> VerificationReport:
     u = (FuncExpr.exponential(lam) + FuncExpr.exponential(OMEGA * lam)
          + FuncExpr.exponential(OMEGA * OMEGA * lam))
     result = apply_assigned(_abstract(n, mu), letter_actions(u), FuncExpr.one())
-    return report_from_clauses("third-order", {"n": n, "lambda": str(lam), "mu": str(mu)}, [
-        Clause("nonvanishing-residual", result, FuncExpr.zero(), expect_zero=False)])
+    return [Clause("nonvanishing-residual", result, FuncExpr.zero(), expect_zero=False)]

@@ -1,9 +1,10 @@
 """Structured pass/fail records for identity checks.
 
 A report captures one verified case: the suite, the case parameters, the
-canonical left and right forms, and their difference.  Status is "pass"
-exactly when every clause's residual is the zero element (or, for
-negative expectations such as the third-order scan, when it is nonzero).
+canonical left and right forms, and their difference; `cli.run_case`
+builds it from the clauses a verifier returns.  Status is "pass" exactly
+when every clause's residual is the zero element (or, for negative
+expectations such as the third-order scan, when it is nonzero).
 """
 
 from __future__ import annotations
@@ -45,19 +46,29 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Clause:
-    """One comparison inside a case; values must support '-', is_zero, str."""
+    """One comparison inside a case; values must support '-', is_zero, str.
+
+    `expect_zero=None` makes a probe: its outcome is recorded, not checked.
+    """
 
     label: str
     lhs: object
     rhs: object
-    expect_zero: bool = True
+    expect_zero: bool | None = True
 
     def residual(self):
         return self.lhs - self.rhs
 
 
 def report_from_clauses(suite: str, params: dict, clauses: list[Clause]) -> VerificationReport:
-    """One report over the clauses; each clause's residual is formed once."""
+    """One report over the clauses; each clause's residual is formed once.
+
+    Each probe adds {label: residual is zero} to the params, after the case's own.
+    """
+    probes = [c for c in clauses if c.expect_zero is None]
+    if probes:
+        params = params | {c.label: c.residual().is_zero for c in probes}
+        clauses = [c for c in clauses if c.expect_zero is not None]
     if not clauses:
         return VerificationReport(suite, params, PASS, "", "", "0")
     residuals = [c.residual() for c in clauses]

@@ -195,12 +195,6 @@ class CycloScalar:
             b0 * b0 + b0 * b2 + b2 * b2,
         )
 
-    def __truediv__(self, other) -> CycloScalar:
-        return self * CycloScalar.of(other).inv()
-
-    def __rtruediv__(self, other) -> CycloScalar:
-        return CycloScalar.of(other) * self.inv()
-
     def __pow__(self, exponent: int) -> CycloScalar:
         if not isinstance(exponent, int):
             raise TypeError("exponent must be an integer")

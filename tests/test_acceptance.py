@@ -10,10 +10,7 @@ nonzero where the claim is negative).
 import random
 import time
 
-from ncbinom.binomial import (
-    build_binomial,
-    verify_kernel_vectors,
-)
+from ncbinom.binomial import build_binomial
 from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import (
@@ -100,7 +97,8 @@ def test_criterion_05_second_commutator_theorem():
 
 def test_criterion_06_kernel_and_w_independence():
     _, failed_kernel = run_suite("cor-kernel", n_max=8, lambdas=NONZERO_LAMBDAS)
-    negative = [verify_kernel_vectors(n, ONE, n) for n in (1, 2, 3, 5)]
+    negative = [run_case({"suite": "cor-kernel", "n": n, "lambda": "1", "j": n})
+                for n in (1, 2, 3, 5)]
     negative_ok = all(r.status == FAIL for r in negative)
     reports_vw, failed_vw = run_suite("cor-vw", n_max=8, lambdas=NONZERO_LAMBDAS)
     realized = [r for r in reports_vw if r.params.get("variant") == "realized"]

@@ -16,16 +16,9 @@ from ncbinom.binomial import (
     verify_alt_expansion,
     verify_ascending_recurrence,
     verify_central_recurrence,
-    verify_inverse_factorization,
-    verify_kernel_vectors,
-    verify_minus_commutator_theorem,
     verify_minus_recurrence,
-    verify_noncommuting_binomial_form,
-    verify_second_commutator_theorem,
-    verify_shift_binomial,
-    verify_u_independence,
-    verify_w_independence,
 )
+from ncbinom.cli import run_case
 from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import Matrix, random_matrix
 from ncbinom.rewrite import Normal, cached_preset, make_preset, normalize, restrict_to_kernel
@@ -80,20 +73,20 @@ def test_alt_expansion_is_free_identity(lam_text):
 
 
 def test_alt_expansion_verifier():
-    assert verify_alt_expansion(5, parse_scalar("i")).passed
+    assert run_case({"suite": "lemma-l2", "n": 5, "lambda": "i"}).passed
     with pytest.raises(ValueError):
         verify_alt_expansion(0, ONE)
 
 
 def test_u_independence_small():
-    rep = verify_u_independence(2, ONE)
+    rep = run_case({"suite": "thm-nou", "n": 2, "lambda": "1"})
     assert rep.passed
     preset = cached_preset("first-order-plus", ONE)
     d = preset.generator("D")
     nf = normalize(build_binomial(2, ONE, preset.generator("U"), d), preset)
     assert nf == d * d + d
-    assert verify_u_independence(0, parse_scalar("i")).passed
-    assert verify_u_independence(7, parse_scalar("1/2")).passed
+    assert run_case({"suite": "thm-nou", "n": 0, "lambda": "i"}).passed
+    assert run_case({"suite": "thm-nou", "n": 7, "lambda": "1/2"}).passed
 
 
 def test_u_independence_no_u_letters():
@@ -115,23 +108,23 @@ def test_homogeneity_of_product_form():
 
 
 def test_ascending_recurrence():
-    assert verify_ascending_recurrence(1, ONE).passed
-    rep = verify_ascending_recurrence(2, ONE)
+    assert run_case({"suite": "rec-3", "n": 1, "lambda": "1"}).passed
+    rep = run_case({"suite": "rec-3", "n": 2, "lambda": "1"})
     assert rep.passed and rep.lhs == "D D + D"
-    assert verify_ascending_recurrence(8, parse_scalar("i")).passed
+    assert run_case({"suite": "rec-3", "n": 8, "lambda": "i"}).passed
     with pytest.raises(ValueError):
         verify_ascending_recurrence(0, ONE)
 
 
 def test_minus_theorem_spot_values():
-    assert verify_minus_commutator_theorem(1, ONE).passed
+    assert run_case({"suite": "thm-wrongsign", "n": 1, "lambda": "1"}).passed
     lam = ONE
     preset = cached_preset("first-order-minus", lam)
     u, d = preset.generator("U"), preset.generator("D")
     assert restrict_to_kernel(build_binomial(2, lam, u, d), preset) == (-2 * lam) * u
     # n = 4: 3!! * (-2)^2 = 12 on U^2
     assert restrict_to_kernel(build_binomial(4, lam, u, d), preset) == 12 * (u * u)
-    assert verify_minus_commutator_theorem(4, ONE).passed
+    assert run_case({"suite": "thm-wrongsign", "n": 4, "lambda": "1"}).passed
 
 
 def test_minus_theorem_parity_dichotomy():
@@ -144,9 +137,9 @@ def test_minus_theorem_parity_dichotomy():
 
 
 def test_minus_recurrence():
-    assert verify_minus_recurrence(2, ONE).passed  # two-term form
-    assert verify_minus_recurrence(3, ONE).passed
-    assert verify_minus_recurrence(6, parse_scalar("-3")).passed
+    assert run_case({"suite": "rec-6", "n": 2, "lambda": "1"}).passed  # two-term form
+    assert run_case({"suite": "rec-6", "n": 3, "lambda": "1"}).passed
+    assert run_case({"suite": "rec-6", "n": 6, "lambda": "-3"}).passed
     with pytest.raises(ValueError):
         verify_minus_recurrence(1, ONE)
 
@@ -156,8 +149,8 @@ def test_second_theorem_spot_values():
     preset = cached_preset("second-order", lam)
     u, c, d = preset.generator("U"), preset.generator("C"), preset.generator("D")
     assert restrict_to_kernel(build_binomial(2, lam, u, d), preset) == c - lam * u
-    assert verify_second_commutator_theorem(2, ONE).passed
-    assert verify_second_commutator_theorem(1, ZERO).passed
+    assert run_case({"suite": "thm-2nd", "n": 2, "lambda": "1"}).passed
+    assert run_case({"suite": "thm-2nd", "n": 1, "lambda": "0"}).passed
     # at lam = 0 the restriction of the n=2 case is the commutator itself
     preset0 = cached_preset("second-order", ZERO)
     b2 = build_binomial(2, ZERO, preset0.generator("U"), preset0.generator("D"))
@@ -174,51 +167,49 @@ def test_second_theorem_parity_dichotomy():
 
 
 def test_central_recurrence():
-    assert verify_central_recurrence(3).passed
-    rep = verify_central_recurrence(4)
+    assert run_case({"suite": "rec-7", "n": 3}).passed
+    rep = run_case({"suite": "rec-7", "n": 4})
     assert rep.passed
     preset = cached_preset("second-order-central", ZERO)
     c = preset.generator("C")
     b4 = build_binomial(4, ZERO, preset.generator("U"), preset.generator("D"))
     lhs = restrict_to_kernel(b4, preset)
     assert lhs == 3 * (c * c)
-    assert verify_central_recurrence(5).passed
+    assert run_case({"suite": "rec-7", "n": 5}).passed
     with pytest.raises(ValueError):
         verify_central_recurrence(2)
 
 
 def test_kernel_vectors():
-    assert verify_kernel_vectors(1, ONE, 0).passed
-    assert verify_kernel_vectors(3, ONE, 1).passed
-    negative = verify_kernel_vectors(3, ONE, 3)
+    assert run_case({"suite": "cor-kernel", "n": 1, "lambda": "1", "j": 0}).passed
+    assert run_case({"suite": "cor-kernel", "n": 3, "lambda": "1", "j": 1}).passed
+    negative = run_case({"suite": "cor-kernel", "n": 3, "lambda": "1", "j": 3})
     assert not negative.passed
     # residual of the negative control is the predicted product (-3)(-2)(-1)
     assert negative.residual == "-6"
 
 
 def test_w_independence_abstract():
-    assert verify_w_independence(1, ONE, ZERO).passed
-    assert verify_w_independence(2, ONE, ZERO).passed
-    assert verify_w_independence(5, ONE, parse_scalar("2")).passed
+    for n, mu in ((1, "0"), (2, "0"), (5, "2")):
+        assert run_case({"suite": "cor-vw", "n": n, "lambda": "1", "mu": mu,
+                         "variant": "abstract"}).passed
 
 
 def test_inverse_factorization():
-    assert verify_inverse_factorization(0, ONE).passed
-    assert verify_inverse_factorization(1, ONE).passed
-    assert verify_inverse_factorization(4, ONE).passed
+    for n in (0, 1, 4):
+        assert run_case({"suite": "lemma-l3", "n": n, "lambda": "1"}).passed
 
 
 def test_shift_binomial_identity():
-    rep1 = verify_shift_binomial(1)
+    rep1 = run_case({"suite": "lemma-eq5", "n": 1})
     assert rep1.passed and rep1.lhs == "A2 + A1"
-    assert verify_shift_binomial(2).passed
-    assert verify_shift_binomial(6).passed
+    assert run_case({"suite": "lemma-eq5", "n": 2}).passed
+    assert run_case({"suite": "lemma-eq5", "n": 6}).passed
 
 
 def test_noncommuting_binomial_form():
-    assert verify_noncommuting_binomial_form(0, ONE).passed
-    assert verify_noncommuting_binomial_form(1, ONE).passed
-    assert verify_noncommuting_binomial_form(3, ONE).passed
+    for n in (0, 1, 3):
+        assert run_case({"suite": "final-remark", "n": n, "lambda": "1"}).passed
 
 
 # ---- independent oracle for binomial_sum and the builders -----------------

@@ -181,6 +181,21 @@ def test_run_case_skip_marker():
     assert rep.residual == "because"
 
 
+def test_report_params_are_the_case_fields():
+    """run_case names each case once: params are its fields but suite and skip, in order."""
+    cfg = SuiteConfig(n_max=3)
+    for suite in cli.SUITE_ORDER:
+        for case in iter_cases(suite, cfg):
+            fields = [(k, v) for k, v in case.items() if k not in ("suite", "skip")]
+            params = list(run_case(case).params.items())
+            if suite == "vector" and case["item"] == 4:
+                # the sign probe follows the case fields
+                assert params[:-1] == fields, case
+                assert params[-1][0] == "minus_also_zero" and params[-1][1] in (True, False)
+            else:
+                assert params == fields, case
+
+
 def test_every_declared_suite_enumerates():
     cfg = SuiteConfig(n_max=2)
     for suite in cli.SUITES:
@@ -211,6 +226,23 @@ def test_negative_n_max_exits_2(capsys, monkeypatch):
     code, err = flag_error(capsys, monkeypatch, "verify", "thm-nou", "--n-max", "-1")
     assert code == 2
     assert "--n-max must be >= 0" in err
+
+
+def test_empty_lambda_exits_2(capsys, monkeypatch):
+    # an empty --lambda must not fall back to the default grid
+    for value in ("", "1,,2"):
+        code, err = flag_error(capsys, monkeypatch, "verify", "thm-nou", "--lambda", value)
+        assert code == 2
+        assert "empty scalar literal" in err
+
+
+def test_expand_empty_lambda_exits_2(capsys):
+    # an empty --lambda must not fall back to lambda = 0
+    code = main(["expand", "--n", "2", "--lambda", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "empty scalar literal" in captured.err
 
 
 def test_negative_j_exits_2(capsys, monkeypatch):

@@ -30,13 +30,10 @@ from ncbinom.realize import (
     truncated_shift_matrix,
     verify_change_of_variables,
     verify_exponential,
-    verify_linear,
-    verify_shift_binomial_matrices,
-    verify_sine,
     verify_third_order,
     verify_vector_item,
-    verify_w_independence_realized,
 )
+from ncbinom.cli import run_case
 from ncbinom.rewrite import cached_preset, normalize
 from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar
 
@@ -130,43 +127,43 @@ def test_apply_is_homomorphism(f):
 
 
 def test_exponential_identities():
-    assert verify_exponential(1, ONE, 0).passed
+    assert run_case({"suite": "exp", "n": 1, "lambda": "1", "j": 0}).passed
     lam = ONE
     asg = letter_actions(FuncExpr.exponential(-lam))
     got = apply_assigned(build_binomial(2, lam, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.exponential(-lam).scaled(-2)
     got4 = apply_assigned(build_binomial(4, lam, U, D), asg, FuncExpr.one())
     assert got4 == FuncExpr.exponential(-2 * lam).scaled(12)
-    assert verify_exponential(4, ONE, 2).passed
+    assert run_case({"suite": "exp", "n": 4, "lambda": "1", "j": 2}).passed
     with pytest.raises(ValueError):
         verify_exponential(3, ONE, 3)
 
 
 def test_sine_identities():
-    assert verify_sine(1, ONE).passed
+    assert run_case({"suite": "sin", "n": 1, "lambda": "1"}).passed
     lam = ONE
     asg = letter_actions(sin_func(lam))
     got = apply_assigned(build_binomial(2, IMAG * lam, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.exponential(-IMAG)
-    assert verify_sine(2, ONE).passed
-    assert verify_sine(3, parse_scalar("2")).passed
+    assert run_case({"suite": "sin", "n": 2, "lambda": "1"}).passed
+    assert run_case({"suite": "sin", "n": 3, "lambda": "2"}).passed
 
 
 def test_linear_identities():
-    rep = verify_linear(2, 1, 0)
+    rep = run_case({"suite": "linear", "n": 2, "a": "1", "b": "0"})
     assert rep.passed
     asg = letter_actions(FuncExpr.monomial(1))
     got = apply_assigned(build_binomial(2, ZERO, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.one()
-    assert verify_linear(3, 2, 5).passed
-    assert verify_linear(4, 1, 1).passed
+    assert run_case({"suite": "linear", "n": 3, "a": "2", "b": "5"}).passed
+    assert run_case({"suite": "linear", "n": 4, "a": "1", "b": "1"}).passed
 
 
 def test_change_of_variables():
-    assert verify_change_of_variables(1, ONE, 0, "gauss").passed
-    assert verify_change_of_variables(3, ONE, 1, "gauss").passed
+    assert run_case({"suite": "chvar-gauss", "n": 1, "lambda": "1", "j": 0}).passed
+    assert run_case({"suite": "chvar-gauss", "n": 3, "lambda": "1", "j": 1}).passed
     # fractional multiplier exercises exponents outside the integers
-    assert verify_change_of_variables(2, parse_scalar("1/2"), 1, "log").passed
+    assert run_case({"suite": "chvar-log", "n": 2, "lambda": "1/2", "j": 1}).passed
     with pytest.raises(ValueError):
         verify_change_of_variables(2, ONE, 2, "gauss")
     with pytest.raises(ValueError):
@@ -174,12 +171,16 @@ def test_change_of_variables():
 
 
 def test_vector_items_small():
+    def vector_case(item, n, seed):
+        return run_case({"suite": "vector", "item": item, "n": n, "lambda": "1", "m": 2,
+                         "seed": seed})
+
     for item in range(1, 9):
-        rep = verify_vector_item(item, 3, ONE, 2, 99)
+        rep = vector_case(item, 3, 99)
         assert rep.passed, (item, rep.residual)
-    rep = verify_vector_item(3, 2, ONE, 2, 7)
+    rep = vector_case(3, 2, 7)
     assert rep.passed
-    rep4 = verify_vector_item(4, 2, ONE, 2, 7)
+    rep4 = vector_case(4, 2, 7)
     assert rep4.passed and rep4.params["minus_also_zero"] is False
 
 
@@ -207,16 +208,20 @@ def test_matrix_power_rejects_negative_exponent():
 
 
 def test_eq5_matrix_oracle():
-    rep = verify_shift_binomial_matrices(1, 2, 7)
+    rep = run_case({"suite": "eq5-matrix", "n": 1, "dim": 2, "seed": 7})
     assert rep.passed
-    assert verify_shift_binomial_matrices(4, 3, 42).passed
-    assert verify_shift_binomial_matrices(6, 2, 7).passed
+    assert run_case({"suite": "eq5-matrix", "n": 4, "dim": 3, "seed": 42}).passed
+    assert run_case({"suite": "eq5-matrix", "n": 6, "dim": 2, "seed": 7}).passed
 
 
 def test_w_independence_realized():
+    def realized(n, lam, seed):
+        return run_case({"suite": "cor-vw", "n": n, "lambda": lam, "seed": seed,
+                         "variant": "realized"})
+
     for n in (1, 2, 4):
-        assert verify_w_independence_realized(n, ONE, 1729).passed
-    assert verify_w_independence_realized(3, parse_scalar("1/2"), 4).passed
+        assert realized(n, "1", 1729).passed
+    assert realized(3, "1/2", 4).passed
 
 
 def test_truncated_shift_examples():
@@ -320,7 +325,8 @@ def test_verify_third_order():
     from ncbinom.scalars import OMEGA
 
     for mu in (ONE, OMEGA, OMEGA * OMEGA, IMAG):
-        assert verify_third_order(3, ONE, mu).passed  # pass means residual nonzero
+        # pass means residual nonzero
+        assert run_case({"suite": "third-order", "n": 3, "lambda": "1", "mu": str(mu)}).passed
     with pytest.raises(ValueError):
         verify_third_order(2, ONE, ONE)
     with pytest.raises(ValueError):

@@ -51,3 +51,23 @@ def test_each_clause_residual_is_formed_once():
 
     report, subs = report_and_subtractions([Clause("", one, one, expect_zero=False)])
     assert (report.status, subs) == (FAIL, 1)
+
+
+def test_probe_is_recorded_after_the_case_fields_and_never_checked():
+    one, two = Counted(1), Counted(2)
+    params = {"n": 1}
+    probe = Clause("probe", two, one, expect_zero=None)
+
+    # a nonzero probe beside a passing clause: the case passes
+    report = report_from_clauses("demo", params, [Clause("a", one, one), probe])
+    assert report.status == PASS
+    assert list(report.params.items()) == [("n", 1), ("probe", False)]
+    assert (report.lhs, report.rhs, report.residual) == ("a: 1", "a: 1", "a: 0")
+    assert params == {"n": 1}  # the caller's dict is not changed
+
+    # a vanishing probe does not rescue a failing clause
+    zero_probe = Clause("probe", one, one, expect_zero=None)
+    report = report_from_clauses("demo", params, [Clause("", two, one), zero_probe])
+    assert report.status == FAIL
+    assert list(report.params.items()) == [("n", 1), ("probe", True)]
+    assert (report.lhs, report.rhs, report.residual) == ("2", "1", "1")
