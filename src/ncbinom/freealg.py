@@ -69,23 +69,91 @@ class Alphabet:
         return " ".join(self.names[i] for i in word)
 
 
-class NcPoly:
-    """Finite map word -> nonzero scalar coefficient, over one alphabet."""
+class Combination:
+    """Finite map key -> nonzero scalar coefficient: the one sparse-sum type.
 
-    __slots__ = ("alphabet", "terms")
+    `NcPoly` (keys are words) and `realize.FuncExpr` (keys are exponent
+    triples) are its kinds.  Each kind supplies `_key`, which coerces the
+    keys handed to the public constructor, and `_accepts`, which says
+    whether another sum is of this kind.  Sums of different kinds never
+    add, subtract or compare equal.  Every result is built by `_like` from
+    terms already coerced and pruned; a class with a context (`NcPoly`'s
+    alphabet, `Normal`'s preset) overrides it to carry that context over.
+    """
 
-    def __init__(self, alphabet: Alphabet, terms: dict[Word, CycloScalar] | None = None):
-        object.__setattr__(self, "alphabet", alphabet)
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
         clean = {}
         if terms:
-            for word, coeff in terms.items():
+            key = self._key
+            for k, coeff in terms.items():
                 coeff = CycloScalar.of(coeff)
                 if not coeff.is_zero:
-                    clean[tuple(word)] = coeff
+                    clean[key(k)] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("NcPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, clean_terms: dict):
+        obj = object.__new__(type(self))
+        object.__setattr__(obj, "terms", clean_terms)
+        return obj
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not self._accepts(other):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        if not self._accepts(other):
+            return NotImplemented
+        return self._like(accumulate(other.terms.items(), dict(self.terms)))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not self._accepts(other):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, other):
+        return self.scaled(other)
+
+    def scaled(self, value):
+        c = CycloScalar.of(value)
+        if c.is_zero:
+            return self._like({})
+        # nonzero scalar times nonzero coefficient stays nonzero in a field
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def combine(self, pairs):
+        """Sum of c*g over (scalar c, sum g of this kind) pairs, formed in one pass.
+
+        This sum gives the result its class and context; its own terms are
+        not added.
+        """
+        return self._like(accumulate(
+            (key, c * v) for c, g in pairs for key, v in g.terms.items()
+        ))
+
+
+class NcPoly(Combination):
+    """Finite map word -> nonzero scalar coefficient, over one alphabet."""
+
+    __slots__ = ("alphabet",)
+
+    _key = staticmethod(tuple)
+
+    def __init__(self, alphabet: Alphabet, terms: dict[Word, CycloScalar] | None = None):
+        object.__setattr__(self, "alphabet", alphabet)
+        super().__init__(terms)
 
     # ---- constructors -------------------------------------------------
 
@@ -96,6 +164,9 @@ class NcPoly:
         object.__setattr__(obj, "alphabet", alphabet)
         object.__setattr__(obj, "terms", clean_terms)
         return obj
+
+    def _like(self, clean_terms: dict[Word, CycloScalar]) -> NcPoly:
+        return NcPoly._raw(self.alphabet, clean_terms)
 
     @staticmethod
     def zero(alphabet: Alphabet) -> NcPoly:
@@ -115,63 +186,34 @@ class NcPoly:
 
     # ---- structure ----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def letter_degree(self, name: str) -> int:
         """Largest number of occurrences of one generator in any word."""
         idx = self.alphabet.index(name)
         return max((w.count(idx) for w in self.terms), default=0)
 
-    def _require_same_alphabet(self, other: NcPoly) -> None:
-        if self.alphabet != other.alphabet:
+    def _accepts(self, other) -> bool:
+        # a polynomial over another alphabet is of this kind but never combines
+        if isinstance(other, NcPoly) and self.alphabet != other.alphabet:
             raise ValueError(
                 f"alphabet mismatch: {self.alphabet.names} vs {other.alphabet.names}"
             )
+        return isinstance(other, NcPoly)
 
     # ---- arithmetic ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
-
-    def __add__(self, other: NcPoly) -> NcPoly:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        self._require_same_alphabet(other)
-        return NcPoly._raw(self.alphabet, accumulate(other.terms.items(), dict(self.terms)))
-
-    def __neg__(self) -> NcPoly:
-        return NcPoly._raw(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: NcPoly) -> NcPoly:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, NcPoly) and self.alphabet != other.alphabet:
+            return False
+        return super().__eq__(other)
 
     def __mul__(self, other) -> NcPoly:
-        if isinstance(other, NcPoly):
-            self._require_same_alphabet(other)
+        if self._accepts(other):
             right = other.terms.items()
+            # a plain NcPoly, not `_like`: `normalize` returns a same-preset Normal unrewritten
             return NcPoly._raw(self.alphabet, accumulate(
                 (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in right
             ))
-        return self._scaled(other)
-
-    def __rmul__(self, other) -> NcPoly:
-        return self._scaled(other)
-
-    def _scaled(self, value) -> NcPoly:
-        c = CycloScalar.of(value)
-        if c.is_zero:
-            return NcPoly._raw(self.alphabet, {})
-        # nonzero scalar times nonzero coefficient stays nonzero in a field
-        return NcPoly._raw(self.alphabet, {w: c * t for w, t in self.terms.items()})
+        return self.scaled(other)
 
     def __pow__(self, exponent: int) -> NcPoly:
         if not isinstance(exponent, int) or exponent < 0:
@@ -210,9 +252,10 @@ class NcPoly:
 
 
 def _leading_negative(coeff: CycloScalar) -> bool:
-    for c in coeff.coords:
-        if c != 0:
-            return c < 0
+    # the denominator is positive, so the first nonzero numerator carries the sign
+    for n in coeff.ints[:4]:
+        if n:
+            return n < 0
     return False
 
 

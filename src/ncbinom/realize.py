@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 
 from .binomial import build_binomial, parity_clauses, power_sum
-from .freealg import Alphabet, NcPoly, accumulate
+from .freealg import Alphabet, Combination, NcPoly, accumulate
 from .report import Clause
 from .rewrite import RelationPreset
 from .scalars import IMAG, OMEGA, ONE, ZERO, CycloScalar
@@ -46,29 +46,17 @@ _POWER_SHIFTS = {
 }
 
 
-class FuncExpr:
+class FuncExpr(Combination):
     """Finite sum of terms coeff * x^c * exp(alpha*x + beta*x^2), exact."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[FuncKey, CycloScalar] | None = None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = CycloScalar.of(coeff)
-                if not coeff.is_zero:
-                    clean[tuple(map(CycloScalar.of, key))] = coeff
-        object.__setattr__(self, "terms", clean)
+    @staticmethod
+    def _key(key) -> FuncKey:
+        return tuple(map(CycloScalar.of, key))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FuncExpr is immutable")
-
-    @classmethod
-    def _raw(cls, clean_terms: dict[FuncKey, CycloScalar]) -> FuncExpr:
-        # internal fast path: terms must already be pruned and coerced
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", clean_terms)
-        return obj
+    def _accepts(self, other) -> bool:
+        return isinstance(other, FuncExpr)
 
     @staticmethod
     def zero() -> FuncExpr:
@@ -90,48 +78,15 @@ class FuncExpr:
     def exponential(alpha, beta=0) -> FuncExpr:
         return FuncExpr.term(1, alpha=alpha, beta=beta)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FuncExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: FuncExpr) -> FuncExpr:
-        return FuncExpr._raw(accumulate(other.terms.items(), dict(self.terms)))
-
-    def __neg__(self) -> FuncExpr:
-        return FuncExpr._raw({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: FuncExpr) -> FuncExpr:
-        return self + (-other)
-
     def __mul__(self, other) -> FuncExpr:
         if isinstance(other, FuncExpr):
             right = other.terms.items()
-            return FuncExpr._raw(accumulate(
+            return self._like(accumulate(
                 ((c1 + c2, a1 + a2, b1 + b2), v1 * v2)
                 for (c1, a1, b1), v1 in self.terms.items()
                 for (c2, a2, b2), v2 in right
             ))
         return self.scaled(other)
-
-    def __rmul__(self, other) -> FuncExpr:
-        return self.scaled(other)
-
-    def scaled(self, value) -> FuncExpr:
-        c = CycloScalar.of(value)
-        if c.is_zero:
-            return FuncExpr._raw({})
-        return FuncExpr._raw({k: c * v for k, v in self.terms.items()})
-
-    def combine(self, pairs) -> FuncExpr:
-        """Sum of c*g over (scalar c, FuncExpr g) pairs, formed in one pass."""
-        return FuncExpr._raw(accumulate(
-            (key, c * v) for c, g in pairs for key, v in g.terms.items()
-        ))
 
     def differentiate(self, kind: str = D_DX) -> FuncExpr:
         """Exact image under one of the three derivations.
@@ -154,7 +109,7 @@ class FuncExpr:
                 if b:
                     yield (c + high, a, b), v * (2 * b)
 
-        return FuncExpr._raw(accumulate(images()))
+        return self._like(accumulate(images()))
 
     def sorted_terms(self) -> list[tuple[FuncKey, CycloScalar]]:
         return sorted(
@@ -204,12 +159,6 @@ def sin_func(lam) -> FuncExpr:
     lam = CycloScalar.of(lam)
     half_over_i = (2 * IMAG).inv()
     return (FuncExpr.exponential(IMAG * lam) - FuncExpr.exponential(-(IMAG * lam))) * half_over_i
-
-
-def cos_func(lam) -> FuncExpr:
-    lam = CycloScalar.of(lam)
-    half = CycloScalar.of(Fraction(1, 2))
-    return (FuncExpr.exponential(IMAG * lam) + FuncExpr.exponential(-(IMAG * lam))) * half
 
 
 # ---- constant matrices over the scalars ---------------------------------

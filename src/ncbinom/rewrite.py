@@ -153,6 +153,9 @@ class Normal(NcPoly):
         object.__setattr__(obj, "preset", preset)
         return obj
 
+    def _like(self, clean_terms: dict[Word, CycloScalar]) -> Normal:
+        return Normal._of(self.preset, clean_terms)
+
     def _coerce(self, other: NcPoly) -> Normal:
         if isinstance(other, Normal) and other.preset is not self.preset:
             raise ValueError(
@@ -163,26 +166,19 @@ class Normal(NcPoly):
     def __add__(self, other) -> Normal:
         if not isinstance(other, NcPoly):
             return NotImplemented
-        other = self._coerce(other)
-        return Normal._of(self.preset, accumulate(other.terms.items(), dict(self.terms)))
+        return super().__add__(self._coerce(other))
 
     __radd__ = __add__
-
-    def __neg__(self) -> Normal:
-        return Normal._of(self.preset, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other) -> Normal:
         if isinstance(other, NcPoly):
             return normalize(NcPoly.__mul__(self, self._coerce(other)), self.preset)
-        return self._scaled(other)
+        return self.scaled(other)
 
     def __rmul__(self, other) -> Normal:
         if isinstance(other, NcPoly):
             return normalize(NcPoly.__mul__(self._coerce(other), self), self.preset)
-        return self._scaled(other)
-
-    def _scaled(self, value) -> Normal:
-        return Normal._of(self.preset, NcPoly._scaled(self, value).terms)
+        return self.scaled(other)
 
     def __pow__(self, exponent: int) -> Normal:
         # the zero power is the plain unit, which is normal

@@ -16,7 +16,6 @@ from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import (
     FuncExpr,
     apply_assigned,
-    cos_func,
     letter_actions,
     safe_block,
     sin_func,
@@ -200,7 +199,10 @@ def test_criterion_11_oracle_coherence():
         second = cached_preset("second-order", IMAG * lam)
         asg_plus = letter_actions(FuncExpr.exponential(lam))
         asg_minus = letter_actions(FuncExpr.exponential(-lam))
-        lam_cos = cos_func(lam).scaled(lam)
+        # lam*cos(lam*x) = (lam/2) * (e^{i lam x} + e^{-i lam x})
+        lam_cos = (
+            FuncExpr.exponential(IMAG * lam) + FuncExpr.exponential(-(IMAG * lam))
+        ).scaled(lam * parse_scalar("1/2"))
         asg_second = letter_actions(sin_func(lam)) | {"C": lambda g: lam_cos * g}
         for preset, asg in ((plus, asg_plus), (minus, asg_minus), (second, asg_second)):
             u = preset.generator("U")

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
+from ncbinom.realize import FuncExpr
+from ncbinom.rewrite import Normal, first_order_plus, normalize
 from ncbinom.scalars import ONE, parse_scalar
 
 UD = Alphabet(("U", "D"))
@@ -87,12 +89,16 @@ def test_mul_distributes_over_add(p, q, r):
     assert (q + r) * p == q * p + r * p
 
 
+def longest_word(p: NcPoly) -> int:
+    return max(map(len, p.terms), default=0)
+
+
 @given(polys, polys)
 def test_degree_additivity(p, q):
     if p.is_zero or q.is_zero:
         assert (p * q).is_zero
     else:
-        assert (p * q).max_word_length() == p.max_word_length() + q.max_word_length()
+        assert longest_word(p * q) == longest_word(p) + longest_word(q)
 
 
 def test_letter_degree():
@@ -100,3 +106,70 @@ def test_letter_degree():
     assert p.letter_degree("U") == 2
     assert p.letter_degree("D") == 1
     assert NcPoly.zero(UD).letter_degree("U") == 0
+
+
+# ---- the shared sparse-sum type -------------------------------------------
+
+PLUS = first_order_plus(parse_scalar("1+i"))
+
+
+def sample_pair(kind):
+    """Two sums of `kind` over one context, both nonzero and unequal."""
+    if kind is NcPoly:
+        return U * D + 2 * U, D - I
+    if kind is Normal:
+        u, d = PLUS.normal_generator("U"), PLUS.normal_generator("D")
+        return d * u + 2 * u, d * d - u
+    return FuncExpr.exponential(1) + FuncExpr.monomial(2), FuncExpr.term(3, c=1, beta=-1)
+
+
+def context(value):
+    return type(value), getattr(value, "alphabet", None), getattr(value, "preset", None)
+
+
+@pytest.mark.parametrize("kind", (NcPoly, Normal, FuncExpr))
+def test_every_operation_keeps_the_kind_and_context(kind):
+    a, b = sample_pair(kind)
+    assert type(a) is kind and context(a) == context(b)
+    results = (
+        a + b,
+        a - b,
+        -a,
+        3 * a,
+        a * 3,
+        parse_scalar("1+i") * a,
+        a.scaled(parse_scalar("-1/2")),
+        a.scaled(0),
+        a.combine([(2, a), (ONE, b)]),
+        a.combine([]),
+    )
+    for result in results:
+        assert context(result) == context(a)
+    assert a.scaled(0).is_zero and a.combine([]).is_zero
+    assert a - b == a + (-1) * b
+    assert a.combine([(2, a), (ONE, b)]) == 2 * a + b
+    with pytest.raises(AttributeError):
+        a.terms = {}
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+def test_the_free_product_of_normal_values_is_plain():
+    # normalize returns a Normal of its own preset as it is, so the free
+    # product must not carry the preset or Normal.__mul__ would skip rewriting
+    u, d = PLUS.normal_generator("U"), PLUS.normal_generator("D")
+    free = NcPoly.__mul__(d, u)
+    assert type(free) is NcPoly
+    assert free == NcPoly(UD, {(1, 0): ONE})
+    assert d * u == normalize(free, PLUS) != free
+
+
+def test_sums_of_different_kinds_never_combine():
+    func, poly = FuncExpr.one(), NcPoly.generator(UD, "U")
+    for a, b in ((func, poly), (poly, func), (func, PLUS.normal_generator("U"))):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    assert FuncExpr.zero() != NcPoly.zero(UD)
+    assert FuncExpr.one() != I

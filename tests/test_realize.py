@@ -20,7 +20,6 @@ from ncbinom.realize import (
     X_D_DX,
     XINV_D_DX,
     apply_assigned,
-    cos_func,
     letter_actions,
     random_func_expr,
     random_matrix,
@@ -56,6 +55,13 @@ def test_differentiate_examples():
 def test_x_d_dx_on_powers():
     mono = FuncExpr.monomial(parse_scalar("i"))
     assert mono.differentiate(X_D_DX) == mono.scaled(IMAG)
+
+
+def cos_func(lam) -> FuncExpr:
+    """cos(lam*x) encoded as (e^{i lam x} + e^{-i lam x}) / 2."""
+    lam = CycloScalar.of(lam)
+    both = FuncExpr.exponential(IMAG * lam) + FuncExpr.exponential(-(IMAG * lam))
+    return both.scaled(Fraction(1, 2))
 
 
 def test_mul_examples():
@@ -439,7 +445,7 @@ def differentiate_all_images(f: FuncExpr, kind: str) -> FuncExpr:
         base = c + (shift - 1)
         images += [((base, a, b), v * c), ((base + 1, a, b), v * a),
                    ((base + 2, a, b), v * (2 * b))]
-    return FuncExpr._raw(accumulate(images))
+    return FuncExpr(accumulate(images))
 
 
 @pytest.mark.parametrize("kind", DERIVATION_KINDS)

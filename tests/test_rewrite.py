@@ -152,6 +152,7 @@ def test_normal_arithmetic_stays_in_its_preset():
         (d * free_u, free_d * free_u),
         (2 * d - u + unit, 2 * free_d - free_u + unit),
         (free_u - d, free_u - free_d),
+        (d - free_u, free_d - free_u),
         (-(d * u), -(free_d * free_u)),
         (d**3, free_d**3),
         (d**0, unit),
