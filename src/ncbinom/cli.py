@@ -14,10 +14,9 @@ import os
 import random
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import binomial, realize
+from . import binomial
 from .report import FAIL, PASS, VerificationReport, report_from_clauses, skipped_report
 from .rewrite import (
     PRESET_NAMES,
@@ -199,6 +198,13 @@ def _confluence_report(suite: str, params: dict, preset) -> VerificationReport:
     )
 
 
+def _realize():
+    # imported on first use: the symbolic suites, expand and confluence never load it
+    from . import realize
+
+    return realize
+
+
 WITH_ZERO = BASE_LAMBDAS + ("0",)
 
 # Runners look verifiers up on their module at call time, so that a
@@ -222,7 +228,7 @@ SUITES: dict[str, Suite] = {
     "cor-vw": Suite(8, BASE_LAMBDAS, _vw_grid, lambda c, lam: (
         binomial.verify_w_independence(c["n"], lam, parse_scalar(c["mu"]))
         if c["variant"] == "abstract"
-        else realize.verify_w_independence_realized(c["n"], lam, c["seed"])), {"seed": None}),
+        else _realize().verify_w_independence_realized(c["n"], lam, c["seed"])), {"seed": None}),
     "lemma-l2": Suite(10, WITH_ZERO, _lambda_grid(1),
                       lambda c, lam: binomial.verify_alt_expansion(c["n"], lam)),
     "lemma-l3": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
@@ -232,23 +238,23 @@ SUITES: dict[str, Suite] = {
     "final-remark": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
                           lambda c, lam: binomial.verify_noncommuting_binomial_form(c["n"], lam)),
     "exp": Suite(8, BASE_LAMBDAS, _exp_grid,
-                 lambda c, lam: realize.verify_exponential(c["n"], lam, c.get("j")), {"j": 0}),
+                 lambda c, lam: _realize().verify_exponential(c["n"], lam, c.get("j")), {"j": 0}),
     "sin": Suite(8, BASE_LAMBDAS, _lambda_grid(0, nonzero=True),
-                 lambda c, lam: realize.verify_sine(c["n"], lam)),
+                 lambda c, lam: _realize().verify_sine(c["n"], lam)),
     "linear": Suite(8, None, _linear_grid, lambda c, lam: (
-        realize.verify_linear(c["n"], parse_scalar(c["a"]), parse_scalar(c["b"])))),
+        _realize().verify_linear(c["n"], parse_scalar(c["a"]), parse_scalar(c["b"])))),
     "chvar-gauss": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
-        realize.verify_change_of_variables(c["n"], lam, c["j"], "gauss")), {"j": 0}),
+        _realize().verify_change_of_variables(c["n"], lam, c["j"], "gauss")), {"j": 0}),
     "chvar-log": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
-        realize.verify_change_of_variables(c["n"], lam, c["j"], "log")), {"j": 0}),
+        _realize().verify_change_of_variables(c["n"], lam, c["j"], "log")), {"j": 0}),
     "vector": Suite(6, BASE_LAMBDAS, _vector_grid, lambda c, lam: (
-        realize.verify_vector_item(c["item"], c["n"], lam, c["m"], c["seed"])),
+        _realize().verify_vector_item(c["item"], c["n"], lam, c["m"], c["seed"])),
         {"m": 1, "seed": None}),
     "eq5-matrix": Suite(6, None, _eq5_grid, lambda c, lam: (
-        realize.verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])),
+        _realize().verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])),
         {"m": 2, "seed": None}),
     "third-order": Suite(5, ("1",), _third_order_grid, lambda c, lam: (
-        realize.verify_third_order(c["n"], lam, parse_scalar(c["mu"])))),
+        _realize().verify_third_order(c["n"], lam, parse_scalar(c["mu"])))),
     "confluence": Suite(None, None, _confluence_grid, None),  # run_case reports it
 }
 
@@ -336,6 +342,8 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, out) -> dict:
 def _run_cases(cases: list[dict], jobs: int) -> list[VerificationReport]:
     workers = worker_count(jobs, len(cases), os.cpu_count())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_case, cases, chunksize=8))
     return [run_case(c) for c in cases]
@@ -411,6 +419,7 @@ def _selfcheck_scalar_axioms(seed: int, samples: int) -> VerificationReport:
 
 
 def _selfcheck_rho_agreement(seed: int, count: int) -> VerificationReport:
+    realize = _realize()
     rng = random.Random(seed)
     mismatches = 0
     for preset_name in ("first-order-plus", "first-order-minus"):

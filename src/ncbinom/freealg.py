@@ -124,6 +124,8 @@ class Combination:
         return self + (-other)
 
     def __rmul__(self, other):
+        if isinstance(other, Combination):
+            return NotImplemented  # a sum of another kind is no scalar
         return self.scaled(other)
 
     def scaled(self, value):
@@ -213,6 +215,8 @@ class NcPoly(Combination):
             return NcPoly._raw(self.alphabet, accumulate(
                 (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in right
             ))
+        if isinstance(other, Combination):
+            return NotImplemented
         return self.scaled(other)
 
     def __pow__(self, exponent: int) -> NcPoly:

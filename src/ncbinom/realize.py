@@ -86,6 +86,8 @@ class FuncExpr(Combination):
                 for (c1, a1, b1), v1 in self.terms.items()
                 for (c2, a2, b2), v2 in right
             ))
+        if isinstance(other, Combination):
+            return NotImplemented
         return self.scaled(other)
 
     def differentiate(self, kind: str = D_DX) -> FuncExpr:

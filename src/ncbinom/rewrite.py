@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import Alphabet, NcPoly, Word, accumulate
+from .freealg import Alphabet, Combination, NcPoly, Word, accumulate
 from .scalars import ZERO, CycloScalar
 
 DEFAULT_STEP_BUDGET = 10_000_000
@@ -135,8 +135,8 @@ class Normal(NcPoly):
 
     `*` normalizes each product at once; `+`, `-` and scalar `*` keep a
     `Normal`.  A plain `NcPoly` operand, on either side, is normalized
-    first.  Two `Normal` values of different presets never combine, even
-    over one alphabet.
+    first.  Two `Normal` values of different presets never combine or
+    compare equal, even over one alphabet.
 
     The value is an element of the preset's quotient algebra, and `*` its
     product, only when the preset is confluent (`check_confluence(preset).ok`,
@@ -163,6 +163,11 @@ class Normal(NcPoly):
             )
         return normalize(other, self.preset)
 
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Normal) and other.preset is not self.preset:
+            return False
+        return super().__eq__(other)
+
     def __add__(self, other) -> Normal:
         if not isinstance(other, NcPoly):
             return NotImplemented
@@ -173,12 +178,13 @@ class Normal(NcPoly):
     def __mul__(self, other) -> Normal:
         if isinstance(other, NcPoly):
             return normalize(NcPoly.__mul__(self, self._coerce(other)), self.preset)
-        return self.scaled(other)
+        # a scalar scales; a sum of another kind gets NotImplemented
+        return Combination.__rmul__(self, other)
 
     def __rmul__(self, other) -> Normal:
         if isinstance(other, NcPoly):
             return normalize(NcPoly.__mul__(self._coerce(other), self), self.preset)
-        return self.scaled(other)
+        return Combination.__rmul__(self, other)
 
     def __pow__(self, exponent: int) -> Normal:
         # the zero power is the plain unit, which is normal

@@ -22,10 +22,14 @@ accepts the sugar letters "i" and "w".
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 _RAT_TYPES = (int, Fraction)
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 _new = object.__new__
 
@@ -100,11 +104,19 @@ class CycloScalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a rational hashes as the int or Fraction it equals
+        # a rational hashes as the int or Fraction it equals, by the numeric
+        # hash rule of the Python docs, without building the Fraction
         n0, n1, n2, n3, d = self.ints
         if n1 or n2 or n3:
             return hash(self.ints)
-        return hash(n0) if d == 1 else hash(Fraction(n0, d))
+        if d == 1:
+            return hash(n0)
+        if d % _HASH_MODULUS:
+            h = abs(n0) % _HASH_MODULUS * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
+        else:
+            h = _HASH_INF
+        h = h if n0 >= 0 else -h
+        return -2 if h == -1 else h
 
     def __add__(self, other) -> CycloScalar:
         if not isinstance(other, CycloScalar):
@@ -211,7 +223,9 @@ class CycloScalar:
         return result
 
     def sort_key(self) -> tuple:
-        return self.coords
+        # ints compare exactly with Fractions, so integer keys need none
+        n0, n1, n2, n3, d = self.ints
+        return (n0, n1, n2, n3) if d == 1 else self.coords
 
     def __str__(self) -> str:
         return format_scalar(self)

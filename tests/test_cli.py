@@ -1,7 +1,11 @@
 """CLI behavior: output forms, exit codes, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -362,11 +366,43 @@ def test_worker_count_is_clamped_to_cpus_and_cases(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # `_run_cases` imports the pool class only when it starts more than one worker
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     cases = iter_cases("lemma-eq5", SuiteConfig(n_max=4))
     assert len(cli._run_cases(cases, 3)) == len(cases)
     assert sizes == [2]
+
+
+# Run in a fresh interpreter, so that no other test's imports are counted.
+# The symbolic suites are every suite but the realizations; cor-vw runs abstract.
+_IMPORT_FOOTPRINT = """
+import sys
+from ncbinom import cli
+
+LAZY = ("concurrent.futures", "multiprocessing", "ncbinom.realize")
+SYMBOLIC = ("thm-nou", "rec-3", "thm-wrongsign", "rec-6", "thm-2nd", "rec-7", "cor-kernel",
+            "cor-vw", "lemma-l2", "lemma-l3", "lemma-eq5", "final-remark", "confluence")
+for suite in SYMBOLIC:
+    case = [c for c in cli.iter_cases(suite, cli.SuiteConfig())
+            if c.get("variant") != "realized" and "skip" not in c][0]
+    assert cli.run_case(case).status == "pass", suite
+assert cli.main(["expand", "--n", "2"]) == 0
+print("symbolic:", [name for name in LAZY if name in sys.modules])
+assert cli.run_case(cli.iter_cases("exp", cli.SuiteConfig(n_max=1))[-1]).status == "pass"
+print("exp:", [name for name in LAZY if name in sys.modules])
+"""
+
+
+def test_serial_symbolic_run_imports_neither_pool_nor_realize():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # expand prints its two forms before the first summary line
+    assert lines[-2:] == ["symbolic: []", "exp: ['ncbinom.realize']"]
 
 
 # ---- pinned report streams ------------------------------------------------------

@@ -1,5 +1,7 @@
 """Free-algebra structure: products concatenate, nothing commutes."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,3 +175,19 @@ def test_sums_of_different_kinds_never_combine():
             a - b
     assert FuncExpr.zero() != NcPoly.zero(UD)
     assert FuncExpr.one() != I
+
+
+def test_a_product_of_different_kinds_names_both():
+    func, poly, normal = FuncExpr.one(), NcPoly.generator(UD, "U"), PLUS.normal_generator("U")
+    for a, b in ((poly, func), (func, poly), (normal, func), (func, normal)):
+        message = f"unsupported operand type(s) for *: '{type(a).__name__}' and '{type(b).__name__}'"
+        with pytest.raises(TypeError) as excinfo:
+            a * b
+        assert str(excinfo.value) == message
+    # scalars still scale on either side, and a plain polynomial still normalizes
+    half = parse_scalar("1/2")
+    for value in (func, poly, normal):
+        for scalar in (3, Fraction(1, 3), half):
+            assert value * scalar == scalar * value == value.scaled(scalar)
+    assert type(poly * normal) is Normal and type(normal * poly) is Normal
+    assert normal * poly == normal * normal

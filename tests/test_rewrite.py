@@ -174,6 +174,17 @@ def test_normal_values_of_different_presets_do_not_combine():
     assert isinstance(cubed, Normal) and cubed.preset is plus
 
 
+def test_normal_values_of_different_presets_are_never_equal():
+    plus, minus = first_order_plus(ONE), first_order_minus(ONE)
+    u_plus, u_minus = plus.normal_generator("U"), minus.normal_generator("U")
+    assert u_plus.terms == u_minus.terms
+    assert u_plus != u_minus and not (u_plus == u_minus)
+    # one preset, and a Normal against a plain polynomial, compare the terms
+    assert u_plus == plus.normal_generator("U")
+    assert u_plus == plus.generator("U") == u_minus
+    assert plus.generator("U") == u_plus
+
+
 def test_normalize_returns_a_normal_of_its_preset_unchanged(monkeypatch):
     p = first_order_minus(parse_scalar("1+i"))
     mu = parse_scalar("2")

@@ -4,6 +4,7 @@ double-precision numeric cross-check oracle."""
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,14 +203,29 @@ def test_canonical_layout():
 
 
 def test_rational_scalar_hashes_as_the_number_it_equals():
-    for value in (1, -3, Fraction(1, 2)):
+    modulus = sys.hash_info.modulus
+    big = 2**64 + 13
+    values = [1, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3), big, -big,
+              Fraction(big, 3), Fraction(-5, big), Fraction(big + 2, big), Fraction(-big, big + 2),
+              Fraction(1, modulus), Fraction(-3, modulus), Fraction(2, 3 * modulus),
+              Fraction(-1, modulus + 1)]  # the last hashes to -1, which Python maps to -2
+    for value in values:
         x = CycloScalar.of(value)
-        assert x == value and hash(x) == hash(value)
+        assert x == value and hash(x) == hash(value), value
+    assert hash(CycloScalar.of(Fraction(-1, modulus + 1))) == -2
     assert hash(ONE) == hash(1)
     assert {ONE: "x"}.get(1) == "x"
     assert {CycloScalar.of(Fraction(1, 2)): "half"}.get(Fraction(1, 2)) == "half"
     assert {1: "one"}.get(ONE) == "one"
     assert hash(OMEGA) == hash(OMEGA.ints)
+
+
+def test_sort_key_orders_as_the_coordinates():
+    values = [CycloScalar.from_coords(*c) for c in
+              ((1,), (Fraction(1, 2),), (-2, 1), (Fraction(-3, 2), 1), (0, 0, 0, 1), (0,),
+               (1, Fraction(1, 3)), (1, 0, 0, -1))]
+    assert sorted(values, key=CycloScalar.sort_key) == sorted(values, key=lambda x: x.coords)
+    assert all(x.sort_key() == x.coords for x in values)
 
 
 def test_mul_agrees_with_numeric_oracle():
