@@ -72,13 +72,14 @@ class Alphabet:
 class Combination:
     """Finite map key -> nonzero scalar coefficient: the one sparse-sum type.
 
-    `NcPoly` (keys are words) and `realize.FuncExpr` (keys are exponent
-    triples) are its kinds.  Each kind supplies `_key`, which coerces the
-    keys handed to the public constructor, and `_accepts`, which says
-    whether another sum is of this kind.  Sums of different kinds never
-    add, subtract or compare equal.  Every result is built by `_like` from
-    terms already coerced and pruned; a class with a context (`NcPoly`'s
-    alphabet, `Normal`'s preset) overrides it to carry that context over.
+    Its kinds are `NcPoly` (keys are words), `realize.FuncExpr` (exponent
+    triples) and `realize.Matrix` ((row, column) pairs).  Each kind supplies
+    `_key`, which coerces the keys handed to the public constructor, and
+    `_accepts`, which says whether another sum is of this kind.  Sums of
+    different kinds never add, subtract or compare equal.  Every result is
+    built by `_like` from terms already coerced and pruned; a kind with a
+    context (`NcPoly`'s alphabet, `Normal`'s preset, `Matrix`'s shape)
+    overrides it to carry that context over.
     """
 
     __slots__ = ("terms",)

@@ -7,21 +7,21 @@ every identity can be evaluated with no analysis and no floating point.
 Sines enter through their exponential encoding, which keeps the
 arithmetic in the ground field (it contains i).
 
-Also here: constant matrices over the scalars (for the vector-valued
-variants and the shifted-binomial matrix oracle), vector-valued
-functions and the multipliers sum_k A_k*u_k(x) that act on them (A_k
-constant matrices, u_k scalar functions), the truncated shift
-representation that serves as an independent check on the rewrite
-engine, and the check that a candidate scalar does not make the
-combination vanish for a genuinely third-order exponential sum.  As in
-`binomial`, each verifier returns its list of clauses; `cli.run_case`
+Also here: constant matrices over the scalars, a kind of
+`freealg.Combination` keyed by (row, column) with the shape as context
+(for the vector-valued variants and the shifted-binomial matrix
+oracle); vector-valued functions and the multipliers sum_k A_k*u_k(x)
+that act on them (A_k constant matrices, u_k scalar functions); the
+truncated shift representation that serves as an independent check on
+the rewrite engine; and the check that a candidate scalar does not make
+the combination vanish for a genuinely third-order exponential sum.  As
+in `binomial`, each verifier returns its list of clauses; `cli.run_case`
 names the case and builds its report.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from fractions import Fraction
 
@@ -166,73 +166,75 @@ def sin_func(lam) -> FuncExpr:
 # ---- constant matrices over the scalars ---------------------------------
 
 
-class Matrix:
-    """Dense exact matrix; rows of CycloScalar entries."""
+class Matrix(Combination):
+    """Exact matrix: (row, column) -> nonzero scalar entry, of a fixed shape.
 
-    __slots__ = ("rows",)
+    The shape is the context, as the alphabet is for `NcPoly`; `rows` is a dense view.
+    """
+
+    __slots__ = ("shape",)
+
+    _key = staticmethod(tuple)
 
     def __init__(self, rows):
-        data = tuple(tuple(CycloScalar.of(x) for x in row) for row in rows)
+        data = [tuple(row) for row in rows]
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "shape", (len(data), len(data[0]) if data else 0))
+        super().__init__({(i, j): x for i, row in enumerate(data) for j, x in enumerate(row)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    @staticmethod
+    def _raw(shape: tuple[int, int], clean_terms: dict) -> Matrix:
+        # internal fast path: entries must already be pruned and coerced
+        obj = object.__new__(Matrix)
+        object.__setattr__(obj, "shape", shape)
+        object.__setattr__(obj, "terms", clean_terms)
+        return obj
+
+    def _like(self, clean_terms: dict) -> Matrix:
+        return Matrix._raw(self.shape, clean_terms)
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._raw((n, n), {(i, i): ONE for i in range(n)})
 
     @staticmethod
     def zeros(n: int, m: int | None = None) -> Matrix:
-        m = n if m is None else m
-        return Matrix([[0] * m for _ in range(n)])
+        return Matrix._raw((n, n if m is None else m), {})
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+    def rows(self) -> tuple[tuple[CycloScalar, ...], ...]:
+        n, m = self.shape
+        get = self.terms.get
+        return tuple(tuple(get((i, j), ZERO) for j in range(m)) for i in range(n))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(x.is_zero for row in self.rows for x in row)
+    def _accepts(self, other) -> bool:
+        # a matrix of another shape is of this kind but never combines
+        if isinstance(other, Matrix) and self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        return isinstance(other, Matrix)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def _entrywise(self, other: Matrix, op) -> Matrix:
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix([[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __add__(self, other: Matrix) -> Matrix:
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        return self._entrywise(other, operator.sub)
+        if isinstance(other, Matrix) and self.shape != other.shape:
+            return False
+        return super().__eq__(other)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            n, k = self.shape
-            k2, m = other.shape
+            (n, k), (k2, m) = self.shape, other.shape
             if k != k2:
                 raise ValueError("shape mismatch")
-            cols = list(zip(*other.rows)) if other.rows else []
-            out = []
-            for row in self.rows:
-                out.append(
-                    [
-                        sum((a * b for a, b in zip(row, col)), ZERO)
-                        for col in cols
-                    ]
-                )
-            return Matrix(out)
-        c = CycloScalar.of(other)
-        return Matrix([[c * x for x in row] for row in self.rows])
-
-    __rmul__ = __mul__
+            # each left entry (i, j) meets only the entries of row j on the right
+            by_row: dict[int, list] = {}
+            for (j, col), b in other.terms.items():
+                by_row.setdefault(j, []).append((col, b))
+            return Matrix._raw((n, m), accumulate(
+                ((i, col), a * b)
+                for (i, j), a in self.terms.items() for col, b in by_row.get(j, ())
+            ))
+        if isinstance(other, Combination):
+            return NotImplemented
+        return self.scaled(other)
 
     def __pow__(self, e: int) -> Matrix:
         n, m = self.shape
@@ -245,14 +247,9 @@ class Matrix:
             result = result * self
         return result
 
-    def combine(self, pairs) -> Matrix:
-        """Sum of c*g over (scalar c, Matrix g) pairs; the zero sum has this matrix's shape."""
-        return sum((c * g for c, g in pairs), Matrix.zeros(*self.shape))
-
     def __str__(self) -> str:
-        return "[" + ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.rows
-        ) + "]"
+        rows = ("[" + ", ".join(map(str, row)) + "]" for row in self.rows)
+        return "[" + ", ".join(rows) + "]"
 
     def __repr__(self) -> str:
         return f"Matrix({self})"
@@ -341,7 +338,7 @@ class FuncMatrix:
         data = tuple(parts)
         if not data:
             raise ValueError("a multiplier needs at least one part")
-        m = len(data[0][0].rows)
+        m = data[0][0].shape[0]
         if any(a.shape != (m, m) for a, _ in data):
             raise ValueError("multiplication matrices must be square and of one size")
         object.__setattr__(self, "parts", data)
@@ -351,19 +348,19 @@ class FuncMatrix:
 
     @property
     def dim(self) -> int:
-        return len(self.parts[0][0].rows)
+        return self.parts[0][0].shape[0]
 
     def matvec(self, v: VecFunc) -> VecFunc:
         if v.dim != self.dim:
             raise ValueError("dimension mismatch")
         # each part forms its m products u_k*v_j once; slot i sums A_k[i][j] times them
-        parts = [(a.rows, [u * g for g in v.entries]) for a, u in self.parts]
+        slots = [[] for _ in v.entries]
+        for a, u in self.parts:
+            products = [u * g for g in v.entries]
+            for (i, j), x in a.terms.items():
+                slots[i].append((x, products[j]))
         zero = FuncExpr.zero()
-        return VecFunc([
-            zero.combine((x, g) for rows, products in parts
-                         for x, g in zip(rows[i], products) if x)
-            for i in range(self.dim)
-        ])
+        return VecFunc([zero.combine(pairs) for pairs in slots])
 
     def __mul__(self, v: VecFunc) -> VecFunc:
         return self.matvec(v)
@@ -634,16 +631,15 @@ def truncated_shift_matrix(p: NcPoly, preset: RelationPreset, size: int) -> Matr
     if size < u_deg + 2:
         raise ValueError(f"size {size} too small; need at least U-degree + 2 = {u_deg + 2}")
     dim = size + 1
-    shift = Matrix([[1 if i == j + 1 else 0 for j in range(dim)] for i in range(dim)])
-    diag = Matrix(
-        [[(sign * i) * lam if i == j else ZERO for j in range(dim)] for i in range(dim)]
-    )
+    shift = Matrix._raw((dim, dim), {(j + 1, j): ONE for j in range(size)})
+    diag = Matrix._raw((dim, dim), accumulate(((i, i), (sign * i) * lam) for i in range(dim)))
     actions = {"U": lambda g: shift * g, "D": lambda g: diag * g}
     return apply_assigned(p, actions, Matrix.identity(dim))
 
 
 def safe_block(mat: Matrix, size: int) -> Matrix:
-    return Matrix([row[: size + 1] for row in mat.rows[: size + 1]])
+    shape = tuple(min(size + 1, d) for d in mat.shape)
+    return Matrix._raw(shape, {key: x for key, x in mat.terms.items() if max(key) <= size})
 
 
 # ---- third-order check -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Free-algebra structure: products concatenate, nothing commutes."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
-from ncbinom.realize import FuncExpr
+from ncbinom.realize import FuncExpr, Matrix
 from ncbinom.rewrite import Normal, first_order_plus, normalize
 from ncbinom.scalars import ONE, parse_scalar
 
@@ -179,14 +180,18 @@ def test_sums_of_different_kinds_never_combine():
 
 def test_a_product_of_different_kinds_names_both():
     func, poly, normal = FuncExpr.one(), NcPoly.generator(UD, "U"), PLUS.normal_generator("U")
-    for a, b in ((poly, func), (func, poly), (normal, func), (func, normal)):
-        message = f"unsupported operand type(s) for *: '{type(a).__name__}' and '{type(b).__name__}'"
-        with pytest.raises(TypeError) as excinfo:
-            a * b
-        assert str(excinfo.value) == message
+    matrix = Matrix([[1, 2], [0, 3]])
+    pairs = [(poly, func), (func, poly), (normal, func), (func, normal)]
+    pairs += [pair for other in (func, poly, normal) for pair in ((matrix, other), (other, matrix))]
+    for a, b in pairs:
+        for symbol, op in (("*", operator.mul), ("+", operator.add), ("-", operator.sub)):
+            kinds = f"'{type(a).__name__}' and '{type(b).__name__}'"
+            with pytest.raises(TypeError) as excinfo:
+                op(a, b)
+            assert str(excinfo.value) == f"unsupported operand type(s) for {symbol}: {kinds}"
     # scalars still scale on either side, and a plain polynomial still normalizes
     half = parse_scalar("1/2")
-    for value in (func, poly, normal):
+    for value in (func, poly, normal, matrix):
         for scalar in (3, Fraction(1, 3), half):
             assert value * scalar == scalar * value == value.scaled(scalar)
     assert type(poly * normal) is Normal and type(normal * poly) is Normal

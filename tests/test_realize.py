@@ -197,6 +197,13 @@ def test_vector_rejects_bad_item():
         verify_vector_item(1, 2, ONE, 0, 7)
 
 
+def dense_product(a: Matrix, b: Matrix) -> Matrix:
+    """Reference: entry (i, j) is the sum over every k of a[i][k] * b[k][j], zeros included."""
+    cols = list(zip(*b.rows))
+    return Matrix([[sum((x * y for x, y in zip(row, col)), ZERO) for col in cols]
+                   for row in a.rows])
+
+
 def test_matrix_arithmetic():
     a = Matrix([[1, 2], [3, 4]])
     ident = Matrix.identity(2)
@@ -206,6 +213,37 @@ def test_matrix_arithmetic():
     assert a**2 == a * a
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
+    # non-square products, with zero entries on both sides
+    half = Fraction(1, 2)
+    wide = Matrix([[1, 0, half], [0, -3, 0]])
+    tall = Matrix([[0, 2], [IMAG, 0], [0, 0]])
+    column, row = Matrix([[1], [0], [-2]]), Matrix([[0, half, 3]])
+    for left, right in ((wide, tall), (tall, wide), (column, row), (row, column),
+                        (a, wide), (a, Matrix.zeros(2, 3))):
+        product = left * right
+        assert product == dense_product(left, right)
+        assert product.shape == (left.shape[0], right.shape[1])
+    with pytest.raises(ValueError):
+        wide * wide
+    assert str(wide) == "[[1, 0, 1/2], [0, -3, 0]]"
+    # scalar multiples on either side
+    for scalar in (3, Fraction(-2, 5), parse_scalar("1+i")):
+        expected = Matrix([[scalar * x for x in r] for r in wide.rows])
+        assert scalar * wide == wide * scalar == wide.scaled(scalar) == expected
+    # the shape belongs to the value: it survives cancellation and keeps shapes apart
+    with pytest.raises(ValueError):
+        wide + tall
+    with pytest.raises(ValueError):
+        wide - tall
+    assert wide != tall
+    assert Matrix.zeros(2, 2) != Matrix.zeros(2, 3)
+    assert Matrix.zeros(2, 3) == Matrix([[0, 0, 0], [0, 0, 0]])
+    assert str(wide - wide) == "[[0, 0, 0], [0, 0, 0]]"
+    assert str(0 * wide) == "[[0, 0, 0], [0, 0, 0]]"
+    assert wide.combine([]) == Matrix.zeros(2, 3)
+    assert wide.combine([(2, wide), (-1, wide)]) == wide
+    with pytest.raises(AttributeError):
+        wide.shape = (3, 2)
 
 
 def test_matrix_power_rejects_negative_exponent():
