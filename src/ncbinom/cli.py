@@ -27,7 +27,7 @@ from .rewrite import (
     normalize,
 )
 from .freealg import NcPoly
-from .scalars import IMAG, OMEGA, ZERO, format_scalar, parse_scalar
+from .scalars import ZERO, format_scalar, parse_scalar
 
 DEFAULT_SEED = 1729
 
@@ -173,16 +173,13 @@ def _eq5_grid(suite, n_max, lambdas, cfg):
 
 def _third_order_grid(suite, n_max, lambdas, cfg):
     cases = []
-    for lam_text in lambdas:
-        lam = parse_scalar(lam_text)
-        if lam.is_zero:
+    for lam in lambdas:
+        if parse_scalar(lam).is_zero:
             if n_max >= 3:
-                cases.append({"suite": suite, "n": 3, "lambda": lam_text,
+                cases.append({"suite": suite, "n": 3, "lambda": lam,
                               "skip": "scan needs lambda != 0"})
             continue
-        mus = (lam, OMEGA * lam, OMEGA * OMEGA * lam, IMAG * lam)
-        cases += [{"suite": suite, "n": n, "lambda": lam_text, "mu": format_scalar(mu)}
-                  for n in range(3, n_max + 1, 2) for mu in mus]
+        cases += [{"suite": suite, "n": n, "lambda": lam} for n in range(3, n_max + 1, 2)]
     return cases
 
 
@@ -253,8 +250,8 @@ SUITES: dict[str, Suite] = {
     "eq5-matrix": Suite(6, None, _eq5_grid, lambda c, lam: (
         _realize().verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])),
         {"m": 2, "seed": None}),
-    "third-order": Suite(5, ("1",), _third_order_grid, lambda c, lam: (
-        _realize().verify_third_order(c["n"], lam, parse_scalar(c["mu"])))),
+    "third-order": Suite(5, ("1",), _third_order_grid,
+                         lambda c, lam: _realize().verify_third_order(c["n"], lam)),
     "confluence": Suite(None, None, _confluence_grid, None),  # run_case reports it
 }
 

@@ -13,10 +13,10 @@ Also here: constant matrices over the scalars, a kind of
 oracle); vector-valued functions and the multipliers sum_k A_k*u_k(x)
 that act on them (A_k constant matrices, u_k scalar functions); the
 truncated shift representation that serves as an independent check on
-the rewrite engine; and the check that a candidate scalar does not make
-the combination vanish for a genuinely third-order exponential sum.  As
-in `binomial`, each verifier returns its list of clauses; `cli.run_case`
-names the case and builds its report.
+the rewrite engine; and the proof, by one gcd of polynomials in mu, that
+no parameter mu makes the combination vanish for a genuinely third-order
+exponential sum.  As in `binomial`, each verifier returns its list of
+clauses; `cli.run_case` names the case and builds its report.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import factorial
 
-from .binomial import build_binomial, parity_clauses, power_sum
+from .binomial import build_binomial, parity_clauses, power_sum, running_products
 from .freealg import Alphabet, Combination, NcPoly, accumulate
 from .report import Clause
 from .rewrite import RelationPreset
@@ -535,8 +536,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
                                       lambda mat: FuncMatrix([(mat, _decay(n, mu))]) * cvec)
         elif item == 4:  # the sign probe on (2 d/dx +/- mu n)
             clauses.append(Clause("shift-plus-vanishes", _shifted(result, mu, n), zero))
-            clauses.append(Clause("minus_also_zero", _shifted(result, -mu, n), zero,
-                                  expect_zero=None))
+            clauses.append(Clause("minus_also_zero", _shifted(result, -mu, n), zero, probe=True))
         elif item == 7 and n > 0:
             clauses.append(Clause("shifted-vanishes", _shifted(result, mu, n), zero))
     elif item == 8:
@@ -642,24 +642,69 @@ def safe_block(mat: Matrix, size: int) -> Matrix:
     return Matrix._raw(shape, {key: x for key, x in mat.terms.items() if max(key) <= size})
 
 
-# ---- third-order check -------------------------------------------------------
+# ---- third-order proof -------------------------------------------------------
+
+_MU = Alphabet(("mu",))  # polynomials in the parameter mu are NcPoly in this one letter
 
 
-def verify_third_order(n: int, lam, mu) -> list[Clause]:
-    """Residual of the combination at parameter mu for a genuinely third-order sum.
+def mu_coefficients(n: int, u: FuncExpr) -> dict[FuncKey, NcPoly]:
+    """Each exponential's coefficient in B(n)*1, U multiplying by u, as a polynomial in mu.
+
+    B(n)*1 is formed at mu = 0, 1, ..., n, and the coefficients are
+    interpolated by Newton's forward differences: f(mu) is the sum over k
+    of (Delta^k f)(0) / k! * mu (mu - 1) ... (mu - k + 1).  The result is
+    exact when each coefficient has degree at most n in mu.
+    """
+    row = [apply_assigned(_abstract(n, CycloScalar.of(m)), letter_actions(u), FuncExpr.one())
+           for m in range(n + 1)]
+    steps = []  # (Delta^k f)(0) / k!
+    for k in range(n + 1):
+        steps.append(row[0].scaled(Fraction(1, factorial(k))))
+        row = [b - a for a, b in zip(row, row[1:])]
+    mu, unit = NcPoly.generator(_MU, "mu"), NcPoly.unit(_MU)
+    falling = running_products(unit, [mu - j * unit for j in range(n)])
+    keys = set().union(*(s.terms for s in steps))
+    return {key: unit.combine((s.terms.get(key, ZERO), p) for s, p in zip(steps, falling))
+            for key in keys}
+
+
+def mu_gcd(a: NcPoly, b: NcPoly) -> NcPoly:
+    """Monic gcd of two polynomials in mu, by Euclid's algorithm; gcd(0, 0) = 0."""
+
+    def monic(p: NcPoly) -> NcPoly:
+        return p.scaled(p.terms[max(p.terms, key=len)].inv())
+
+    while not b.is_zero:
+        b = monic(b)
+        top = max(map(len, b.terms))
+        # a word of the one letter mu is a power of mu; b's leading term is mu^top
+        while not a.is_zero and len(lead := max(a.terms, key=len)) >= top:
+            a -= NcPoly(_MU, {lead[top:]: a.terms[lead]}) * b
+        a, b = b, a
+    return a if a.is_zero else monic(a)
+
+
+def verify_third_order(n: int, lam) -> list[Clause]:
+    """Proof that no complex mu makes B(n)*1 vanish, for a genuinely third-order sum.
 
     u = e^{lam x} + e^{w lam x} + e^{w^2 lam x} satisfies u''' = lam^3 u
-    and no lower-order equation of that shape.  The case passes when its
-    residual is nonzero, i.e. when mu fails to reproduce the first-order
-    collapse; n = 1 is excluded as degenerate.
+    and no lower-order equation of that shape; U multiplies by u.  Only the
+    factors F_j = D - U + j*mu*I with j >= 1 carry mu, each to the first
+    power, so each coefficient of B(n)*1 is a polynomial in mu of degree
+    below n, and `mu_coefficients` recovers it exactly from n + 1 points.
+    Exponentials with distinct exponents are linearly independent, so
+    B(n)*1 vanishes at mu exactly when mu is a common root of all the
+    coefficients.  Their gcd is formed over Q(z); a gcd over a field is the
+    same in any extension field, C included, so gcd = 1 proves that no mu
+    works.  n = 1 is excluded as degenerate: B(1) = D sends 1 to zero for
+    every mu.
     """
     lam = CycloScalar.of(lam)
     if lam.is_zero:
-        raise ValueError("the third-order scan needs lam != 0")
+        raise ValueError("the third-order proof needs lam != 0")
     if n % 2 == 0 or n < 3:
-        raise ValueError("the scan covers odd n >= 3")
-    mu = CycloScalar.of(mu)
+        raise ValueError("the third-order proof covers odd n >= 3")
     u = (FuncExpr.exponential(lam) + FuncExpr.exponential(OMEGA * lam)
          + FuncExpr.exponential(OMEGA * OMEGA * lam))
-    result = apply_assigned(_abstract(n, mu), letter_actions(u), FuncExpr.one())
-    return [Clause("nonvanishing-residual", result, FuncExpr.zero(), expect_zero=False)]
+    common = functools.reduce(mu_gcd, mu_coefficients(n, u).values(), NcPoly.zero(_MU))
+    return [Clause("coefficient-gcd", common, NcPoly.unit(_MU))]

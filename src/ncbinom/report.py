@@ -3,8 +3,7 @@
 A report captures one verified case: the suite, the case parameters, the
 canonical left and right forms, and their difference; `cli.run_case`
 builds it from the clauses a verifier returns.  Status is "pass" exactly
-when every clause's residual is the zero element (or, for negative
-expectations such as the third-order scan, when it is nonzero).
+when every checked clause's residual is the zero element.
 """
 
 from __future__ import annotations
@@ -48,13 +47,13 @@ class VerificationReport:
 class Clause:
     """One comparison inside a case; values must support '-', is_zero, str.
 
-    `expect_zero=None` makes a probe: its outcome is recorded, not checked.
+    `probe=True` makes a probe: its outcome is recorded, not checked.
     """
 
     label: str
     lhs: object
     rhs: object
-    expect_zero: bool | None = True
+    probe: bool = False
 
     def residual(self):
         return self.lhs - self.rhs
@@ -65,15 +64,14 @@ def report_from_clauses(suite: str, params: dict, clauses: list[Clause]) -> Veri
 
     Each probe adds {label: residual is zero} to the params, after the case's own.
     """
-    probes = [c for c in clauses if c.expect_zero is None]
+    probes = [c for c in clauses if c.probe]
     if probes:
         params = params | {c.label: c.residual().is_zero for c in probes}
-        clauses = [c for c in clauses if c.expect_zero is not None]
+        clauses = [c for c in clauses if not c.probe]
     if not clauses:
         return VerificationReport(suite, params, PASS, "", "", "0")
     residuals = [c.residual() for c in clauses]
-    ok = all(r.is_zero == c.expect_zero for c, r in zip(clauses, residuals))
-    status = PASS if ok else FAIL
+    status = PASS if all(r.is_zero for r in residuals) else FAIL
     if len(clauses) == 1 and not clauses[0].label:
         c = clauses[0]
         return VerificationReport(suite, params, status, str(c.lhs), str(c.rhs), str(residuals[0]))

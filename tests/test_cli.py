@@ -412,13 +412,13 @@ def test_serial_symbolic_run_imports_neither_pool_nor_realize():
 PINNED_STREAMS = {
     "default-lambdas": (
         ("verify", "all", "--n-max", "3", "--format", "json"),
-        811,
-        "2d85b8b90e8efeeb16911e95cf5eee93e525f219e91fe24a18a4dbae2a24821e",
+        808,
+        "eef359ed7f2d3f119c9e7f5d4b7f88bce64466e864681e9eb13d593e6241ef2b",
     ),
     "mixed-lambdas": (
         ("verify", "all", "--n-max", "3", "--lambda", "1,-3,1/2,i,1+i,0", "--format", "json"),
-        817,
-        "0423e278c520936a1efa1fb85f7ee1da0441993e1654bad6e81f9ba393b32228",
+        802,
+        "3fe2097954fc8523398835d1e14f9af7a7b16afd1d0de6d71c4ac1c243abe85b",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Function-space realization: exact calculus, vector variants, oracles."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -365,27 +366,65 @@ def test_pipeline_consistency():
         assert apply_assigned(b, asg, f) == apply_assigned(normalize(b, preset), asg, f)
 
 
-def test_verify_third_order():
+def third_order_u(lam) -> FuncExpr:
     from ncbinom.scalars import OMEGA
 
-    for mu in (ONE, OMEGA, OMEGA * OMEGA, IMAG):
-        # pass means residual nonzero
-        assert run_case({"suite": "third-order", "n": 3, "lambda": "1", "mu": str(mu)}).passed
+    return (FuncExpr.exponential(lam) + FuncExpr.exponential(OMEGA * lam)
+            + FuncExpr.exponential(OMEGA * OMEGA * lam))
+
+
+def mu_poly(*coeffs) -> NcPoly:
+    """sum of coeffs[k] * mu^k, in the alphabet of realize.mu_gcd."""
+    return NcPoly(realize._MU, {(0,) * k: c for k, c in enumerate(coeffs)})
+
+
+def test_verify_third_order(monkeypatch):
+    # the interpolants agree with B(n)*1 built directly at a mu off the interpolation points
+    mu = parse_scalar("1/3 + 2*i")
+    for n in (3, 5):
+        for lam in (ONE, parse_scalar("1+i")):
+            u = third_order_u(lam)
+            coeffs = realize.mu_coefficients(n, u)
+            assert all(max(map(len, p.terms)) < n for p in coeffs.values())
+            at_mu = FuncExpr({key: sum((c * mu ** len(w) for w, c in p.terms.items()), ZERO)
+                              for key, p in coeffs.items()})
+            assert at_mu == apply_assigned(build_binomial(n, mu, U, D), letter_actions(u),
+                                           FuncExpr.one())
+            assert run_case({"suite": "third-order", "n": n, "lambda": str(lam)}).passed
+
+    # a first-order u = e^(-lam x) collapses at mu = lam (the exp suite) and at mu = -lam
+    two = parse_scalar("2")
+    coeffs = realize.mu_coefficients(3, FuncExpr.exponential(-two))
+    assert functools.reduce(realize.mu_gcd, coeffs.values(), mu_poly()) == mu_poly(-4, 0, 1)
+
+    # a common factor (mu - 1) in every coefficient fails the case and is printed
+    honest = realize.mu_coefficients
+    monkeypatch.setattr(realize, "mu_coefficients", lambda n, u: {
+        key: p * mu_poly(-1, 1) for key, p in honest(n, u).items()})
+    report = run_case({"suite": "third-order", "n": 3, "lambda": "1"})
+    assert not report.passed
+    assert report.lhs == "coefficient-gcd: mu - I"
+
+    # Euclid's gcd is monic: gcd(p*q, p*r) = p / 3 for coprime q and r, gcd(a, 0) = a / lead(a)
+    p = mu_poly(parse_scalar("1+i"), 3)  # 3*mu + 1 + i
+    q = mu_poly(1, 0, 1)  # mu^2 + 1
+    r = mu_poly(-2, 5)  # 5*mu - 2
+    zero = mu_poly()
+    assert realize.mu_gcd(p * q, p * r) == realize.mu_gcd(p * r, p * q) == p.scaled(Fraction(1, 3))
+    assert realize.mu_gcd(p * q, zero) == realize.mu_gcd(zero, p * q) == (p * q).scaled(
+        Fraction(1, 3))
+    assert realize.mu_gcd(q, r) == mu_poly(1)
+    assert realize.mu_gcd(zero, zero) == zero
+
     with pytest.raises(ValueError):
-        verify_third_order(2, ONE, ONE)
+        verify_third_order(2, ONE)
     with pytest.raises(ValueError):
-        verify_third_order(3, ZERO, ONE)
+        verify_third_order(3, ZERO)
 
 
 def test_third_order_base_function_is_genuinely_third_order():
-    from ncbinom.scalars import OMEGA
-
     lam = ONE
-    u = (
-        FuncExpr.exponential(lam)
-        + FuncExpr.exponential(OMEGA * lam)
-        + FuncExpr.exponential(OMEGA * OMEGA * lam)
-    )
+    u = third_order_u(lam)
     d3 = u.differentiate().differentiate().differentiate()
     assert d3 == u.scaled(lam**3)
     # no first- or second-order collapse

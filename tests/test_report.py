@@ -35,28 +35,24 @@ def test_each_clause_residual_is_formed_once():
     assert subs == 1
     assert (report.status, report.lhs, report.rhs, report.residual) == (FAIL, "2", "1", "1")
 
-    clauses = [Clause("a", one, one), Clause("b", two, two),
-               Clause("c", two, one, expect_zero=False)]
+    clauses = [Clause("a", one, one), Clause("b", two, two)]
     report, subs = report_and_subtractions(clauses)
-    assert subs == 3
+    assert subs == 2
     assert report.status == PASS
-    assert report.lhs == "a: 1 | b: 2 | c: 2"
-    assert report.rhs == "a: 1 | b: 2 | c: 1"
-    assert report.residual == "a: 0 | b: 0 | c: 1"
+    assert report.lhs == "a: 1 | b: 2"
+    assert report.rhs == "a: 1 | b: 2"
+    assert report.residual == "a: 0 | b: 0"
 
     # a failing first clause still reports, and computes, every residual once
     report, subs = report_and_subtractions([Clause("a", two, one), Clause("b", one, one)])
     assert subs == 2
     assert (report.status, report.residual) == (FAIL, "a: 1 | b: 0")
 
-    report, subs = report_and_subtractions([Clause("", one, one, expect_zero=False)])
-    assert (report.status, subs) == (FAIL, 1)
-
 
 def test_probe_is_recorded_after_the_case_fields_and_never_checked():
     one, two = Counted(1), Counted(2)
     params = {"n": 1}
-    probe = Clause("probe", two, one, expect_zero=None)
+    probe = Clause("probe", two, one, probe=True)
 
     # a nonzero probe beside a passing clause: the case passes
     report = report_from_clauses("demo", params, [Clause("a", one, one), probe])
@@ -66,7 +62,7 @@ def test_probe_is_recorded_after_the_case_fields_and_never_checked():
     assert params == {"n": 1}  # the caller's dict is not changed
 
     # a vanishing probe does not rescue a failing clause
-    zero_probe = Clause("probe", one, one, expect_zero=None)
+    zero_probe = Clause("probe", one, one, probe=True)
     report = report_from_clauses("demo", params, [Clause("", two, one), zero_probe])
     assert report.status == FAIL
     assert list(report.params.items()) == [("n", 1), ("probe", True)]
