@@ -24,21 +24,24 @@ def accumulate(pairs, out: dict | None = None) -> dict:
     """Add each (key, scalar) pair into the sparse dict `out` and return it.
 
     Zero inputs are skipped and keys whose sum reaches zero are dropped,
-    so the result holds nonzero coefficients only.
+    so the result holds nonzero coefficients only.  A new key is hashed
+    once; the grown length, not identity, tells an insert from a hit.
     """
     if out is None:
         out = {}
-    get = out.get
+    setdefault = out.setdefault
+    size = len(out)
     for key, value in pairs:
         if value.is_zero:
             continue
-        prev = get(key)
-        if prev is None:
-            out[key] = value
+        prev = setdefault(key, value)
+        if len(out) > size:
+            size += 1
             continue
         total = prev + value
         if total.is_zero:
             del out[key]
+            size -= 1
         else:
             out[key] = total
     return out
@@ -73,13 +76,14 @@ class Combination:
     """Finite map key -> nonzero scalar coefficient: the one sparse-sum type.
 
     Its kinds are `NcPoly` (keys are words), `realize.FuncExpr` (exponent
-    triples) and `realize.Matrix` ((row, column) pairs).  Each kind supplies
-    `_key`, which coerces the keys handed to the public constructor, and
+    triples), `realize.VecFunc` ((slot, exponents) quadruples) and
+    `realize.Matrix` ((row, column) pairs).  Each kind supplies `_key`,
+    which coerces the keys handed to the public constructor, and
     `_accepts`, which says whether another sum is of this kind.  Sums of
     different kinds never add, subtract or compare equal.  Every result is
     built by `_like` from terms already coerced and pruned; a kind with a
-    context (`NcPoly`'s alphabet, `Normal`'s preset, `Matrix`'s shape)
-    overrides it to carry that context over.
+    context (`NcPoly`'s alphabet, `Normal`'s preset, `Matrix`'s shape,
+    `VecFunc`'s dimension) overrides it to carry that context over.
     """
 
     __slots__ = ("terms",)

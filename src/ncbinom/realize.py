@@ -10,8 +10,9 @@ arithmetic in the ground field (it contains i).
 Also here: constant matrices over the scalars, a kind of
 `freealg.Combination` keyed by (row, column) with the shape as context
 (for the vector-valued variants and the shifted-binomial matrix
-oracle); vector-valued functions and the multipliers sum_k A_k*u_k(x)
-that act on them (A_k constant matrices, u_k scalar functions); the
+oracle); vector-valued functions, keyed by (slot, c, alpha, beta) with
+the dimension as context, and the multipliers sum_k A_k*u_k(x) that act
+on them (A_k constant matrices, u_k scalar functions); the
 truncated shift representation that serves as an independent check on
 the rewrite engine; and the proof, by one gcd of polynomials in mu, that
 no parameter mu makes the combination vanish for a genuinely third-order
@@ -30,7 +31,7 @@ from .binomial import build_binomial, parity_clauses, power_sum, running_product
 from .freealg import Alphabet, Combination, NcPoly, accumulate
 from .report import Clause
 from .rewrite import RelationPreset
-from .scalars import IMAG, OMEGA, ONE, ZERO, CycloScalar
+from .scalars import IMAG, OMEGA, ONE, ZERO, CycloScalar, add_ints, wrap
 
 # derivation kinds
 D_DX = "d/dx"
@@ -38,23 +39,61 @@ X_D_DX = "x*d/dx"
 XINV_D_DX = "x^-1*d/dx"
 DERIVATION_KINDS = (D_DX, X_D_DX, XINV_D_DX)
 
-FuncKey = tuple[CycloScalar, CycloScalar, CycloScalar]  # (c, alpha, beta)
+FuncKey = tuple[tuple, tuple, tuple]  # canonical ints of the exponents (c, alpha, beta)
+
+_ZERO_INTS = ZERO.ints
 
 # shifts of the power of x in the three images of x^c e^{ax+bx^2}, per kind
 _POWER_SHIFTS = {
-    kind: tuple(CycloScalar.of(shift + k) for k in (-1, 0, 1))
+    kind: tuple(CycloScalar.of(shift + k).ints for k in (-1, 0, 1))
     for kind, shift in ((D_DX, 0), (X_D_DX, 1), (XINV_D_DX, -1))
 }
 
 
+def _exponent(x) -> tuple:
+    """Canonical ints of an exponent: an int, Fraction, CycloScalar or (n0, n1, n2, n3, d)."""
+    if isinstance(x, tuple):
+        *numerators, d = x
+        return CycloScalar([Fraction(n, d) for n in numerators]).ints
+    return CycloScalar.of(x).ints
+
+
+def _derivative(terms: dict, kind: str) -> dict:
+    """Exact image of terms keyed (..., c, alpha, beta) under one of the three derivations.
+
+    d/dx sends x^c e^{ax+bx^2} to c x^(c-1) + a x^c + 2b x^(c+1), all
+    times the same exponential; the other kinds shift the power of x by
+    +1 or -1 afterwards.  Key entries before the exponents are kept.
+    """
+    if kind not in DERIVATION_KINDS:
+        raise ValueError(f"unknown derivation kind {kind!r}")
+    low, mid, high = _POWER_SHIFTS[kind]
+
+    def images():
+        # a zero factor gives a zero image, which accumulate would drop
+        for key, v in terms.items():
+            head, (c, a, b) = key[:-3], key[-3:]
+            if c != _ZERO_INTS:
+                yield head + (add_ints(c, low), a, b), v * wrap(c)
+            if a != _ZERO_INTS:
+                yield head + (add_ints(c, mid), a, b), v * wrap(a)
+            if b != _ZERO_INTS:
+                yield head + (add_ints(c, high), a, b), v * wrap(add_ints(b, b))
+
+    return accumulate(images())
+
+
 class FuncExpr(Combination):
-    """Finite sum of terms coeff * x^c * exp(alpha*x + beta*x^2), exact."""
+    """Finite sum of terms coeff * x^c * exp(alpha*x + beta*x^2), exact.
+
+    Keys hold the exponents' `ints`, lifted by `wrap` only to scale a coefficient or to print.
+    """
 
     __slots__ = ()
 
     @staticmethod
     def _key(key) -> FuncKey:
-        return tuple(map(CycloScalar.of, key))
+        return tuple(map(_exponent, key))
 
     def _accepts(self, other) -> bool:
         return isinstance(other, FuncExpr)
@@ -83,7 +122,7 @@ class FuncExpr(Combination):
         if isinstance(other, FuncExpr):
             right = other.terms.items()
             return self._like(accumulate(
-                ((c1 + c2, a1 + a2, b1 + b2), v1 * v2)
+                ((add_ints(c1, c2), add_ints(a1, a2), add_ints(b1, b2)), v1 * v2)
                 for (c1, a1, b1), v1 in self.terms.items()
                 for (c2, a2, b2), v2 in right
             ))
@@ -92,32 +131,11 @@ class FuncExpr(Combination):
         return self.scaled(other)
 
     def differentiate(self, kind: str = D_DX) -> FuncExpr:
-        """Exact image under one of the three derivations.
-
-        d/dx sends x^c e^{ax+bx^2} to c x^(c-1) + a x^c + 2b x^(c+1), all
-        times the same exponential; the other kinds shift the power of x
-        by +1 or -1 afterwards.
-        """
-        if kind not in DERIVATION_KINDS:
-            raise ValueError(f"unknown derivation kind {kind!r}")
-        low, mid, high = _POWER_SHIFTS[kind]
-
-        def images():
-            # a zero factor gives a zero image, which accumulate would drop
-            for (c, a, b), v in self.terms.items():
-                if c:
-                    yield (c + low, a, b), v * c
-                if a:
-                    yield (c + mid, a, b), v * a
-                if b:
-                    yield (c + high, a, b), v * (2 * b)
-
-        return self._like(accumulate(images()))
+        return self._like(_derivative(self.terms, kind))
 
     def sorted_terms(self) -> list[tuple[FuncKey, CycloScalar]]:
         return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key(), kv[0][2].sort_key()),
+            self.terms.items(), key=lambda kv: tuple(wrap(x).sort_key() for x in kv[0])
         )
 
     def __str__(self) -> str:
@@ -132,24 +150,24 @@ class FuncExpr(Combination):
         return f"FuncExpr({self})"
 
 
-def _wrap(scalar: CycloScalar) -> str:
+def _paren(scalar: CycloScalar) -> str:
     text = str(scalar)
     return f"({text})" if " " in text else text
 
 
 def _func_term_str(key: FuncKey, coeff: CycloScalar) -> str:
-    c, a, b = key
+    c, a, b = map(wrap, key)
     factors = []
     if not c.is_zero:
-        factors.append("x" if c == ONE else f"x^{_wrap(c)}")
+        factors.append("x" if c == ONE else f"x^{_paren(c)}")
     if not a.is_zero or not b.is_zero:
         inner = []
         if not a.is_zero:
-            inner.append(f"{_wrap(a)}*x")
+            inner.append(f"{_paren(a)}*x")
         if not b.is_zero:
-            inner.append(f"{_wrap(b)}*x^2")
+            inner.append(f"{_paren(b)}*x^2")
         factors.append(f"exp({' + '.join(inner)})")
-    coeff_str = _wrap(coeff)
+    coeff_str = _paren(coeff)
     if not factors:
         return coeff_str
     if coeff == ONE:
@@ -280,16 +298,26 @@ def derive_seed(seed: int, *parts: int) -> int:
 # ---- vector and matrix valued functions ----------------------------------
 
 
-class VecFunc:
-    """Column vector of function expressions."""
+class VecFunc(Combination):
+    """Column vector of function expressions: (slot, c, alpha, beta) -> coefficient.
 
-    __slots__ = ("entries",)
+    The dimension is the context, as the shape is for `Matrix`; `entries` is a per-slot view.
+    """
+
+    __slots__ = ("dim",)
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(entries))
+        # the entries' terms are already coerced and pruned
+        entries = tuple(entries)
+        object.__setattr__(self, "dim", len(entries))
+        object.__setattr__(self, "terms", {
+            (i, *key): v for i, e in enumerate(entries) for key, v in e.terms.items()})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VecFunc is immutable")
+    def _like(self, clean_terms: dict) -> VecFunc:
+        obj = object.__new__(VecFunc)
+        object.__setattr__(obj, "dim", self.dim)
+        object.__setattr__(obj, "terms", clean_terms)
+        return obj
 
     @staticmethod
     def constant(values) -> VecFunc:
@@ -300,31 +328,25 @@ class VecFunc:
         return VecFunc([FuncExpr.zero()] * m)
 
     @property
-    def dim(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[FuncExpr, ...]:
+        slots = [{} for _ in range(self.dim)]
+        for key, v in self.terms.items():
+            slots[key[0]][key[1:]] = v
+        return tuple(map(FuncExpr.zero()._like, slots))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+    def _accepts(self, other) -> bool:
+        # a vector of another dimension is of this kind but never combines
+        if isinstance(other, VecFunc) and self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return isinstance(other, VecFunc)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, VecFunc):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __sub__(self, other: VecFunc) -> VecFunc:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return VecFunc([a - b for a, b in zip(self.entries, other.entries)])
-
-    def combine(self, pairs) -> VecFunc:
-        """Sum of c*g over (scalar c, VecFunc g) pairs, slot by slot."""
-        pairs = list(pairs)
-        return VecFunc([entry.combine((c, g.entries[slot]) for c, g in pairs)
-                        for slot, entry in enumerate(self.entries)])
+        if isinstance(other, VecFunc) and self.dim != other.dim:
+            return False
+        return super().__eq__(other)
 
     def differentiate(self, kind: str = D_DX) -> VecFunc:
-        return VecFunc([e.differentiate(kind) for e in self.entries])
+        return self._like(_derivative(self.terms, kind))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(e) for e in self.entries) + "]"
@@ -354,14 +376,24 @@ class FuncMatrix:
     def matvec(self, v: VecFunc) -> VecFunc:
         if v.dim != self.dim:
             raise ValueError("dimension mismatch")
-        # each part forms its m products u_k*v_j once; slot i sums A_k[i][j] times them
-        slots = [[] for _ in v.entries]
-        for a, u in self.parts:
-            products = [u * g for g in v.entries]
-            for (i, j), x in a.terms.items():
-                slots[i].append((x, products[j]))
-        zero = FuncExpr.zero()
-        return VecFunc([zero.combine(pairs) for pairs in slots])
+
+        def images():
+            # each (u_k term, v_j term) pair sums its keys once and goes to
+            # every row i with A_k[i][j] != 0
+            for a, u in self.parts:
+                rows_of: dict[int, list] = {}
+                for (i, j), x in a.terms.items():
+                    rows_of.setdefault(j, []).append((i, x))
+                for (j, c2, a2, b2), w2 in v.terms.items():
+                    rows = rows_of.get(j)
+                    if rows:
+                        for (c1, a1, b1), w1 in u.terms.items():
+                            key = (add_ints(c1, c2), add_ints(a1, a2), add_ints(b1, b2))
+                            w = w1 * w2
+                            for i, x in rows:
+                                yield (i, *key), x * w
+
+        return v._like(accumulate(images()))
 
     def __mul__(self, v: VecFunc) -> VecFunc:
         return self.matvec(v)
@@ -375,18 +407,23 @@ def letter_actions(u, kind: str = D_DX) -> dict:
     return {"U": lambda g: u * g, "D": lambda g: g.differentiate(kind)}
 
 
-def apply_assigned(p: NcPoly, assignment: dict, f):
-    """Act with p on f; the rightmost letter of each word acts first.
+def apply_each(polys, assignment: dict, f) -> list:
+    """Act with each polynomial on f; the rightmost letter of each word acts first.
 
     `assignment` maps each letter name to a callable g -> g'.  Distinct
-    words share suffixes heavily, so images of suffixes are cached instead
-    of recomputed word by word.  The carrier's `combine` forms the sum.
+    words share suffixes heavily, within one polynomial and across
+    polynomials of one alphabet, so the image of each suffix is formed once
+    for all of them.  The carrier's `combine` forms each sum.
     """
-    names = p.alphabet.names
-    for word in p.terms:
-        for letter in word:
-            if names[letter] not in assignment:
-                raise ValueError(f"generator {names[letter]!r} has no assigned operator")
+    polys = list(polys)
+    names = polys[0].alphabet.names if polys else ()
+    for p in polys:
+        if p.alphabet.names != names:
+            raise ValueError("apply_each needs polynomials over one alphabet")
+        for word in p.terms:
+            for letter in word:
+                if names[letter] not in assignment:
+                    raise ValueError(f"generator {names[letter]!r} has no assigned operator")
     suffix_cache: dict[tuple[int, ...], object] = {(): f}
 
     def image_of(word):
@@ -396,7 +433,12 @@ def apply_assigned(p: NcPoly, assignment: dict, f):
             suffix_cache[word] = g
         return g
 
-    return f.combine((coeff, image_of(word)) for word, coeff in p.terms.items())
+    return [f.combine((coeff, image_of(word)) for word, coeff in p.terms.items()) for p in polys]
+
+
+def apply_assigned(p: NcPoly, assignment: dict, f):
+    """Act with p on f: `apply_each` of one polynomial."""
+    return apply_each([p], assignment, f)[0]
 
 
 # ---- scalar-function verifiers --------------------------------------------
@@ -655,8 +697,8 @@ def mu_coefficients(n: int, u: FuncExpr) -> dict[FuncKey, NcPoly]:
     of (Delta^k f)(0) / k! * mu (mu - 1) ... (mu - k + 1).  The result is
     exact when each coefficient has degree at most n in mu.
     """
-    row = [apply_assigned(_abstract(n, CycloScalar.of(m)), letter_actions(u), FuncExpr.one())
-           for m in range(n + 1)]
+    row = apply_each([_abstract(n, CycloScalar.of(m)) for m in range(n + 1)],
+                     letter_actions(u), FuncExpr.one())
     steps = []  # (Delta^k f)(0) / k!
     for k in range(n + 1):
         steps.append(row[0].scaled(Fraction(1, factorial(k))))

@@ -50,6 +50,33 @@ def _scalar(n0: int, n1: int, n2: int, n3: int, d: int) -> CycloScalar:
     return x
 
 
+def add_ints(a: tuple, b: tuple) -> tuple:
+    """Canonical `ints` of the sum of two elements given by their `ints`: the one addition.
+
+    `CycloScalar.__add__` and `realize`'s exponent keys use it; adding zero returns the other tuple.
+    """
+    a0, a1, a2, a3, d = a
+    b0, b1, b2, b3, e = b
+    if not (b0 or b1 or b2 or b3):
+        return a
+    if not (a0 or a1 or a2 or a3):
+        return b
+    if d == e:
+        n0, n1, n2, n3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3
+    else:
+        n0, n1, n2, n3 = a0 * e + b0 * d, a1 * e + b1 * d, a2 * e + b2 * d, a3 * e + b3 * d
+        d *= e
+    g = gcd(n0, n1, n2, n3, d)
+    return (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g)
+
+
+def wrap(ints: tuple) -> CycloScalar:
+    """The element whose canonical tuple is `ints`."""
+    x = _new(CycloScalar)
+    x.ints = ints
+    return x
+
+
 class CycloScalar:
     """Element (n0 + n1*z + n2*z^2 + n3*z^3) / d of Q(z), z^4 = z^2 - 1.
 
@@ -123,16 +150,16 @@ class CycloScalar:
             if not isinstance(other, _RAT_TYPES):
                 return NotImplemented
             other = CycloScalar.of(other)
-        a0, a1, a2, a3, d = self.ints
-        b0, b1, b2, b3, e = other.ints
+        a, b = self.ints, other.ints
+        n = add_ints(a, b)
         # canonical and immutable: adding zero can return the other operand
-        if not (b0 or b1 or b2 or b3):
+        if n is a:
             return self
-        if not (a0 or a1 or a2 or a3):
+        if n is b:
             return other
-        if d == e:
-            return _scalar(a0 + b0, a1 + b1, a2 + b2, a3 + b3, d)
-        return _scalar(a0 * e + b0 * d, a1 * e + b1 * d, a2 * e + b2 * d, a3 * e + b3 * d, d * e)
+        x = _new(CycloScalar)
+        x.ints = n
+        return x
 
     __radd__ = __add__
 

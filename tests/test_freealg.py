@@ -75,6 +75,18 @@ def test_accumulate_drops_zero_inputs_and_zero_sums():
     assert out == {"c": parse_scalar("3")}
     assert accumulate([]) == {}
 
+    # an insert is told from a hit by the grown size, not by identity:
+    # one scalar object added twice under one key counts twice
+    x = parse_scalar("1+i")
+    assert accumulate([("a", one), ("a", one)]) == {"a": two}
+    assert accumulate([("a", one)], {"a": one}) == {"a": two}
+    # x + (-x) drops the key; a later insert of it is new again
+    assert accumulate([("k", x), ("j", one), ("k", -x)]) == {"j": one}
+    assert accumulate([("k", x), ("k", -x), ("k", x), ("k", x)]) == {"k": x + x}
+    assert accumulate([("k", -x), ("j", one)], {"k": x}) == {"j": one}
+    # insertion order is the order of first arrival
+    assert list(accumulate([("b", one), ("a", one), ("b", x)])) == ["b", "a"]
+
 
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=3).map(tuple)
 coeffs = st.integers(min_value=-5, max_value=5)

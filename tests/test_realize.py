@@ -35,7 +35,7 @@ from ncbinom.realize import (
 )
 from ncbinom.cli import run_case
 from ncbinom.rewrite import cached_preset, normalize
-from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar
+from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar, wrap
 
 UD = Alphabet(("U", "D"))
 U = NcPoly.generator(UD, "U")
@@ -441,6 +441,25 @@ def test_vecfunc_basics():
     with pytest.raises(ValueError):
         v - VecFunc.constant([1, 2, 3])
 
+    # a Combination keyed by (slot, c, alpha, beta), with its dimension as context
+    rng = random.Random(808)
+    f1, f2 = random_func_expr(rng), sin_func(3)
+    v = VecFunc([f1, FuncExpr.zero(), f2])
+    assert v.dim == 3 and v.entries == (f1, FuncExpr.zero(), f2)
+    assert v == VecFunc(v.entries)
+    assert str(v) == f"[{f1}, 0, {f2}]"
+    assert str(VecFunc.zero(2)) == "[0, 0]"
+    assert v.differentiate(X_D_DX).entries == tuple(e.differentiate(X_D_DX) for e in v.entries)
+    assert (2 * v + v.combine([(-2, v)])).is_zero and (v - v).dim == 3
+    # vectors of different dimensions never combine and never compare equal
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError):
+            op(v, VecFunc([f1, f2]))
+    assert VecFunc.zero(2) != VecFunc.zero(3)
+    assert v != VecFunc([f1, FuncExpr.zero(), f2, FuncExpr.zero()])
+    with pytest.raises(AttributeError):
+        v.dim = 4
+
 
 def grid_matvec(parts, v: VecFunc) -> VecFunc:
     """Reference: the grid entry_ij = sum_k A_k[i][j]*u_k, then slot_i = sum_j entry_ij*v_j."""
@@ -459,15 +478,15 @@ def grid_matvec(parts, v: VecFunc) -> VecFunc:
     return VecFunc(slots)
 
 
-def test_matvec_matches_grid_reference_with_one_product_per_part_and_slot(monkeypatch):
+def test_matvec_matches_grid_reference_in_one_accumulate(monkeypatch):
     rng = random.Random(1729)
-    products = 0
-    plain_mul = FuncExpr.__mul__
+    passes = 0
+    plain_accumulate = realize.accumulate
 
-    def counted_mul(self, other):
-        nonlocal products
-        products += 1
-        return plain_mul(self, other)
+    def counted_accumulate(*args):
+        nonlocal passes
+        passes += 1
+        return plain_accumulate(*args)
 
     seen = set()
     for m in (1, 2, 3):
@@ -484,12 +503,12 @@ def test_matvec_matches_grid_reference_with_one_product_per_part_and_slot(monkey
                 seen.update(x.is_zero for a, _ in parts for row in a.rows for x in row)
                 seen.update(("zero slot", g.is_zero) for g in v.entries)
                 want = grid_matvec(parts, v)
-                products = 0
+                passes = 0
                 with monkeypatch.context() as patched:
-                    patched.setattr(FuncExpr, "__mul__", counted_mul)
+                    patched.setattr(realize, "accumulate", counted_accumulate)
                     got = FuncMatrix(parts) * v
                 assert got == want
-                assert products == n_parts * m
+                assert passes == 1
     # zero and nonzero matrix entries and vector slots all occurred
     assert seen == {False, True, ("zero slot", False), ("zero slot", True)}
 
@@ -514,11 +533,35 @@ def test_funcexpr_coerces_plain_number_keys_like_term():
         assert str(plain.differentiate(X_D_DX)) == str(want.differentiate(X_D_DX))
 
 
+def test_funcexpr_keys_coerce_to_canonical_int_tuples():
+    half_i = parse_scalar("1/2 + 1/2*i")
+    # each row: one exponent written as int, Fraction, CycloScalar and non-canonical tuples
+    spellings = (
+        (2, Fraction(4, 2), CycloScalar.of(2), (2, 0, 0, 0, 1), (6, 0, 0, 0, 3), (-4, 0, 0, 0, -2)),
+        (0, Fraction(0), ZERO, (0, 0, 0, 0, 1), (0, 0, 0, 0, 7)),
+        (half_i, (1, 0, 0, 1, 2), (3, 0, 0, 3, 6), (-2, 0, 0, -2, -4)),
+    )
+    canonical = (CycloScalar.of(2), ZERO, half_i)
+    want = FuncExpr.term(Fraction(3, 2), *canonical)
+    assert list(want.terms) == [tuple(x.ints for x in canonical)]
+    for c in spellings[0]:
+        for alpha in spellings[1]:
+            for beta in spellings[2]:
+                got = FuncExpr({(c, alpha, beta): Fraction(3, 2)})
+                assert got == want and str(got) == str(want)
+    # keys read from one sum build another, and sums of spellings merge into one term
+    f = want * sin_func(1) + FuncExpr.monomial(Fraction(1, 3))
+    assert FuncExpr(f.terms) == f and str(FuncExpr(f.terms)) == str(f)
+    twice = FuncExpr({(2, 0, half_i): 1}) + FuncExpr({((4, 0, 0, 0, 2), 0, (1, 0, 0, 1, 2)): 1})
+    assert twice == want.scaled(Fraction(4, 3))
+
+
 def differentiate_all_images(f: FuncExpr, kind: str) -> FuncExpr:
     """Reference: every term emits all three images, zero ones included."""
     shift = {D_DX: 0, X_D_DX: 1, XINV_D_DX: -1}[kind]
     images = []
-    for (c, a, b), v in f.terms.items():
+    for key, v in f.terms.items():
+        c, a, b = map(wrap, key)
         base = c + (shift - 1)
         images += [((base, a, b), v * c), ((base + 1, a, b), v * a),
                    ((base + 2, a, b), v * (2 * b))]

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncbinom.scalars import (
@@ -19,8 +19,10 @@ from ncbinom.scalars import (
     ZETA,
     CycloScalar,
     ScalarParseError,
+    add_ints,
     format_scalar,
     parse_scalar,
+    wrap,
 )
 
 # independent oracle: evaluate coordinates at the actual primitive 12th root
@@ -300,3 +302,29 @@ def test_fast_paths_agree_with_fraction_oracle():
             assert got.ints == CycloScalar(want).ints, (a, b)
             assert_canonical(got)
     assert seen == {"zero", "one", "rational", "general"}
+
+
+# zero, rationals and non-rationals, over equal and unequal denominators
+oracle_scalars = st.one_of(
+    st.just(ZERO),
+    st.fractions(max_denominator=12).map(CycloScalar.of),
+    st.tuples(*[st.fractions(min_value=-9, max_value=9, max_denominator=12)] * 4).map(CycloScalar),
+)
+
+
+@given(oracle_scalars, oracle_scalars)
+@example(ZERO, ZERO)
+@example(ZERO, IMAG)
+@example(CycloScalar.of(Fraction(1, 2)), CycloScalar.of(Fraction(1, 3)))
+@example(CycloScalar.of(Fraction(1, 6)), CycloScalar.of(Fraction(1, 3)))
+@example(CycloScalar.of(Fraction(1, 4)), CycloScalar.of(Fraction(1, 4)))
+@example(CycloScalar((Fraction(1, 2), 0, 0, Fraction(1, 2))), CycloScalar.of(Fraction(1, 2)))
+def test_int_tuple_sum_is_the_scalar_sum(a, b):
+    got = add_ints(a.ints, b.ints)
+    assert got == (a + b).ints == CycloScalar(ref_add(a.coords, b.coords)).ints
+    assert_canonical(wrap(got))
+    # adding zero hands back the other tuple itself
+    if b.is_zero:
+        assert got is a.ints
+    elif a.is_zero:
+        assert got is b.ints
