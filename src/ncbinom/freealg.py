@@ -12,12 +12,17 @@ so they can be shared freely.  Equality is exact, term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import attrgetter
 
 from .scalars import CycloScalar
 
 Word = tuple[int, ...]
 
 EMPTY_WORD: Word = ()
+
+# the operands that scale a sum; anything else is another kind
+_SCALAR_TYPES = (CycloScalar, int, Fraction)
 
 
 def accumulate(pairs, out: dict | None = None) -> dict:
@@ -66,6 +71,9 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.names)
 
+    def __str__(self) -> str:
+        return str(self.names)
+
     def word_str(self, word: Word) -> str:
         if not word:
             return "I"
@@ -78,17 +86,33 @@ class Combination:
     Its kinds are `NcPoly` (keys are words), `realize.FuncExpr` (exponent
     triples), `realize.VecFunc` ((slot, exponents) quadruples) and
     `realize.Matrix` ((row, column) pairs).  Each kind supplies `_key`,
-    which coerces the keys handed to the public constructor, and
-    `_accepts`, which says whether another sum is of this kind.  Sums of
-    different kinds never add, subtract or compare equal.  Every result is
-    built by `_like` from terms already coerced and pruned; a kind with a
-    context (`NcPoly`'s alphabet, `Normal`'s preset, `Matrix`'s shape,
-    `VecFunc`'s dimension) overrides it to carry that context over.
+    which coerces the keys handed to the public constructor.  A direct
+    subclass of `Combination` is a kind, recorded as `_kind`; its own
+    subclasses (`rewrite.Normal`) share it, so their members combine.
+    Sums of different kinds never add, subtract or compare equal.
+
+    Every sum is tied to one `context`, and this class alone holds the
+    rule for it: sums of one kind but different contexts raise
+    `ValueError` ("<_context_name> mismatch: <a> vs <b>") in `+` and `-`
+    and compare unequal.  The contexts are `NcPoly`'s alphabet ("alphabet
+    mismatch"), `Matrix`'s shape ("shape mismatch") and `VecFunc`'s
+    dimension ("dimension mismatch"); `FuncExpr` has none (None).  Each
+    kind reads its context through a named view (`alphabet`, `shape`,
+    `dim`).  Every result is built by `_like` from terms already coerced
+    and pruned, with the context carried over; `Normal` also carries its
+    preset.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("context", "terms")
 
-    def __init__(self, terms: dict | None = None):
+    _context_name = "context"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if Combination in cls.__bases__:
+            cls._kind = cls
+
+    def __init__(self, terms: dict | None = None, context=None):
         clean = {}
         if terms:
             key = self._key
@@ -96,24 +120,45 @@ class Combination:
                 coeff = CycloScalar.of(coeff)
                 if not coeff.is_zero:
                     clean[key(k)] = coeff
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _like(self, clean_terms: dict):
-        obj = object.__new__(type(self))
+    @classmethod
+    def _raw(cls, context, clean_terms: dict):
+        # internal fast path: terms must already be pruned and coerced
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "context", context)
         object.__setattr__(obj, "terms", clean_terms)
         return obj
+
+    def _like(self, clean_terms: dict):
+        # `_raw` with this context, inlined: every result passes here
+        obj = object.__new__(type(self))
+        object.__setattr__(obj, "context", self.context)
+        object.__setattr__(obj, "terms", clean_terms)
+        return obj
+
+    def _accepts(self, other) -> bool:
+        # a sum of this kind over another context is never combined
+        if not isinstance(other, self._kind):
+            return False
+        if self.context != other.context:
+            raise ValueError(
+                f"{self._context_name} mismatch: {self.context} vs {other.context}"
+            )
+        return True
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if not self._accepts(other):
+        if not isinstance(other, self._kind):
             return NotImplemented
-        return self.terms == other.terms
+        return self.context == other.context and self.terms == other.terms
 
     def __add__(self, other):
         if not self._accepts(other):
@@ -129,9 +174,13 @@ class Combination:
         return self + (-other)
 
     def __rmul__(self, other):
-        if isinstance(other, Combination):
-            return NotImplemented  # a sum of another kind is no scalar
-        return self.scaled(other)
+        # only a scalar scales; any other operand is declined, so Python names both kinds
+        if isinstance(other, _SCALAR_TYPES):
+            return self.scaled(other)
+        return NotImplemented
+
+    # scalars commute; a kind with a product of its own overrides `__mul__`
+    __mul__ = __rmul__
 
     def scaled(self, value):
         c = CycloScalar.of(value)
@@ -154,26 +203,16 @@ class Combination:
 class NcPoly(Combination):
     """Finite map word -> nonzero scalar coefficient, over one alphabet."""
 
-    __slots__ = ("alphabet",)
+    __slots__ = ()
 
     _key = staticmethod(tuple)
+    _context_name = "alphabet"
+    alphabet = property(attrgetter("context"))
 
     def __init__(self, alphabet: Alphabet, terms: dict[Word, CycloScalar] | None = None):
-        object.__setattr__(self, "alphabet", alphabet)
-        super().__init__(terms)
+        super().__init__(terms, alphabet)
 
     # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def _raw(cls, alphabet: Alphabet, clean_terms: dict[Word, CycloScalar]) -> NcPoly:
-        # internal fast path: terms must already be pruned and coerced
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "alphabet", alphabet)
-        object.__setattr__(obj, "terms", clean_terms)
-        return obj
-
-    def _like(self, clean_terms: dict[Word, CycloScalar]) -> NcPoly:
-        return NcPoly._raw(self.alphabet, clean_terms)
 
     @staticmethod
     def zero(alphabet: Alphabet) -> NcPoly:
@@ -198,31 +237,16 @@ class NcPoly(Combination):
         idx = self.alphabet.index(name)
         return max((w.count(idx) for w in self.terms), default=0)
 
-    def _accepts(self, other) -> bool:
-        # a polynomial over another alphabet is of this kind but never combines
-        if isinstance(other, NcPoly) and self.alphabet != other.alphabet:
-            raise ValueError(
-                f"alphabet mismatch: {self.alphabet.names} vs {other.alphabet.names}"
-            )
-        return isinstance(other, NcPoly)
-
     # ---- arithmetic ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, NcPoly) and self.alphabet != other.alphabet:
-            return False
-        return super().__eq__(other)
 
     def __mul__(self, other) -> NcPoly:
         if self._accepts(other):
             right = other.terms.items()
             # a plain NcPoly, not `_like`: `normalize` returns a same-preset Normal unrewritten
-            return NcPoly._raw(self.alphabet, accumulate(
+            return NcPoly._raw(self.context, accumulate(
                 (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in right
             ))
-        if isinstance(other, Combination):
-            return NotImplemented
-        return self.scaled(other)
+        return Combination.__rmul__(self, other)
 
     def __pow__(self, exponent: int) -> NcPoly:
         if not isinstance(exponent, int) or exponent < 0:

@@ -26,6 +26,7 @@ import functools
 import random
 from fractions import Fraction
 from math import factorial
+from operator import attrgetter
 
 from .binomial import build_binomial, parity_clauses, power_sum, running_products
 from .freealg import Alphabet, Combination, NcPoly, accumulate
@@ -95,9 +96,6 @@ class FuncExpr(Combination):
     def _key(key) -> FuncKey:
         return tuple(map(_exponent, key))
 
-    def _accepts(self, other) -> bool:
-        return isinstance(other, FuncExpr)
-
     @staticmethod
     def zero() -> FuncExpr:
         return FuncExpr()
@@ -126,9 +124,7 @@ class FuncExpr(Combination):
                 for (c1, a1, b1), v1 in self.terms.items()
                 for (c2, a2, b2), v2 in right
             ))
-        if isinstance(other, Combination):
-            return NotImplemented
-        return self.scaled(other)
+        return Combination.__rmul__(self, other)
 
     def differentiate(self, kind: str = D_DX) -> FuncExpr:
         return self._like(_derivative(self.terms, kind))
@@ -191,27 +187,18 @@ class Matrix(Combination):
     The shape is the context, as the alphabet is for `NcPoly`; `rows` is a dense view.
     """
 
-    __slots__ = ("shape",)
+    __slots__ = ()
 
     _key = staticmethod(tuple)
+    _context_name = "shape"
+    shape = property(attrgetter("context"))
 
     def __init__(self, rows):
         data = [tuple(row) for row in rows]
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "shape", (len(data), len(data[0]) if data else 0))
-        super().__init__({(i, j): x for i, row in enumerate(data) for j, x in enumerate(row)})
-
-    @staticmethod
-    def _raw(shape: tuple[int, int], clean_terms: dict) -> Matrix:
-        # internal fast path: entries must already be pruned and coerced
-        obj = object.__new__(Matrix)
-        object.__setattr__(obj, "shape", shape)
-        object.__setattr__(obj, "terms", clean_terms)
-        return obj
-
-    def _like(self, clean_terms: dict) -> Matrix:
-        return Matrix._raw(self.shape, clean_terms)
+        super().__init__({(i, j): x for i, row in enumerate(data) for j, x in enumerate(row)},
+                         (len(data), len(data[0]) if data else 0))
 
     @staticmethod
     def identity(n: int) -> Matrix:
@@ -227,22 +214,11 @@ class Matrix(Combination):
         get = self.terms.get
         return tuple(tuple(get((i, j), ZERO) for j in range(m)) for i in range(n))
 
-    def _accepts(self, other) -> bool:
-        # a matrix of another shape is of this kind but never combines
-        if isinstance(other, Matrix) and self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return isinstance(other, Matrix)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Matrix) and self.shape != other.shape:
-            return False
-        return super().__eq__(other)
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             (n, k), (k2, m) = self.shape, other.shape
             if k != k2:
-                raise ValueError("shape mismatch")
+                raise ValueError(f"shape mismatch: {self.shape} times {other.shape}")
             # each left entry (i, j) meets only the entries of row j on the right
             by_row: dict[int, list] = {}
             for (j, col), b in other.terms.items():
@@ -251,9 +227,7 @@ class Matrix(Combination):
                 ((i, col), a * b)
                 for (i, j), a in self.terms.items() for col, b in by_row.get(j, ())
             ))
-        if isinstance(other, Combination):
-            return NotImplemented
-        return self.scaled(other)
+        return Combination.__rmul__(self, other)
 
     def __pow__(self, e: int) -> Matrix:
         n, m = self.shape
@@ -304,20 +278,17 @@ class VecFunc(Combination):
     The dimension is the context, as the shape is for `Matrix`; `entries` is a per-slot view.
     """
 
-    __slots__ = ("dim",)
+    __slots__ = ()
+
+    _context_name = "dimension"
+    dim = property(attrgetter("context"))
 
     def __init__(self, entries):
         # the entries' terms are already coerced and pruned
         entries = tuple(entries)
-        object.__setattr__(self, "dim", len(entries))
+        object.__setattr__(self, "context", len(entries))
         object.__setattr__(self, "terms", {
             (i, *key): v for i, e in enumerate(entries) for key, v in e.terms.items()})
-
-    def _like(self, clean_terms: dict) -> VecFunc:
-        obj = object.__new__(VecFunc)
-        object.__setattr__(obj, "dim", self.dim)
-        object.__setattr__(obj, "terms", clean_terms)
-        return obj
 
     @staticmethod
     def constant(values) -> VecFunc:
@@ -333,17 +304,6 @@ class VecFunc(Combination):
         for key, v in self.terms.items():
             slots[key[0]][key[1:]] = v
         return tuple(map(FuncExpr.zero()._like, slots))
-
-    def _accepts(self, other) -> bool:
-        # a vector of another dimension is of this kind but never combines
-        if isinstance(other, VecFunc) and self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return isinstance(other, VecFunc)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, VecFunc) and self.dim != other.dim:
-            return False
-        return super().__eq__(other)
 
     def differentiate(self, kind: str = D_DX) -> VecFunc:
         return self._like(_derivative(self.terms, kind))
@@ -375,7 +335,7 @@ class FuncMatrix:
 
     def matvec(self, v: VecFunc) -> VecFunc:
         if v.dim != self.dim:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"dimension mismatch: {self.dim} vs {v.dim}")
 
         def images():
             # each (u_k term, v_j term) pair sums its keys once and goes to
@@ -395,8 +355,11 @@ class FuncMatrix:
 
         return v._like(accumulate(images()))
 
-    def __mul__(self, v: VecFunc) -> VecFunc:
-        return self.matvec(v)
+    def __mul__(self, v):
+        # any operand but a vector is declined, so Python names both kinds
+        if isinstance(v, VecFunc):
+            return self.matvec(v)
+        return NotImplemented
 
 
 # ---- letter actions ----------------------------------------------------------

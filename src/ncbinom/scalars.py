@@ -250,9 +250,12 @@ class CycloScalar:
         return result
 
     def sort_key(self) -> tuple:
-        # ints compare exactly with Fractions, so integer keys need none
+        # ints compare exactly with Fractions, so integer and zero coordinates need none
         n0, n1, n2, n3, d = self.ints
-        return (n0, n1, n2, n3) if d == 1 else self.coords
+        if d == 1:
+            return (n0, n1, n2, n3)
+        return (n0 and Fraction(n0, d), n1 and Fraction(n1, d),
+                n2 and Fraction(n2, d), n3 and Fraction(n3, d))
 
     def __str__(self) -> str:
         return format_scalar(self)

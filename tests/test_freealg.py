@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
-from ncbinom.realize import FuncExpr, Matrix
+from ncbinom.freealg import Alphabet, Combination, NcPoly, accumulate, commutator
+from ncbinom.realize import FuncExpr, FuncMatrix, Matrix, VecFunc
 from ncbinom.rewrite import Normal, first_order_plus, normalize
 from ncbinom.scalars import ONE, parse_scalar
 
@@ -135,14 +135,19 @@ def sample_pair(kind):
     if kind is Normal:
         u, d = PLUS.normal_generator("U"), PLUS.normal_generator("D")
         return d * u + 2 * u, d * d - u
+    if kind is Matrix:
+        return Matrix([[1, 2], [0, 3]]), Matrix([[0, 1], [parse_scalar("i"), 0]])
+    if kind is VecFunc:
+        return (VecFunc([FuncExpr.one(), FuncExpr.exponential(1)]),
+                VecFunc([FuncExpr.monomial(2), FuncExpr.zero()]))
     return FuncExpr.exponential(1) + FuncExpr.monomial(2), FuncExpr.term(3, c=1, beta=-1)
 
 
 def context(value):
-    return type(value), getattr(value, "alphabet", None), getattr(value, "preset", None)
+    return type(value), value.context, getattr(value, "preset", None)
 
 
-@pytest.mark.parametrize("kind", (NcPoly, Normal, FuncExpr))
+@pytest.mark.parametrize("kind", (NcPoly, Normal, FuncExpr, Matrix, VecFunc))
 def test_every_operation_keeps_the_kind_and_context(kind):
     a, b = sample_pair(kind)
     assert type(a) is kind and context(a) == context(b)
@@ -167,6 +172,49 @@ def test_every_operation_keeps_the_kind_and_context(kind):
         a.terms = {}
     with pytest.raises(AttributeError):
         a.extra = 1
+
+
+# one kind over two contexts, and the message that begins a mismatch
+CONTEXT_PAIRS = {
+    NcPoly: (U, NcPoly.generator(Alphabet(("U", "D", "C")), "U"), "alphabet mismatch"),
+    Matrix: (Matrix.identity(2), Matrix([[1, 0, 0], [0, 1, 0]]), "shape mismatch"),
+    VecFunc: (VecFunc.constant([1, 2]), VecFunc.constant([1, 2, 0]), "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("kind", CONTEXT_PAIRS)
+def test_sums_over_different_contexts_never_combine(kind):
+    a, b, prefix = CONTEXT_PAIRS[kind]
+    # equal terms, so only the context tells them apart
+    assert type(a) is type(b) is kind and a.terms == b.terms and a.context != b.context
+    for op in (operator.add, operator.sub):
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(ValueError) as excinfo:
+                op(left, right)
+            assert str(excinfo.value) == f"{prefix}: {left.context} vs {right.context}"
+    assert not a == b and not b == a
+    assert a != b and b != a
+    for value in (a, b):
+        assert value._like({}).context == value.context
+        assert type(value._like(dict(value.terms))) is kind
+        assert value._like(dict(value.terms)) == value
+
+
+def kinds_below(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from kinds_below(sub)
+
+
+def test_only_combination_states_the_context_rule():
+    # Normal adds its preset to `_like` and `__eq__`; every other kind inherits the rule
+    kinds = set(kinds_below(Combination))
+    assert {NcPoly, Normal, FuncExpr, Matrix, VecFunc} <= kinds
+    restated = sorted(
+        f"{kind.__name__}.{name}" for kind in kinds if kind is not Normal
+        for name in ("_raw", "_like", "_accepts", "__eq__") if name in vars(kind)
+    )
+    assert restated == []
 
 
 def test_the_free_product_of_normal_values_is_plain():
@@ -195,6 +243,9 @@ def test_a_product_of_different_kinds_names_both():
     matrix = Matrix([[1, 2], [0, 3]])
     pairs = [(poly, func), (func, poly), (normal, func), (func, normal)]
     pairs += [pair for other in (func, poly, normal) for pair in ((matrix, other), (other, matrix))]
+    # a multiplier acts only on a vector function
+    multiplier = FuncMatrix([(Matrix.identity(2), func)])
+    pairs += [(multiplier, other) for other in (func, poly, normal, matrix, 3)]
     for a, b in pairs:
         for symbol, op in (("*", operator.mul), ("+", operator.add), ("-", operator.sub)):
             kinds = f"'{type(a).__name__}' and '{type(b).__name__}'"

@@ -240,6 +240,18 @@ def test_mul_agrees_with_numeric_oracle():
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.tuples(rationals, rationals, rationals, rationals).map(CycloScalar)
+sparse_rationals = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+
+
+@given(st.lists(st.tuples(sparse_rationals, sparse_rationals, sparse_rationals,
+                          sparse_rationals).map(CycloScalar), max_size=12))
+def test_sorting_by_sort_key_is_sorting_by_coordinates(values):
+    assert sorted(values, key=CycloScalar.sort_key) == sorted(values, key=lambda x: x.coords)
+    for x in values:
+        key = x.sort_key()
+        assert key == x.coords
+        # a zero coordinate stays the int 0; no Fraction is built for it
+        assert all(type(k) is int for k, c in zip(key, x.coords) if c == 0)
 
 
 @given(scalars)
