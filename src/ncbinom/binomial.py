@@ -24,17 +24,12 @@ from `running_products` as R, B(n) takes 2n products.  Likewise
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
 from .freealg import Alphabet, NcPoly, commutator
 from .report import Clause
-from .rewrite import (
-    Normal,
-    RelationPreset,
-    cached_preset,
-    kernel_eval,
-    restrict_to_kernel,
-)
+from .rewrite import RelationPreset, cached_preset, kernel_eval, restrict_to_kernel
 from .scalars import ZERO, CycloScalar
 
 
@@ -87,26 +82,24 @@ def parity_clauses(n: int, result, zero, base, embed) -> list[Clause]:
     return []
 
 
+# B(n) values kept per process, for free and normal generators alike; least
+# recently used first out
+BINOMIAL_MEMO_SIZE = 128
+
+
+# typed: a plain NcPoly and a Normal with equal terms compare equal, so an
+# untyped key would hand a build in one arithmetic to the other
+@functools.lru_cache(maxsize=BINOMIAL_MEMO_SIZE, typed=True)
 def build_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
     """The degree-n combination of u and d, in the arithmetic of u and d.
 
-    Plain generators give the free expansion.  `Normal` generators give the
-    normal form, built once per (n, lam, u, d) and memoized on their preset.
+    Plain generators give the free expansion, `Normal` generators the normal
+    form.  Sums are immutable, so every caller that asks for the same
+    (n, lam, u, d) while it stays memoized shares one value.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     lam = CycloScalar.of(lam)
-    if not isinstance(u, Normal):
-        return _expand_binomial(n, lam, u, d)
-    cache = u.preset._binomial_cache
-    key = (n, lam, frozenset(u.terms.items()), frozenset(d.terms.items()))
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = _expand_binomial(n, lam, u, d)
-    return value
-
-
-def _expand_binomial(n: int, lam: CycloScalar, u: NcPoly, d: NcPoly) -> NcPoly:
     unit = u**0  # the unit in the arithmetic of u
     factors = [d - u + (lam * j) * unit for j in range(n)]
     return binomial_sum(n, factors, running_products(unit, [u] * n))

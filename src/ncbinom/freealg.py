@@ -24,6 +24,10 @@ EMPTY_WORD: Word = ()
 # the operands that scale a sum; anything else is another kind
 _SCALAR_TYPES = (CycloScalar, int, Fraction)
 
+# bound once: every sum built passes through these
+_new = object.__new__
+_set = object.__setattr__
+
 
 def accumulate(pairs, out: dict | None = None) -> dict:
     """Add each (key, scalar) pair into the sparse dict `out` and return it.
@@ -120,8 +124,8 @@ class Combination:
                 coeff = CycloScalar.of(coeff)
                 if not coeff.is_zero:
                     clean[key(k)] = coeff
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
+        _set(self, "context", context)
+        _set(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -129,23 +133,24 @@ class Combination:
     @classmethod
     def _raw(cls, context, clean_terms: dict):
         # internal fast path: terms must already be pruned and coerced
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "context", context)
-        object.__setattr__(obj, "terms", clean_terms)
+        obj = _new(cls)
+        _set(obj, "context", context)
+        _set(obj, "terms", clean_terms)
         return obj
 
     def _like(self, clean_terms: dict):
         # `_raw` with this context, inlined: every result passes here
-        obj = object.__new__(type(self))
-        object.__setattr__(obj, "context", self.context)
-        object.__setattr__(obj, "terms", clean_terms)
+        obj = _new(type(self))
+        _set(obj, "context", self.context)
+        _set(obj, "terms", clean_terms)
         return obj
 
     def _accepts(self, other) -> bool:
         # a sum of this kind over another context is never combined
         if not isinstance(other, self._kind):
             return False
-        if self.context != other.context:
+        # the one shared context object is the common case; skip the dataclass `==`
+        if self.context is not other.context and self.context != other.context:
             raise ValueError(
                 f"{self._context_name} mismatch: {self.context} vs {other.context}"
             )
@@ -158,7 +163,12 @@ class Combination:
     def __eq__(self, other) -> bool:
         if not isinstance(other, self._kind):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return ((self.context is other.context or self.context == other.context)
+                and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        # sums are immutable, so a sum can key a dict or a memo
+        return hash((self.context, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if not self._accepts(other):

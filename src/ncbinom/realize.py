@@ -407,20 +407,8 @@ def apply_assigned(p: NcPoly, assignment: dict, f):
 # ---- scalar-function verifiers --------------------------------------------
 
 _UD = Alphabet(("U", "D"))
-
-# free B(n) values kept per process; the default `verify all` asks for 112 (n, lam) pairs
-ABSTRACT_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=ABSTRACT_CACHE_SIZE)
-def _abstract(n: int, lam) -> NcPoly:
-    """B(n) on the plain generators U, D, built once per (n, lam) while it stays cached.
-
-    NcPoly is immutable, so every case that asks for the same pair shares one value.
-    """
-    return build_binomial(
-        n, lam, NcPoly.generator(_UD, "U"), NcPoly.generator(_UD, "D")
-    )
+# the free generators of every abstract B(n) applied below
+_U, _D = NcPoly.generator(_UD, "U"), NcPoly.generator(_UD, "D")
 
 
 def dichotomy_operator(kind: str, lam: CycloScalar) -> tuple[FuncExpr, CycloScalar, CycloScalar]:
@@ -448,7 +436,7 @@ def _shifted(result, mu: CycloScalar, n: int):
 def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[NcPoly, list[Clause]]:
     """B(n) with the operator's mu, and its parity and shift clauses on the constant 1."""
     u, mu, base = dichotomy_operator(kind, lam)
-    b = _abstract(n, mu)
+    b = build_binomial(n, mu, _U, _D)
     result = apply_assigned(b, letter_actions(u), FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(n, result, zero, base, _decay(n, mu).scaled)
@@ -482,7 +470,7 @@ def verify_linear(n: int, a, b) -> list[Clause]:
     a = CycloScalar.of(a)
     b = CycloScalar.of(b)
     u = FuncExpr.monomial(1).scaled(a) + FuncExpr.term(b)
-    result = apply_assigned(_abstract(n, ZERO), letter_actions(u), FuncExpr.one())
+    result = apply_assigned(build_binomial(n, ZERO, _U, _D), letter_actions(u), FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(n, result, zero, a, FuncExpr.term)
     if n > 0:
@@ -504,7 +492,8 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
         target = FuncExpr.monomial(-(lam * j))
     else:
         raise ValueError(f"unknown change-of-variables variant {variant!r}")
-    return [Clause("", apply_assigned(_abstract(n, lam), asg, target), FuncExpr.zero())]
+    b = build_binomial(n, lam, _U, _D)
+    return [Clause("", apply_assigned(b, asg, target), FuncExpr.zero())]
 
 
 # ---- vector-function verifiers ---------------------------------------------
@@ -523,7 +512,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
 
     if item == 1:
         asg = letter_actions(FuncMatrix([(a, FuncExpr.exponential(lam))]))
-        b = _abstract(n, lam)
+        b = build_binomial(n, lam, _U, _D)
         for j in range(n):
             target_scalar = FuncExpr.exponential(-(lam * j))
             for col in range(m):
@@ -534,7 +523,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
     elif item in range(2, 8):
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
         asg = letter_actions(FuncMatrix([(a, u)]))
-        result = apply_assigned(_abstract(n, mu), asg, cvec)
+        result = apply_assigned(build_binomial(n, mu, _U, _D), asg, cvec)
         # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
         if item in (2, 3, 5, 6) and (item in (2, 5)) == (n % 2 == 1):
             clauses += parity_clauses(n, result, zero, base * a,
@@ -555,7 +544,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
         if a1 * a2 != a2 * a1:
             raise ValueError("item 8 requires commuting matrices")
         asg = letter_actions(FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())]))
-        result = apply_assigned(_abstract(n, ZERO), asg, cvec)
+        result = apply_assigned(build_binomial(n, ZERO, _U, _D), asg, cvec)
         clauses += parity_clauses(n, result, zero, a1,
                                   lambda mat: FuncMatrix([(mat, FuncExpr.one())]) * cvec)
         if n > 0:
@@ -602,7 +591,7 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
     rng = random.Random(derive_seed(seed, n))
     v = random_func_expr(rng)
     w = FuncExpr.exponential(lam)
-    b = _abstract(n, lam)
+    b = build_binomial(n, lam, _U, _D)
     with_w = letter_actions(v + w)
     without_w = letter_actions(v)
     clauses = []
@@ -660,7 +649,7 @@ def mu_coefficients(n: int, u: FuncExpr) -> dict[FuncKey, NcPoly]:
     of (Delta^k f)(0) / k! * mu (mu - 1) ... (mu - k + 1).  The result is
     exact when each coefficient has degree at most n in mu.
     """
-    row = apply_each([_abstract(n, CycloScalar.of(m)) for m in range(n + 1)],
+    row = apply_each([build_binomial(n, CycloScalar.of(m), _U, _D) for m in range(n + 1)],
                      letter_actions(u), FuncExpr.one())
     steps = []  # (Delta^k f)(0) / k!
     for k in range(n + 1):

@@ -85,8 +85,6 @@ class RelationPreset:
             rule_map[rule.left] = dict(rule.right.terms)
         self._rule_map = rule_map
         self._nf_cache: dict[Word, dict[Word, CycloScalar]] = {}
-        # normal B(n) keyed by (n, lam, u terms, d terms); see binomial.build_binomial
-        self._binomial_cache: dict[tuple, Normal] = {}
 
     def __repr__(self) -> str:
         return f"RelationPreset({self.name!r})"
@@ -168,6 +166,9 @@ class Normal(NcPoly):
             return False
         return super().__eq__(other)
 
+    # defining `__eq__` drops the inherited hash; equal values still hash alike
+    __hash__ = NcPoly.__hash__
+
     def __add__(self, other) -> Normal:
         if not isinstance(other, NcPoly):
             return NotImplemented
@@ -200,7 +201,7 @@ def normalize(p: NcPoly, preset: RelationPreset, step_budget: int = DEFAULT_STEP
     """
     if isinstance(p, Normal) and p.preset is preset:
         return p
-    if p.alphabet != preset.alphabet:
+    if p.alphabet is not preset.alphabet and p.alphabet != preset.alphabet:
         raise ValueError(
             f"polynomial alphabet {p.alphabet.names} does not match preset {preset.name}"
         )

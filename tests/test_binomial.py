@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from ncbinom import realize
 from ncbinom.binomial import (
+    BINOMIAL_MEMO_SIZE,
     binomial_sum,
     build_binomial,
     build_binomial_alt,
@@ -22,7 +24,7 @@ from ncbinom.cli import run_case
 from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import Matrix, random_matrix
 from ncbinom.rewrite import Normal, cached_preset, make_preset, normalize, restrict_to_kernel
-from ncbinom.scalars import ONE, ZERO, parse_scalar
+from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar
 
 UD = Alphabet(("U", "D"))
 U = NcPoly.generator(UD, "U")
@@ -303,14 +305,15 @@ def test_build_forms_no_word_longer_than_n(monkeypatch):
         return result
 
     monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
-    for n in range(7):
+    for n in range(1, 7):
+        # an empty memo, so the build runs and records its products
+        build_binomial.cache_clear()
         longest.clear()
         build_binomial(n, parse_scalar("1+i"), U, D)
-        assert max(longest, default=0) <= n
-        if n > 0:
-            longest.clear()
-            build_binomial_alt(n, parse_scalar("1+i"), U, D)
-            assert max(longest, default=0) <= n
+        assert longest and max(longest) <= n
+        longest.clear()
+        build_binomial_alt(n, parse_scalar("1+i"), U, D)
+        assert longest and max(longest) <= n
 
 
 @pytest.mark.parametrize("arithmetic", ["free", "normal"])
@@ -328,9 +331,10 @@ def test_build_makes_2n_products_each_with_a_small_operand(monkeypatch, arithmet
 
     monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
     for n in range(1, 9):
+        build_binomial.cache_clear()
         shapes.clear()
         build_binomial(n, ONE, u, d)
-        assert len(shapes) == 2 * n
+        assert shapes and len(shapes) == 2 * n
         assert all(min(shape) <= 4 for shape in shapes)
 
 
@@ -398,6 +402,7 @@ def test_normal_binomial_is_built_once_per_preset(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
+    build_binomial.cache_clear()
     first = build_binomial(6, ONE, u, d)
     assert products
     products.clear()
@@ -405,15 +410,54 @@ def test_normal_binomial_is_built_once_per_preset(monkeypatch):
     assert not products
 
 
-def test_normal_binomial_memo_keys_on_lambda_and_u():
+def test_one_binomial_memo_for_free_and_normal_generators():
+    """build_binomial keeps one LRU of B(n), keyed by (n, lam, u, d) and their types."""
+    build_binomial.cache_clear()
+
+    def size():
+        return build_binomial.cache_info().currsize
+
+    # a repeated call returns the same object: the free generators of realize ...
+    for lam in (ZERO, ONE, IMAG, parse_scalar("1+i")):
+        for n in range(9):
+            b = build_binomial(n, lam, realize._U, realize._D)
+            assert b == _reference_binomial(n, lam, U, D)
+            assert build_binomial(n, lam, realize._U, realize._D) is b
+    assert size() == 36
+    # ... and normal generators, though each call makes new generator objects
+    build_binomial.cache_clear()
     preset = make_preset("partial-vw", ONE, parse_scalar("2"))
     v, w, d = map(preset.normal_generator, ("V", "W", "D"))
     at_one = build_binomial(4, ONE, v, d)
+    again = build_binomial(4, ONE, preset.normal_generator("V"), preset.normal_generator("D"))
+    assert again is at_one and size() == 1
+    # another lambda, or v + w for v, is a separate entry: cor-vw compares two builds
     assert build_binomial(4, parse_scalar("1+i"), v, d) != at_one
-    assert len(preset._binomial_cache) == 2
-    # equal by cor-vw, but a separate entry: the check compares two builds
-    assert build_binomial(4, ONE, v + w, d) == at_one
-    assert len(preset._binomial_cache) == 3
-    # free generators of the same preset are not memoized
-    build_binomial(4, ONE, preset.generator("V"), preset.generator("D"))
-    assert len(preset._binomial_cache) == 3
+    assert size() == 2
+    both = build_binomial(4, ONE, v + w, d)
+    assert both == at_one and both is not at_one
+    assert size() == 3
+    # plain and Normal generators with equal terms compare equal but key separate
+    # entries, and each result keeps its arithmetic, whichever is built first
+    free_v, free_d = preset.generator("V"), preset.generator("D")
+    assert free_v == v and free_d == d
+    free = build_binomial(4, ONE, free_v, free_d)
+    assert type(free) is NcPoly and free != at_one
+    assert size() == 4
+    free_5 = build_binomial(5, ONE, free_v, free_d)
+    normal_5 = build_binomial(5, ONE, v, d)
+    assert type(free_5) is NcPoly
+    assert isinstance(normal_5, Normal) and normal_5.preset is preset
+    assert normal_5 == normalize(free_5, preset)
+    assert size() == 6
+    # a preset with equal rules is another preset: its own entry and its own Normal
+    twin = make_preset("partial-vw", ONE, parse_scalar("2"))
+    at_twin = build_binomial(4, ONE, twin.normal_generator("V"), twin.normal_generator("D"))
+    assert at_twin.preset is twin and at_twin is not at_one
+    assert size() == 7
+    # more distinct builds than the cap leave the memo full, not grown
+    assert build_binomial.cache_info().maxsize == BINOMIAL_MEMO_SIZE
+    for n in range(2):
+        for k in range(BINOMIAL_MEMO_SIZE):
+            build_binomial(n, CycloScalar.of(k), realize._U, realize._D)
+    assert size() == BINOMIAL_MEMO_SIZE

@@ -437,7 +437,7 @@ SYMBOLIC_SUITES = ("thm-nou", "rec-3", "thm-wrongsign", "rec-6", "thm-2nd", "rec
 
 
 def test_symbolic_reports_do_not_depend_on_suite_order(monkeypatch):
-    """A case that finds its B(n) memoized on the preset reports what a fresh build does."""
+    """A case that finds its B(n) in `build_binomial`'s memo reports what a fresh build does."""
     cfg = SuiteConfig(n_max=5)
 
     def reports(order):

@@ -207,14 +207,34 @@ def kinds_below(cls):
 
 
 def test_only_combination_states_the_context_rule():
-    # Normal adds its preset to `_like` and `__eq__`; every other kind inherits the rule
+    # Normal adds its preset to `_like` and `__eq__`, and so restates `__hash__`;
+    # every other kind inherits the rule
     kinds = set(kinds_below(Combination))
     assert {NcPoly, Normal, FuncExpr, Matrix, VecFunc} <= kinds
     restated = sorted(
         f"{kind.__name__}.{name}" for kind in kinds if kind is not Normal
-        for name in ("_raw", "_like", "_accepts", "__eq__") if name in vars(kind)
+        for name in ("_raw", "_like", "_accepts", "__eq__", "__hash__") if name in vars(kind)
     )
     assert restated == []
+
+
+def test_equal_sums_hash_equally():
+    # each pair is equal though built apart; a plain NcPoly equals a Normal with its terms
+    u, d = PLUS.normal_generator("U"), PLUS.normal_generator("D")
+    pairs = [
+        ((U + D) + U, 2 * U + D),
+        (U - U, NcPoly.zero(UD)),
+        (u, U),
+        (d * u, normalize(D * U, PLUS)),
+        (normalize(D * U, PLUS), NcPoly.__mul__(u, d) + PLUS.params["lambda"] * U),
+        (FuncExpr.one() + FuncExpr.one(), FuncExpr.one().scaled(2)),
+        (Matrix([[1, 0], [0, 1]]), Matrix.identity(2)),
+        (VecFunc.constant([1, 0]) + VecFunc.constant([0, 1]), VecFunc.constant([1, 1])),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {a: "value"}[b] == "value"
 
 
 def test_the_free_product_of_normal_values_is_plain():

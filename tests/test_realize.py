@@ -585,16 +585,3 @@ def test_differentiate_matches_all_images_reference(kind):
     # each of c, alpha and beta is zero in some terms and nonzero in others
     assert zero_and_nonzero == {(slot, z) for slot in range(3) for z in (False, True)}
 
-
-def test_free_binomial_is_built_once_per_pair_under_a_cap():
-    for lam in (ZERO, ONE, IMAG, parse_scalar("1+i")):
-        for n in range(9):
-            b = realize._abstract(n, lam)
-            assert b == build_binomial(n, lam, U, D)
-            assert realize._abstract(n, lam) is b
-    cap = realize._abstract.cache_info().maxsize
-    assert cap == realize.ABSTRACT_CACHE_SIZE
-    for n in range(2):
-        for k in range(cap):
-            realize._abstract(n, CycloScalar.of(k))
-    assert realize._abstract.cache_info().currsize <= cap
