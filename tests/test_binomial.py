@@ -5,9 +5,7 @@ import random
 
 import pytest
 
-from ncbinom import realize
 from ncbinom.binomial import (
-    BINOMIAL_MEMO_SIZE,
     binomial_sum,
     build_binomial,
     build_binomial_alt,
@@ -24,7 +22,7 @@ from ncbinom.cli import run_case
 from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import Matrix, random_matrix
 from ncbinom.rewrite import Normal, cached_preset, make_preset, normalize, restrict_to_kernel
-from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar
+from ncbinom.scalars import ONE, ZERO, parse_scalar
 
 UD = Alphabet(("U", "D"))
 U = NcPoly.generator(UD, "U")
@@ -410,22 +408,14 @@ def test_normal_binomial_is_built_once_per_preset(monkeypatch):
     assert not products
 
 
-def test_one_binomial_memo_for_free_and_normal_generators():
-    """build_binomial keeps one LRU of B(n), keyed by (n, lam, u, d) and their types."""
+def test_normal_binomial_memo_keys_on_lambda_and_u():
+    """build_binomial keys its memo on (n, lam, u, d) and their types, for Normal generators too."""
     build_binomial.cache_clear()
 
     def size():
         return build_binomial.cache_info().currsize
 
-    # a repeated call returns the same object: the free generators of realize ...
-    for lam in (ZERO, ONE, IMAG, parse_scalar("1+i")):
-        for n in range(9):
-            b = build_binomial(n, lam, realize._U, realize._D)
-            assert b == _reference_binomial(n, lam, U, D)
-            assert build_binomial(n, lam, realize._U, realize._D) is b
-    assert size() == 36
-    # ... and normal generators, though each call makes new generator objects
-    build_binomial.cache_clear()
+    # a repeated call returns the same object, though each call makes new generator objects
     preset = make_preset("partial-vw", ONE, parse_scalar("2"))
     v, w, d = map(preset.normal_generator, ("V", "W", "D"))
     at_one = build_binomial(4, ONE, v, d)
@@ -455,9 +445,3 @@ def test_one_binomial_memo_for_free_and_normal_generators():
     at_twin = build_binomial(4, ONE, twin.normal_generator("V"), twin.normal_generator("D"))
     assert at_twin.preset is twin and at_twin is not at_one
     assert size() == 7
-    # more distinct builds than the cap leave the memo full, not grown
-    assert build_binomial.cache_info().maxsize == BINOMIAL_MEMO_SIZE
-    for n in range(2):
-        for k in range(BINOMIAL_MEMO_SIZE):
-            build_binomial(n, CycloScalar.of(k), realize._U, realize._D)
-    assert size() == BINOMIAL_MEMO_SIZE

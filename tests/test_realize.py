@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbinom import realize
-from ncbinom.binomial import build_binomial
+from ncbinom.binomial import BINOMIAL_MEMO_SIZE, build_binomial
 from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
 from ncbinom.realize import (
     D_DX,
@@ -566,6 +566,24 @@ def differentiate_all_images(f: FuncExpr, kind: str) -> FuncExpr:
         images += [((base, a, b), v * c), ((base + 1, a, b), v * a),
                    ((base + 2, a, b), v * (2 * b))]
     return FuncExpr(accumulate(images))
+
+
+def test_free_binomial_is_built_once_per_pair_under_a_cap():
+    """realize's free generators get one B(n) per (n, lam) from build_binomial's capped memo."""
+    build_binomial.cache_clear()
+    for lam in (ZERO, ONE, IMAG, parse_scalar("1+i")):
+        for n in range(9):
+            b = build_binomial(n, lam, realize._U, realize._D)
+            assert build_binomial(n, lam, realize._U, realize._D) is b
+            assert b == build_binomial(n, lam, U, D)
+    assert build_binomial.cache_info().currsize == 36
+    # more distinct builds than the cap leave the memo full, not grown
+    cap = build_binomial.cache_info().maxsize
+    assert cap == BINOMIAL_MEMO_SIZE
+    for n in range(2):
+        for k in range(cap):
+            build_binomial(n, CycloScalar.of(k), realize._U, realize._D)
+    assert build_binomial.cache_info().currsize == cap
 
 
 @pytest.mark.parametrize("kind", DERIVATION_KINDS)
