@@ -575,7 +575,9 @@ def test_free_binomial_is_built_once_per_pair_under_a_cap():
         for n in range(9):
             b = build_binomial(n, lam, realize._U, realize._D)
             assert build_binomial(n, lam, realize._U, realize._D) is b
-            assert b == build_binomial(n, lam, U, D)
+            # the memoized value equals a build that bypasses the memo
+            fresh = build_binomial.__wrapped__(n, lam, U, D)
+            assert fresh is not b and fresh == b
     assert build_binomial.cache_info().currsize == 36
     # more distinct builds than the cap leave the memo full, not grown
     cap = build_binomial.cache_info().maxsize
