@@ -12,8 +12,10 @@ each product normalized as it is formed.  Every verifier except the free
 identity `lemma-l2` takes its preset's generators as `Normal` values, so it
 compares normal forms under the relations of its identity.  A verifier
 returns its list of clauses and nothing else; `cli.run_case` names the
-case and builds its report.  Every comparison is exact, with no numeric
-tolerance anywhere.
+case and builds its report.  Verifiers and builders take their scalars as
+the field elements that `run_case` parses and use them as given; their
+arithmetic is also defined for int and Fraction.  Every comparison is
+exact, with no numeric tolerance anywhere.
 
 `binomial_sum` is the one place, here and in `realize`, that forms a sum
 of C(n,k) * F_0 ... F_(k-1) * R_(n-k); it nests the sum by Horner's rule,
@@ -99,7 +101,6 @@ def build_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    lam = CycloScalar.of(lam)
     unit = u**0  # the unit in the arithmetic of u
     factors = [d - u + (lam * j) * unit for j in range(n)]
     return binomial_sum(n, factors, running_products(unit, [u] * n))
@@ -109,7 +110,6 @@ def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
     """Equivalent expansion that factors out one (D + k*lam*I); needs n > 0."""
     if n <= 0:
         raise ValueError("alternative expansion requires n > 0")
-    lam = CycloScalar.of(lam)
     unit = u**0
     factors = [d - u + (lam * j) * unit for j in range(n - 1)]
     powers = running_products(unit, [u] * (n - 1))
@@ -119,7 +119,6 @@ def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
 
 def falling_product(n: int, lam, d: NcPoly) -> NcPoly:
     """Ordered product of (D + j*lam*I) for j = 0 .. n-1."""
-    lam = CycloScalar.of(lam)
     unit = d**0  # the unit in the arithmetic of d
     return running_products(unit, (d + (lam * j) * unit for j in range(n)))[-1]
 
@@ -146,7 +145,6 @@ def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,
 
 def verify_u_independence(n: int, lam) -> list[Clause]:
     """The combination collapses to the product of (D + j*lam*I) factors."""
-    lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
     d = preset.normal_generator("D")
     lhs = build_binomial(n, lam, preset.normal_generator("U"), d)
@@ -161,7 +159,6 @@ def verify_ascending_recurrence(n: int, lam) -> list[Clause]:
     """B(n) equals B(n-1) * (D + (n-1)*lam*I) modulo the plus relations."""
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
-    lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
     u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
     lhs = build_binomial(n, lam, u, d)
@@ -171,7 +168,6 @@ def verify_ascending_recurrence(n: int, lam) -> list[Clause]:
 
 def verify_minus_commutator_theorem(n: int, lam) -> list[Clause]:
     """Kernel restriction under DU -> UD - lam*U: parity dichotomy and shift."""
-    lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
     return kernel_dichotomy(n, lam, preset, (-2 * lam) * preset.normal_generator("U"))[1]
 
@@ -180,7 +176,6 @@ def verify_minus_recurrence(n: int, lam) -> list[Clause]:
     """Three-term recurrence under the minus relations (two-term at n = 2)."""
     if n < 2:
         raise ValueError("recurrence needs n >= 2")
-    lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-minus", lam)
     u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
     lhs = build_binomial(n, lam, u, d)
@@ -200,12 +195,11 @@ def verify_second_commutator_theorem(n: int, lam) -> list[Clause]:
     same rules degenerate to a central C, and the two-step recurrence is
     cross-checked as an extra clause.
     """
-    lam = CycloScalar.of(lam)
     preset = cached_preset("second-order", lam)
     u, c, d = map(preset.normal_generator, ("U", "C", "D"))
     restricted, dichotomy = kernel_dichotomy(n, lam, preset, c - lam * u)
     clauses = [Clause("c-names-commutator", commutator(d, u), c)] + dichotomy
-    if lam.is_zero and n >= 3:
+    if lam == 0 and n >= 3:
         prev = restrict_to_kernel(build_binomial(n - 2, lam, u, d), preset)
         clauses.append(Clause("two-step-recurrence", restricted, (n - 1) * (c * prev)))
     return clauses
@@ -230,7 +224,6 @@ def verify_kernel_vectors(n: int, lam, j: int) -> list[Clause]:
     """
     if j < 0:
         raise ValueError("j must be non-negative")
-    lam = CycloScalar.of(lam)
     preset = cached_preset("first-order-plus", lam)
     b = build_binomial(n, lam, preset.normal_generator("U"), preset.normal_generator("D"))
     value = kernel_eval(b, preset, -(lam * j))
@@ -239,8 +232,6 @@ def verify_kernel_vectors(n: int, lam, j: int) -> list[Clause]:
 
 def verify_w_independence(n: int, lam, mu) -> list[Clause]:
     """Replacing V by V + W does not change the combination, abstractly."""
-    lam = CycloScalar.of(lam)
-    mu = CycloScalar.of(mu)
     preset = cached_preset("partial-vw", lam, mu)
     v, w, d = map(preset.normal_generator, ("V", "W", "D"))
     lhs = build_binomial(n, lam, v + w, d)
@@ -252,7 +243,6 @@ def verify_alt_expansion(n: int, lam) -> list[Clause]:
     """The two expansions agree term by term with no relations applied."""
     if n < 1:
         raise ValueError("alternative expansion requires n > 0")
-    lam = CycloScalar.of(lam)
     preset = cached_preset("free")
     u, d = preset.generator("U"), preset.generator("D")
     return [Clause("", build_binomial(n, lam, u, d), build_binomial_alt(n, lam, u, d))]
@@ -260,7 +250,6 @@ def verify_alt_expansion(n: int, lam) -> list[Clause]:
 
 def verify_inverse_factorization(n: int, lam) -> list[Clause]:
     """B(n) equals (D * Uinv)^n * U^n once U is invertible."""
-    lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-plus", lam)
     uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
     lhs = build_binomial(n, lam, u, d)
@@ -281,7 +270,6 @@ def verify_shift_binomial(n: int) -> list[Clause]:
 
 def verify_noncommuting_binomial_form(n: int, lam) -> list[Clause]:
     """B(n) as a binomial sum in DU - U^2 and U^2, times Uinv^n."""
-    lam = CycloScalar.of(lam)
     preset = cached_preset("invertible-minus", lam)
     uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
     core = power_sum(n, d * u - u * u, u * u, preset.unit())

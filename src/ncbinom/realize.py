@@ -16,8 +16,11 @@ on them (A_k constant matrices, u_k scalar functions); the
 truncated shift representation that serves as an independent check on
 the rewrite engine; and the proof, by one gcd of polynomials in mu, that
 no parameter mu makes the combination vanish for a genuinely third-order
-exponential sum.  As in `binomial`, each verifier returns its list of
-clauses; `cli.run_case` names the case and builds its report.
+exponential sum.  Every single-mu verifier evaluates B(n)*f through
+`apply_binomial`.  As in `binomial`, each verifier takes its scalars as
+the field elements `cli.run_case` parses, with no coercion of its own,
+and returns its list of clauses; `run_case` names the case and builds
+its report.
 """
 
 from __future__ import annotations
@@ -173,7 +176,6 @@ def _func_term_str(key: FuncKey, coeff: CycloScalar) -> str:
 
 def sin_func(lam) -> FuncExpr:
     """sin(lam*x) encoded as (e^{i lam x} - e^{-i lam x}) / 2i."""
-    lam = CycloScalar.of(lam)
     half_over_i = (2 * IMAG).inv()
     return (FuncExpr.exponential(IMAG * lam) - FuncExpr.exponential(-(IMAG * lam))) * half_over_i
 
@@ -383,16 +385,15 @@ def apply_each(polys, assignment: dict, f) -> list:
     for p in polys:
         if p.alphabet.names != names:
             raise ValueError("apply_each needs polynomials over one alphabet")
-        for word in p.terms:
-            for letter in word:
-                if names[letter] not in assignment:
-                    raise ValueError(f"generator {names[letter]!r} has no assigned operator")
     suffix_cache: dict[tuple[int, ...], object] = {(): f}
 
     def image_of(word):
         g = suffix_cache.get(word)
         if g is None:
-            g = assignment[names[word[0]]](image_of(word[1:]))
+            action = assignment.get(names[word[0]])
+            if action is None:
+                raise ValueError(f"generator {names[word[0]]!r} has no assigned operator")
+            g = action(image_of(word[1:]))
             suffix_cache[word] = g
         return g
 
@@ -409,6 +410,15 @@ def apply_assigned(p: NcPoly, assignment: dict, f):
 _UD = Alphabet(("U", "D"))
 # the free generators of every abstract B(n) applied below
 _U, _D = NcPoly.generator(_UD, "U"), NcPoly.generator(_UD, "D")
+
+
+def apply_binomial(n: int, mu, u, f, kind: str = D_DX):
+    """B(n) with parameter mu applied to f: U multiplies by u, D is the derivation `kind`.
+
+    u is a function or a `FuncMatrix`, f a function or a vector of its
+    space.  Every single-mu realized verifier evaluates B(n)*f here.
+    """
+    return apply_assigned(build_binomial(n, mu, _U, _D), letter_actions(u, kind), f)
 
 
 def dichotomy_operator(kind: str, lam: CycloScalar) -> tuple[FuncExpr, CycloScalar, CycloScalar]:
@@ -433,44 +443,39 @@ def _shifted(result, mu: CycloScalar, n: int):
     return result.combine(((2, result.differentiate()), (mu * n, result)))
 
 
-def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[NcPoly, list[Clause]]:
-    """B(n) with the operator's mu, and its parity and shift clauses on the constant 1."""
+def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> list[Clause]:
+    """Parity and shift clauses of B(n)*1, B(n) built with the operator's mu."""
     u, mu, base = dichotomy_operator(kind, lam)
-    b = build_binomial(n, mu, _U, _D)
-    result = apply_assigned(b, letter_actions(u), FuncExpr.one())
+    result = apply_binomial(n, mu, u, FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(n, result, zero, base, _decay(n, mu).scaled)
     if n > 0:
         clauses.append(Clause("shifted-vanishes", _shifted(result, mu, n), zero))
-    return b, clauses
+    return clauses
 
 
 def verify_exponential(n: int, lam, j: int | None) -> list[Clause]:
     """All four displayed identities for exponential multiplication operators."""
-    lam = CycloScalar.of(lam)
     if j is not None and not (0 <= j <= n - 1):
         raise ValueError(f"j={j} outside 0..{n - 1}")
-    b, dichotomy = _scalar_dichotomy("decay", n, lam)
+    dichotomy = _scalar_dichotomy("decay", n, lam)
     clauses = []
-    if j is not None and n > 0:
-        grow = letter_actions(FuncExpr.exponential(lam))
-        target = FuncExpr.exponential(-(lam * j))
-        clauses.append(Clause("kernel-target", apply_assigned(b, grow, target), FuncExpr.zero()))
+    if j is not None:
+        grow, target = FuncExpr.exponential(lam), FuncExpr.exponential(-(lam * j))
+        clauses.append(Clause("kernel-target", apply_binomial(n, lam, grow, target),
+                              FuncExpr.zero()))
     return clauses + dichotomy
 
 
 def verify_sine(n: int, lam) -> list[Clause]:
     """Sine multiplication operator with binomial parameter i*lam."""
-    lam = CycloScalar.of(lam)
-    return _scalar_dichotomy("sine", n, lam)[1]
+    return _scalar_dichotomy("sine", n, lam)
 
 
 def verify_linear(n: int, a, b) -> list[Clause]:
     """Multiplication by a*x + b with zero binomial parameter."""
-    a = CycloScalar.of(a)
-    b = CycloScalar.of(b)
     u = FuncExpr.monomial(1).scaled(a) + FuncExpr.term(b)
-    result = apply_assigned(build_binomial(n, ZERO, _U, _D), letter_actions(u), FuncExpr.one())
+    result = apply_binomial(n, ZERO, u, FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(n, result, zero, a, FuncExpr.term)
     if n > 0:
@@ -480,20 +485,18 @@ def verify_linear(n: int, a, b) -> list[Clause]:
 
 def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause]:
     """Identities transported by x -> x^2/2 (gauss) and x -> ln x (log)."""
-    lam = CycloScalar.of(lam)
     if not (0 <= j <= n - 1):
         raise ValueError(f"j={j} outside 0..{n - 1}")
     half = CycloScalar.of(Fraction(1, 2))
     if variant == "gauss":
-        asg = letter_actions(FuncExpr.exponential(0, lam * half), XINV_D_DX)
+        u, kind = FuncExpr.exponential(0, lam * half), XINV_D_DX
         target = FuncExpr.exponential(0, -(lam * half * j))
     elif variant == "log":
-        asg = letter_actions(FuncExpr.monomial(lam), X_D_DX)
+        u, kind = FuncExpr.monomial(lam), X_D_DX
         target = FuncExpr.monomial(-(lam * j))
     else:
         raise ValueError(f"unknown change-of-variables variant {variant!r}")
-    b = build_binomial(n, lam, _U, _D)
-    return [Clause("", apply_assigned(b, asg, target), FuncExpr.zero())]
+    return [Clause("", apply_binomial(n, lam, u, target, kind), FuncExpr.zero())]
 
 
 # ---- vector-function verifiers ---------------------------------------------
@@ -501,7 +504,6 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
 
 def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause]:
     """One of the eight vector-valued statements, with seeded exact data."""
-    lam = CycloScalar.of(lam)
     if m < 1:
         raise ValueError("dimension must be at least 1")
     rng = random.Random(derive_seed(seed, item, n, m))
@@ -511,19 +513,18 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
     clauses: list[Clause] = []
 
     if item == 1:
-        asg = letter_actions(FuncMatrix([(a, FuncExpr.exponential(lam))]))
-        b = build_binomial(n, lam, _U, _D)
+        grow = FuncMatrix([(a, FuncExpr.exponential(lam))])
         for j in range(n):
             target_scalar = FuncExpr.exponential(-(lam * j))
             for col in range(m):
                 basis = VecFunc(
                     [target_scalar if i == col else FuncExpr.zero() for i in range(m)]
                 )
-                clauses.append(Clause(f"j={j},col={col}", apply_assigned(b, asg, basis), zero))
+                image = apply_binomial(n, lam, grow, basis)
+                clauses.append(Clause(f"j={j},col={col}", image, zero))
     elif item in range(2, 8):
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
-        asg = letter_actions(FuncMatrix([(a, u)]))
-        result = apply_assigned(build_binomial(n, mu, _U, _D), asg, cvec)
+        result = apply_binomial(n, mu, FuncMatrix([(a, u)]), cvec)
         # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
         if item in (2, 3, 5, 6) and (item in (2, 5)) == (n % 2 == 1):
             clauses += parity_clauses(n, result, zero, base * a,
@@ -543,8 +544,8 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
         )
         if a1 * a2 != a2 * a1:
             raise ValueError("item 8 requires commuting matrices")
-        asg = letter_actions(FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())]))
-        result = apply_assigned(build_binomial(n, ZERO, _U, _D), asg, cvec)
+        u = FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())])
+        result = apply_binomial(n, ZERO, u, cvec)
         clauses += parity_clauses(n, result, zero, a1,
                                   lambda mat: FuncMatrix([(mat, FuncExpr.one())]) * cvec)
         if n > 0:
@@ -587,23 +588,14 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
     relation between D and V is assumed at all); W multiplies by
     e^{lam*x}.  The two combinations must agree on five sample inputs.
     """
-    lam = CycloScalar.of(lam)
     rng = random.Random(derive_seed(seed, n))
     v = random_func_expr(rng)
-    w = FuncExpr.exponential(lam)
-    b = build_binomial(n, lam, _U, _D)
-    with_w = letter_actions(v + w)
-    without_w = letter_actions(v)
+    v_plus_w = v + FuncExpr.exponential(lam)
     clauses = []
     for idx in range(5):
         f = random_func_expr(rng)
-        clauses.append(
-            Clause(
-                f"sample-{idx}",
-                apply_assigned(b, with_w, f),
-                apply_assigned(b, without_w, f),
-            )
-        )
+        clauses.append(Clause(f"sample-{idx}", apply_binomial(n, lam, v_plus_w, f),
+                              apply_binomial(n, lam, v, f)))
     return clauses
 
 
@@ -693,8 +685,7 @@ def verify_third_order(n: int, lam) -> list[Clause]:
     works.  n = 1 is excluded as degenerate: B(1) = D sends 1 to zero for
     every mu.
     """
-    lam = CycloScalar.of(lam)
-    if lam.is_zero:
+    if lam == 0:
         raise ValueError("the third-order proof needs lam != 0")
     if n % 2 == 0 or n < 3:
         raise ValueError("the third-order proof covers odd n >= 3")

@@ -3,6 +3,7 @@
 import functools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from ncbinom.realize import (
     X_D_DX,
     XINV_D_DX,
     apply_assigned,
+    apply_binomial,
     letter_actions,
     random_func_expr,
     random_matrix,
@@ -87,8 +89,52 @@ def test_apply_examples():
 
 
 def test_apply_requires_assignment():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generator 'U' has no assigned operator"):
         apply_assigned(D * U, {"D": FuncExpr.differentiate}, FuncExpr.one())
+
+
+def factor_by_factor(n: int, mu, u, f, kind: str = D_DX):
+    """B(n)*f from its definition, with no free expansion and no suffix cache.
+
+    The sum over k of C(n,k) * F_0 ... F_(k-1) U^(n-k) f, each
+    F_j g = D g - U g + j*mu*g applied in turn, the rightmost first.
+    """
+    powers = [f]  # U^m f
+    for _ in range(n):
+        powers.append(u * powers[-1])
+    total = f.scaled(0)
+    for k in range(n + 1):
+        g = powers[n - k]
+        for j in reversed(range(k)):
+            g = g.differentiate(kind) - u * g + g.scaled(j * mu)
+        total = total + comb(n, k) * g
+    return total
+
+
+def test_apply_binomial_matches_factor_by_factor_evaluation():
+    # every assignment a realized verifier makes, on two inputs each, for n <= 7
+    lam = parse_scalar("1/2 + i")
+    rng = random.Random(17)
+    a1, a2 = random_matrix(rng, 2), random_matrix(rng, 2)
+    scalars = [FuncExpr.one(), random_func_expr(rng)]
+    vectors = [VecFunc.constant([1, -2]), VecFunc([random_func_expr(rng), FuncExpr.one()])]
+    cases = [  # (mu, u, kind, inputs)
+        (lam, FuncExpr.exponential(-lam), D_DX, scalars),  # decay
+        (lam, FuncExpr.exponential(lam), D_DX, scalars),  # grow
+        (IMAG * lam, sin_func(lam), D_DX, scalars),  # sine
+        (ZERO, FuncExpr.monomial(1).scaled(lam) + FuncExpr.term(3), D_DX, scalars),  # linear
+        (lam, FuncExpr.exponential(0, lam * Fraction(1, 2)), XINV_D_DX, scalars),  # gauss
+        (lam, FuncExpr.monomial(lam), X_D_DX, scalars),  # log
+        (lam, random_func_expr(rng) + FuncExpr.exponential(lam), D_DX, scalars),  # v + w
+        (lam, FuncMatrix([(a1, FuncExpr.exponential(lam))]), D_DX, vectors),
+        (lam, FuncMatrix([(a1, FuncExpr.exponential(-lam))]), D_DX, vectors),
+        (IMAG * lam, FuncMatrix([(a1, sin_func(lam))]), D_DX, vectors),
+        (ZERO, FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())]), D_DX, vectors),
+    ]
+    for mu, u, kind, inputs in cases:
+        for f in inputs:
+            for n in range(8):
+                assert apply_binomial(n, mu, u, f, kind) == factor_by_factor(n, mu, u, f, kind)
 
 
 def test_sin_cos_commutator_closure():
