@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -22,11 +21,9 @@ from .rewrite import (
     PRESET_NAMES,
     cached_preset,
     check_confluence,
-    incomplete_vw_fixture,
     make_preset,
     normalize,
 )
-from .freealg import NcPoly
 from .scalars import ZERO, format_scalar, parse_scalar
 
 DEFAULT_SEED = 1729
@@ -187,14 +184,6 @@ def _confluence_grid(suite, n_max, lambdas, cfg):
     return [{"suite": suite, "preset": name} for name in PRESET_NAMES]
 
 
-def _confluence_report(suite: str, params: dict, preset) -> VerificationReport:
-    conf = check_confluence(preset)
-    return VerificationReport(
-        suite, params, PASS if conf.ok else FAIL,
-        f"overlaps: {conf.overlap_list}", "confluent", "0" if conf.ok else str(conf),
-    )
-
-
 def _realize():
     # imported on first use: the symbolic suites, expand and confluence never load it
     from . import realize
@@ -282,7 +271,11 @@ def run_case(case: dict) -> VerificationReport:
     if "skip" in case:
         return skipped_report(suite, params, case["skip"])
     if suite == "confluence":
-        return _confluence_report(suite, params, cached_preset(case["preset"], 1, 2))
+        conf = check_confluence(cached_preset(case["preset"], 1, 2))
+        return VerificationReport(
+            suite, params, PASS if conf.ok else FAIL,
+            f"overlaps: {conf.overlap_list}", "confluent", "0" if conf.ok else str(conf),
+        )
     lam = parse_scalar(case["lambda"]) if "lambda" in case else ZERO
     return report_from_clauses(suite, params, SUITES[suite].run(case, lam))
 
@@ -382,79 +375,6 @@ def cmd_expand(args, out) -> int:
     return 0
 
 
-def _selfcheck_scalar_axioms(seed: int, samples: int) -> VerificationReport:
-    rng = random.Random(seed)
-    from fractions import Fraction
-
-    from .scalars import CycloScalar, ONE
-
-    def rand_scalar():
-        return CycloScalar(
-            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4))
-        )
-
-    failures = 0
-    for _ in range(samples):
-        a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-        ok = (
-            (a + b) + c == a + (b + c)
-            and (a * b) * c == a * (b * c)
-            and a * (b + c) == a * b + a * c
-            and a + b == b + a
-            and a * b == b * a
-            and (a - a).is_zero
-        )
-        if ok and not a.is_zero:
-            ok = a * a.inv() == ONE
-        if not ok:
-            failures += 1
-    status = PASS if failures == 0 else FAIL
-    return VerificationReport(
-        "selfcheck", {"check": "scalar-axioms", "samples": samples, "seed": seed},
-        status, f"failures: {failures}", "failures: 0", str(failures)
-    )
-
-
-def _selfcheck_rho_agreement(seed: int, count: int) -> VerificationReport:
-    realize = _realize()
-    rng = random.Random(seed)
-    mismatches = 0
-    for preset_name in ("first-order-plus", "first-order-minus"):
-        preset = cached_preset(preset_name, 1)
-        alpha = preset.alphabet
-        for _ in range(count):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 5)))
-                terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
-            p = NcPoly(alpha, terms)
-            u_deg = p.letter_degree("U")
-            size = u_deg + 3
-            lhs = realize.truncated_shift_matrix(p, preset, size)
-            rhs = realize.truncated_shift_matrix(normalize(p, preset), preset, size)
-            block = size - u_deg
-            if realize.safe_block(lhs, block) != realize.safe_block(rhs, block):
-                mismatches += 1
-    status = PASS if mismatches == 0 else FAIL
-    return VerificationReport(
-        "selfcheck", {"check": "shift-representation", "count": count, "seed": seed},
-        status, f"mismatches: {mismatches}", "mismatches: 0", str(mismatches)
-    )
-
-
-def cmd_selfcheck(args, out) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    reports = [_selfcheck_scalar_axioms(seed, 1000)]
-    presets = [cached_preset(name, 1, 2) for name in PRESET_NAMES]
-    if args.with_broken_fixture:
-        presets.append(incomplete_vw_fixture(parse_scalar("1")))
-    reports += [_confluence_report("selfcheck", {"check": "confluence", "preset": p.name}, p)
-                for p in presets]
-    reports.append(_selfcheck_rho_agreement(seed, 40))
-    counts = _emit_reports(reports, args.format, out)
-    return 1 if counts["failed"] else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncbinom",
@@ -468,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--lambda", dest="lambdas", default="0", metavar="SCALAR")
     expand.add_argument("--preset", choices=PRESET_NAMES, default="free")
     expand.add_argument("--format", choices=("text", "json"), default="text")
+    expand.set_defaults(run=cmd_expand)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITE_ORDER + ("all",), metavar="SUITE")
@@ -478,31 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int)
     verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("text", "json"), default="text")
-
-    selfcheck = sub.add_parser("selfcheck", help="engine soundness checks")
-    selfcheck.add_argument("--seed", type=int)
-    selfcheck.add_argument("--format", choices=("text", "json"), default="text")
-    selfcheck.add_argument("--with-broken-fixture", action="store_true")
+    verify.set_defaults(run=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "expand":
-            return cmd_expand(args, out)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        if args.command == "selfcheck":
-            return cmd_selfcheck(args, out)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, sys.stdout)
     except ValueError as exc:  # ScalarParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ import pytest
 
 from ncbinom import cli, rewrite
 from ncbinom.cli import SuiteConfig, iter_cases, main, run_case
+from ncbinom.rewrite import incomplete_vw_fixture
+from ncbinom.scalars import ONE
 
 
 def run_cli(capsys, *argv):
@@ -146,30 +148,20 @@ def test_jobs_do_not_change_output(capsys):
     assert out1 == out2
 
 
-def test_selfcheck_quick(capsys):
-    code, out = run_cli(capsys, "selfcheck")
-    assert code == 0
-    assert "scalar-axioms" in out
-    assert "shift-representation" in out
-
-
-def test_selfcheck_broken_fixture(capsys):
-    code, out = run_cli(capsys, "selfcheck", "--with-broken-fixture")
+def test_confluence_suite_reports_a_divergent_preset(capsys, monkeypatch):
+    # every case gets `partial-vw` without its D-V rule, which diverges on D W V
+    monkeypatch.setattr(cli, "cached_preset", lambda *args: incomplete_vw_fixture(ONE))
+    code, out = run_cli(capsys, "verify", "confluence", "--format", "json")
     assert code == 1
-    assert "partial-vw-incomplete" in out
-
-
-def test_selfcheck_broken_fixture_reports_word(capsys):
-    code, out = run_cli(
-        capsys, "selfcheck", "--with-broken-fixture", "--format", "json"
-    )
+    rows = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert [r["params"]["preset"] for r in rows] == list(cli.PRESET_NAMES)
+    assert all(r["status"] == "fail" and "D W V" in r["residual"] for r in rows)
+    code, out = run_cli(capsys, "verify", "confluence")
     assert code == 1
-    divergent = [
-        json.loads(line)
-        for line in out.strip().splitlines()
-        if "incomplete" in line
-    ]
-    assert divergent and "D W V" in divergent[0]["residual"]
+    *lines, summary = out.splitlines()
+    assert all(line.startswith("[   FAIL] confluence preset=") for line in lines)
+    n = len(cli.PRESET_NAMES)
+    assert summary == f"total={n} passed=0 failed={n} skipped=0"
 
 
 def test_iter_cases_respects_suite_defaults():
@@ -301,19 +293,6 @@ def test_small_confluence_degree_exits_2(capsys):
     # the confluence proof covers every word length, so --degree is no longer a flag
     with pytest.raises(SystemExit) as info:
         main(["verify", "all", "--n-max", "1", "--degree", "2"])
-    captured = capsys.readouterr()
-    assert info.value.code == 2
-    assert captured.out == ""
-    assert "unrecognized arguments: --degree 2" in captured.err
-
-
-def test_selfcheck_small_degree_exits_2_before_any_check(capsys, monkeypatch):
-    def no_check(seed, samples):
-        raise AssertionError("a check ran before the arguments were parsed")
-
-    monkeypatch.setattr(cli, "_selfcheck_scalar_axioms", no_check)
-    with pytest.raises(SystemExit) as info:
-        main(["selfcheck", "--degree", "2"])
     captured = capsys.readouterr()
     assert info.value.code == 2
     assert captured.out == ""
