@@ -1,7 +1,8 @@
 """Normal ordering of free-algebra elements under commutation presets.
 
-Each preset carries adjacent-pair rewrite rules over its alphabet.  A rule
-replaces one two-letter subword by a polynomial whose monomials are each
+Each preset is one rule table over its alphabet: every adjacent pair of
+generator names (upper, lower) that it rewrites, with the polynomial that
+replaces it, in rule order (`PRESETS`).  Each monomial of a replacement is
 the swapped (ascending) pair, a single letter, or the empty word.  That
 shape is what guarantees termination: every monomial of a replacement is
 smaller than the rule's left-hand side in the degree-lexicographic order
@@ -37,52 +38,41 @@ class RewriteBudgetError(RuntimeError):
     """Step budget exhausted; signals a malformed (non-terminating) preset."""
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """Replace the adjacent pair `left` by the polynomial `right`."""
-
-    left: tuple[int, int]
-    right: NcPoly
-
-
-def _validate_rule(alphabet: Alphabet, rule: RewriteRule) -> None:
-    a, b = rule.left
-    size = len(alphabet)
-    if not (0 <= a < size and 0 <= b < size):
-        raise ValueError(f"rule pair {rule.left} outside alphabet of size {size}")
-    for word in rule.right.terms:
-        if len(word) > 2:
-            raise ValueError("replacement monomials may have at most two letters")
-        if len(word) == 2:
-            if word != (b, a) or not a > b:
-                raise ValueError(
-                    "a two-letter replacement must be the swapped descending pair"
-                )
-
-
 class RelationPreset:
-    """Named rule set over an alphabet, with the scalar parameters baked in."""
+    """Named rule table over an alphabet, with the scalar parameters baked in.
+
+    `rules` lists, in rule order, each left-hand pair of generator names
+    (upper, lower) with its replacement polynomial.  This is the one place
+    that turns those names into alphabet indices and checks each rule.
+    """
 
     def __init__(
         self,
         name: str,
         alphabet: Alphabet,
-        rules: tuple[RewriteRule, ...],
-        params: dict[str, CycloScalar] | None = None,
+        rules: tuple[tuple[tuple[str, str], NcPoly], ...],
+        params: dict[str, CycloScalar],
     ):
         self.name = name
         self.alphabet = alphabet
         self.rules = rules
-        self.params = dict(params or {})
+        self.params = params
         self.d_index = alphabet.index("D")
         if self.d_index != len(alphabet) - 1:
             raise ValueError(f"D must be the maximal generator of {alphabet.names}")
         rule_map: dict[tuple[int, int], dict[Word, CycloScalar]] = {}
-        for rule in rules:
-            _validate_rule(alphabet, rule)
-            if rule.left in rule_map:
-                raise ValueError(f"duplicate rule for pair {rule.left}")
-            rule_map[rule.left] = dict(rule.right.terms)
+        for (upper, lower), right in rules:
+            a, b = alphabet.index(upper), alphabet.index(lower)
+            # each monomial is the ascending swap (b, a), one letter or the unit
+            if any(len(word) > 2 or len(word) == 2 and (word != (b, a) or a <= b)
+                   for word in right.terms):
+                raise ValueError(
+                    f"rule {upper} {lower} does not descend: a replacement monomial must be"
+                    f" the ascending pair {lower} {upper}, one letter or the unit"
+                )
+            if (a, b) in rule_map:
+                raise ValueError(f"duplicate rule for pair {upper} {lower}")
+            rule_map[(a, b)] = dict(right.terms)
         self._rule_map = rule_map
         self._nf_cache: dict[Word, dict[Word, CycloScalar]] = {}
 
@@ -269,7 +259,7 @@ def check_confluence(preset: RelationPreset) -> ConfluenceReport:
     """Prove unique normal forms at every word length, or name the divergent overlaps.
 
     Every rule rewrites a two-letter word to smaller words in the
-    degree-lexicographic order (enforced by `_validate_rule`), so rewriting
+    degree-lexicographic order (checked by `RelationPreset`), so rewriting
     terminates, and no two rules share a left-hand side, so no ambiguity
     is an inclusion.  By Bergman's diamond lemma (Adv. Math. 29, 1978)
     normal forms are then unique for every polynomial once each overlap
@@ -300,139 +290,97 @@ def check_confluence(preset: RelationPreset) -> ConfluenceReport:
 # ---- shipped presets ----------------------------------------------------
 
 
-def _pair(alphabet: Alphabet, upper: str, lower: str, right: NcPoly) -> RewriteRule:
-    return RewriteRule((alphabet.index(upper), alphabet.index(lower)), right)
+def _letters(*names: str) -> tuple[Alphabet, list[NcPoly]]:
+    alphabet = Alphabet(names)
+    return alphabet, [NcPoly.generator(alphabet, name) for name in names]
 
 
-def _first_order(name: str, lam: CycloScalar, sign: int) -> RelationPreset:
-    """DU -> UD + sign*lam*U, i.e. the commutator of D with U is sign*lam*U."""
-    alpha = Alphabet(("U", "D"))
-    u, d = NcPoly.generator(alpha, "U"), NcPoly.generator(alpha, "D")
-    signed = lam if sign > 0 else -lam
-    rules = (_pair(alpha, "D", "U", u * d + signed * u),)
-    return RelationPreset(name, alpha, rules, {"lambda": lam})
+def _first_order(name: str, lam: CycloScalar, signed: CycloScalar) -> RelationPreset:
+    """DU -> UD + signed*U: the commutator of D with U is ±lam*U."""
+    alpha, (u, d) = _letters("U", "D")
+    return RelationPreset(name, alpha, ((("D", "U"), u * d + signed * u),), {"lambda": lam})
 
 
-def first_order_plus(lam) -> RelationPreset:
-    return _first_order("first-order-plus", CycloScalar.of(lam), +1)
-
-
-def first_order_minus(lam) -> RelationPreset:
-    return _first_order("first-order-minus", CycloScalar.of(lam), -1)
-
-
-def second_order(lam) -> RelationPreset:
+def _second_order(name: str, lam: CycloScalar) -> RelationPreset:
     """C names the commutator of D and U; D moves past C at cost lam^2*U."""
-    lam = CycloScalar.of(lam)
-    alpha = Alphabet(("U", "C", "D"))
-    u = NcPoly.generator(alpha, "U")
-    c = NcPoly.generator(alpha, "C")
-    d = NcPoly.generator(alpha, "D")
-    rules = (
-        _pair(alpha, "D", "U", u * d + c),
-        _pair(alpha, "D", "C", c * d + (lam * lam) * u),
-        _pair(alpha, "C", "U", u * c),
-    )
-    return RelationPreset("second-order", alpha, rules, {"lambda": lam})
-
-
-def second_order_central() -> RelationPreset:
-    """Second-order preset with a central commutator (the lam = 0 case)."""
-    preset = second_order(ZERO)
-    return RelationPreset("second-order-central", preset.alphabet, preset.rules, {"lambda": ZERO})
+    alpha, (u, c, d) = _letters("U", "C", "D")
+    return RelationPreset(name, alpha, (
+        (("D", "U"), u * d + c),
+        (("D", "C"), c * d + (lam * lam) * u),
+        (("C", "U"), u * c),
+    ), {"lambda": lam})
 
 
 def _invertible(name: str, lam: CycloScalar, sign: int) -> RelationPreset:
-    alpha = Alphabet(("Uinv", "U", "D"))
-    uinv = NcPoly.generator(alpha, "Uinv")
-    u = NcPoly.generator(alpha, "U")
-    d = NcPoly.generator(alpha, "D")
+    alpha, (uinv, u, d) = _letters("Uinv", "U", "D")
     unit = NcPoly.unit(alpha)
-    rules = (
-        _pair(alpha, "D", "U", u * d + (sign * lam) * u),
-        _pair(alpha, "D", "Uinv", uinv * d - (sign * lam) * uinv),
-        _pair(alpha, "U", "Uinv", unit),
-        RewriteRule((alpha.index("Uinv"), alpha.index("U")), unit),
-    )
-    return RelationPreset(name, alpha, rules, {"lambda": lam})
+    return RelationPreset(name, alpha, (
+        (("D", "U"), u * d + (sign * lam) * u),
+        (("D", "Uinv"), uinv * d - (sign * lam) * uinv),
+        (("U", "Uinv"), unit),
+        (("Uinv", "U"), unit),
+    ), {"lambda": lam})
 
 
-def invertible_plus(lam) -> RelationPreset:
-    return _invertible("invertible-plus", CycloScalar.of(lam), +1)
-
-
-def invertible_minus(lam) -> RelationPreset:
-    return _invertible("invertible-minus", CycloScalar.of(lam), -1)
-
-
-def partial_vw(lam, mu) -> RelationPreset:
+def _partial_vw(lam: CycloScalar, mu: CycloScalar) -> RelationPreset:
     """V and W commute; D moves past W at cost lam*W and past V at cost mu*V.
 
     The D-V rule is a sufficient extra hypothesis: without any D-V
-    relation the two remaining rules are not confluent (see the
-    incomplete fixture below), so the free-hanging case is exercised on
+    relation the two remaining rules are not confluent (see
+    `incomplete_vw_fixture`), so the free-hanging case is exercised on
     the function-space realization instead.
     """
-    lam = CycloScalar.of(lam)
-    mu = CycloScalar.of(mu)
-    alpha = Alphabet(("V", "W", "D"))
-    v = NcPoly.generator(alpha, "V")
-    w = NcPoly.generator(alpha, "W")
-    d = NcPoly.generator(alpha, "D")
-    rules = (
-        _pair(alpha, "W", "V", v * w),
-        _pair(alpha, "D", "V", v * d + mu * v),
-        _pair(alpha, "D", "W", w * d + lam * w),
-    )
-    return RelationPreset("partial-vw", alpha, rules, {"lambda": lam, "mu": mu})
+    alpha, (v, w, d) = _letters("V", "W", "D")
+    return RelationPreset("partial-vw", alpha, (
+        (("W", "V"), v * w),
+        (("D", "V"), v * d + mu * v),
+        (("D", "W"), w * d + lam * w),
+    ), {"lambda": lam, "mu": mu})
 
 
-def incomplete_vw_fixture(lam) -> RelationPreset:
-    """`partial-vw` without its D-V rule: deliberately incomplete, diverges on D W V."""
-    full = partial_vw(lam, ZERO)
-    dv = (full.alphabet.index("D"), full.alphabet.index("V"))
-    rules = tuple(rule for rule in full.rules if rule.left != dv)
-    return RelationPreset(
-        "partial-vw-incomplete", full.alphabet, rules, {"lambda": full.params["lambda"]}
-    )
-
-
-def free_preset() -> RelationPreset:
-    return RelationPreset("free", Alphabet(("U", "D")), (), {})
-
-
-# preset name -> builder taking (lam, mu)
+# preset name -> its rule table, built from (lam, mu)
 PRESETS = {
-    "first-order-plus": lambda lam, mu: first_order_plus(lam),
-    "first-order-minus": lambda lam, mu: first_order_minus(lam),
-    "second-order": lambda lam, mu: second_order(lam),
-    "second-order-central": lambda lam, mu: second_order_central(),
-    "invertible-plus": lambda lam, mu: invertible_plus(lam),
-    "invertible-minus": lambda lam, mu: invertible_minus(lam),
-    "partial-vw": partial_vw,
-    "free": lambda lam, mu: free_preset(),
+    "first-order-plus": lambda lam, mu: _first_order("first-order-plus", lam, lam),
+    "first-order-minus": lambda lam, mu: _first_order("first-order-minus", lam, -lam),
+    "second-order": lambda lam, mu: _second_order("second-order", lam),
+    "second-order-central": lambda lam, mu: _second_order("second-order-central", ZERO),
+    "invertible-plus": lambda lam, mu: _invertible("invertible-plus", lam, +1),
+    "invertible-minus": lambda lam, mu: _invertible("invertible-minus", lam, -1),
+    "partial-vw": _partial_vw,
+    "free": lambda lam, mu: RelationPreset("free", Alphabet(("U", "D")), (), {}),
 }
 
 PRESET_NAMES = tuple(PRESETS)
 
 
 def make_preset(name: str, lam=ZERO, mu=ZERO) -> RelationPreset:
+    """Build the named preset; the one place that coerces lam and mu to scalars."""
     build = PRESETS.get(name)
     if build is None:
         raise ValueError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
     return build(CycloScalar.of(lam), CycloScalar.of(mu))
 
 
+def incomplete_vw_fixture(lam) -> RelationPreset:
+    """`partial-vw` without its D-V rule: deliberately incomplete, diverges on D W V."""
+    full = make_preset("partial-vw", lam)
+    rules = tuple((pair, right) for pair, right in full.rules if pair != ("D", "V"))
+    return RelationPreset(
+        "partial-vw-incomplete", full.alphabet, rules, {"lambda": full.params["lambda"]}
+    )
+
+
 _preset_cache: dict[tuple, RelationPreset] = {}
 
 
 def cached_preset(name: str, lam=ZERO, mu=ZERO) -> RelationPreset:
-    """Shared preset instances so normal-form memo tables are reused."""
-    lam = CycloScalar.of(lam)
-    mu = CycloScalar.of(mu)
+    """Shared preset instances so normal-form memo tables are reused.
+
+    A scalar equals and hashes as the int or rational it equals, so the
+    key needs no coercion.
+    """
     key = (name, lam, mu)
     preset = _preset_cache.get(key)
     if preset is None:
-        preset = make_preset(name, lam, mu)
-        _preset_cache[key] = preset
+        preset = _preset_cache[key] = make_preset(name, lam, mu)
     return preset

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncbinom.freealg import Alphabet, Combination, NcPoly, accumulate, commutator
 from ncbinom.realize import FuncExpr, FuncMatrix, Matrix, VecFunc
-from ncbinom.rewrite import Normal, first_order_plus, normalize
+from ncbinom.rewrite import Normal, make_preset, normalize
 from ncbinom.scalars import ONE, parse_scalar
 
 UD = Alphabet(("U", "D"))
@@ -125,7 +125,7 @@ def test_letter_degree():
 
 # ---- the shared sparse-sum type -------------------------------------------
 
-PLUS = first_order_plus(parse_scalar("1+i"))
+PLUS = make_preset("first-order-plus", parse_scalar("1+i"))
 
 
 def sample_pair(kind):

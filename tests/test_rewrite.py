@@ -13,20 +13,14 @@ from ncbinom.rewrite import (
     DEFAULT_STEP_BUDGET,
     PRESET_NAMES,
     RewriteBudgetError,
-    RewriteRule,
     Normal,
     RelationPreset,
     check_confluence,
-    first_order_minus,
-    first_order_plus,
     incomplete_vw_fixture,
-    invertible_plus,
     kernel_eval,
     make_preset,
     normalize,
-    partial_vw,
     restrict_to_kernel,
-    second_order,
 )
 from ncbinom.scalars import ONE, ZERO, CycloScalar, parse_scalar
 
@@ -36,17 +30,17 @@ def gens(preset, *names):
 
 
 def test_normalize_basic_swap():
-    p = first_order_plus(ONE)
+    p = make_preset("first-order-plus", ONE)
     u, d = gens(p, "U", "D")
     assert normalize(d * u, p) == u * d + u
-    p0 = first_order_plus(ZERO)
+    p0 = make_preset("first-order-plus", ZERO)
     u0, d0 = gens(p0, "U", "D")
     assert normalize(d0 * u0, p0) == u0 * d0
 
 
 def test_normalize_two_steps():
     lam = parse_scalar("2")
-    p = first_order_plus(lam)
+    p = make_preset("first-order-plus", lam)
     u, d = gens(p, "U", "D")
     # two hand rewrite steps: D D U -> U D D + 2*lam U D + lam^2 U
     expected = u * d * d + (2 * lam) * (u * d) + (lam * lam) * u
@@ -56,7 +50,7 @@ def test_normalize_two_steps():
 @pytest.mark.parametrize("m", range(1, 7))
 def test_power_commutation_identity(m):
     lam = parse_scalar("1/2")
-    p = first_order_plus(lam)
+    p = make_preset("first-order-plus", lam)
     u, d = gens(p, "U", "D")
     lhs = normalize(d * u**m, p)
     rhs = normalize(u**m * d + (lam * m) * u**m, p)
@@ -64,7 +58,7 @@ def test_power_commutation_identity(m):
 
 
 def test_inverse_cancellation():
-    p = invertible_plus(ONE)
+    p = make_preset("invertible-plus", ONE)
     uinv, u = gens(p, "Uinv", "U")
     assert normalize(u * uinv, p) == p.unit()
     assert normalize(uinv * u, p) == p.unit()
@@ -73,7 +67,7 @@ def test_inverse_cancellation():
 @pytest.mark.parametrize("m", range(1, 5))
 def test_power_commutation_extends_to_negative_powers(m):
     lam = parse_scalar("2")
-    p = invertible_plus(lam)
+    p = make_preset("invertible-plus", lam)
     uinv, d = gens(p, "Uinv", "D")
     # commuting D past the m-th inverse power costs -lam*m
     lhs = normalize(d * uinv**m, p)
@@ -83,9 +77,7 @@ def test_power_commutation_extends_to_negative_powers(m):
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_central_commutator_power_rule(m):
-    from ncbinom.rewrite import second_order_central
-
-    p = second_order_central()
+    p = make_preset("second-order-central")
     u, c, d = gens(p, "U", "C", "D")
     lhs = normalize(commutator(d, u**m), p)
     rhs = normalize(m * (c * u ** (m - 1)), p)
@@ -94,7 +86,7 @@ def test_central_commutator_power_rule(m):
 
 def test_restrict_examples():
     lam = ONE
-    p = first_order_minus(lam)
+    p = make_preset("first-order-minus", lam)
     u, d = gens(p, "U", "D")
     assert restrict_to_kernel(d, p).is_zero
     assert restrict_to_kernel(p.unit(), p) == p.unit()
@@ -142,7 +134,7 @@ def test_restrict_takes_no_scalar_powers(monkeypatch):
 
 
 def test_normal_arithmetic_stays_in_its_preset():
-    p = first_order_plus(parse_scalar("1+i"))
+    p = make_preset("first-order-plus", parse_scalar("1+i"))
     u, d = p.normal_generator("U"), p.normal_generator("D")
     free_u, free_d = gens(p, "U", "D")
     unit = p.unit()
@@ -163,7 +155,7 @@ def test_normal_arithmetic_stays_in_its_preset():
 
 def test_normal_values_of_different_presets_do_not_combine():
     # the plus and minus presets share the alphabet (U, D): only the preset tells them apart
-    plus, minus = first_order_plus(ONE), first_order_minus(ONE)
+    plus, minus = make_preset("first-order-plus", ONE), make_preset("first-order-minus", ONE)
     u, d = plus.normal_generator("U"), minus.normal_generator("D")
     for combine in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
         for left, right in ((d, u), (u, d)):
@@ -175,7 +167,7 @@ def test_normal_values_of_different_presets_do_not_combine():
 
 
 def test_normal_values_of_different_presets_are_never_equal():
-    plus, minus = first_order_plus(ONE), first_order_minus(ONE)
+    plus, minus = make_preset("first-order-plus", ONE), make_preset("first-order-minus", ONE)
     u_plus, u_minus = plus.normal_generator("U"), minus.normal_generator("U")
     assert u_plus.terms == u_minus.terms
     assert u_plus != u_minus and not (u_plus == u_minus)
@@ -186,7 +178,7 @@ def test_normal_values_of_different_presets_are_never_equal():
 
 
 def test_normalize_returns_a_normal_of_its_preset_unchanged(monkeypatch):
-    p = first_order_minus(parse_scalar("1+i"))
+    p = make_preset("first-order-minus", parse_scalar("1+i"))
     mu = parse_scalar("2")
     b = build_binomial(6, p.params["lambda"], p.normal_generator("U"), p.normal_generator("D"))
     evaluated, restricted = kernel_eval(b, p, mu), restrict_to_kernel(b, p)
@@ -202,7 +194,7 @@ def test_normalize_returns_a_normal_of_its_preset_unchanged(monkeypatch):
 
 def test_kernel_eval_examples():
     lam = parse_scalar("3")
-    p = first_order_plus(lam)
+    p = make_preset("first-order-plus", lam)
     u, d = gens(p, "U", "D")
     unit = p.unit()
     mu = parse_scalar("i")
@@ -217,14 +209,14 @@ def test_kernel_eval_examples():
 
 def test_kernel_eval_of_binomial():
     lam = ONE
-    p = first_order_plus(lam)
+    p = make_preset("first-order-plus", lam)
     u, d = gens(p, "U", "D")
     b3 = build_binomial(3, lam, u, d)
     assert kernel_eval(b3, p, -lam).is_zero
 
 
 def test_commuting_collapse_reproduces_plain_power():
-    p = first_order_plus(ZERO)
+    p = make_preset("first-order-plus", ZERO)
     u, d = gens(p, "U", "D")
     for n in range(7):
         b = build_binomial(n, ZERO, u, d)
@@ -232,37 +224,50 @@ def test_commuting_collapse_reproduces_plain_power():
 
 
 def test_second_order_names_the_commutator():
-    p = second_order(ONE)
+    p = make_preset("second-order", ONE)
     u, c, d = gens(p, "U", "C", "D")
     assert normalize(commutator(d, u), p) == c
 
 
 def test_step_budget_guard():
-    p = first_order_plus(ONE)
+    p = make_preset("first-order-plus", ONE)
     u, d = gens(p, "U", "D")
     with pytest.raises(RewriteBudgetError):
         normalize((d**4) * (u**4), p, step_budget=3)
 
 
 def test_rule_invariant_rejects_bad_replacements():
-    p = first_order_plus(ONE)
+    p = make_preset("first-order-plus", ONE)
     u, d = gens(p, "U", "D")
     # replacement keeping the descending pair would not terminate
     with pytest.raises(ValueError):
-        RelationPreset(
-            "bad", p.alphabet, (RewriteRule((1, 0), d * u),), {}
-        )
+        RelationPreset("bad", p.alphabet, ((("D", "U"), d * u),), {})
     with pytest.raises(ValueError):
-        RelationPreset(
-            "bad2", p.alphabet, (RewriteRule((1, 0), u * d * u),), {}
-        )
+        RelationPreset("bad2", p.alphabet, ((("D", "U"), u * d * u),), {})
+
+
+def test_rule_naming_a_generator_outside_the_alphabet_fails_at_construction():
+    p = make_preset("first-order-plus", ONE)
+    u, d = gens(p, "U", "D")
+    with pytest.raises(KeyError, match="unknown generator 'V'"):
+        RelationPreset("bad", p.alphabet, ((("D", "V"), u * d),), {})
+
+
+def test_a_left_hand_pair_stated_twice_is_rejected():
+    p = make_preset("first-order-plus", ONE)
+    u, d = gens(p, "U", "D")
+    with pytest.raises(ValueError, match="duplicate rule for pair D U"):
+        RelationPreset("twice", p.alphabet, ((("D", "U"), u * d + u), (("D", "U"), u * d)), {})
 
 
 def test_d_must_be_maximal():
     from ncbinom.freealg import Alphabet
 
-    with pytest.raises(ValueError):
-        RelationPreset("bad", Alphabet(("D", "U")), (), {})
+    # U D -> D U + U is a well-formed rule; only the place of D is wrong
+    alpha = Alphabet(("D", "U"))
+    d, u = NcPoly.generator(alpha, "D"), NcPoly.generator(alpha, "U")
+    with pytest.raises(ValueError, match="D must be the maximal generator"):
+        RelationPreset("bad", alpha, ((("U", "D"), d * u + u),), {})
 
 
 # ---- confluence: the overlap proof and a brute-force oracle ------------------
@@ -326,13 +331,13 @@ def test_strategy_oracle_agrees_with_engine(name):
 
 
 def test_confluence_first_order_degree6():
-    preset = first_order_plus(ONE)
+    preset = make_preset("first-order-plus", ONE)
     assert check_confluence(preset).ok
     assert_oracle_agrees(preset, 6)
 
 
 def test_confluence_second_order_degree6():
-    preset = second_order(parse_scalar("2"))
+    preset = make_preset("second-order", parse_scalar("2"))
     assert check_confluence(preset).ok
     assert_oracle_agrees(preset, 6)
 
@@ -348,21 +353,20 @@ def test_incomplete_vw_fixture_diverges_on_dwv():
 
 
 def test_complete_vw_is_confluent():
-    report = check_confluence(partial_vw(ONE, parse_scalar("2")))
+    report = check_confluence(make_preset("partial-vw", ONE, parse_scalar("2")))
     assert report.ok
     assert report.overlaps == ("D W V",)
 
 
 def test_flipped_inverse_sign_diverges():
     lam = parse_scalar("2")
-    good = invertible_plus(lam)
+    good = make_preset("invertible-plus", lam)
     alpha = good.alphabet
     uinv, d = gens(good, "Uinv", "D")
-    d_uinv = (alpha.index("D"), alpha.index("Uinv"))
     # D Uinv -> Uinv D + lam Uinv: the sign D U -> U D + lam U would force is -lam
     rules = tuple(
-        RewriteRule(d_uinv, uinv * d + lam * uinv) if rule.left == d_uinv else rule
-        for rule in good.rules
+        (pair, uinv * d + lam * uinv if pair == ("D", "Uinv") else right)
+        for pair, right in good.rules
     )
     flipped = RelationPreset("invertible-flipped", alpha, rules, {"lambda": lam})
     report = check_confluence(flipped)
@@ -385,17 +389,17 @@ def test_make_preset_names():
 # random polynomials over the first-order alphabet
 words2 = st.lists(st.integers(min_value=0, max_value=1), max_size=4).map(tuple)
 polys2 = st.dictionaries(words2, st.integers(min_value=-3, max_value=3), max_size=3).map(
-    lambda t: NcPoly(first_order_plus(ONE).alphabet, t)
+    lambda t: NcPoly(make_preset("first-order-plus", ONE).alphabet, t)
 )
 
 # and over the second-order alphabet
 words3 = st.lists(st.integers(min_value=0, max_value=2), max_size=4).map(tuple)
 polys3 = st.dictionaries(words3, st.integers(min_value=-3, max_value=3), max_size=3).map(
-    lambda t: NcPoly(second_order(ONE).alphabet, t)
+    lambda t: NcPoly(make_preset("second-order", ONE).alphabet, t)
 )
 
-_plus = first_order_plus(parse_scalar("1/2"))
-_second = second_order(ONE)
+_plus = make_preset("first-order-plus", parse_scalar("1/2"))
+_second = make_preset("second-order", ONE)
 
 
 @given(polys2)
