@@ -17,10 +17,12 @@ the field elements that `run_case` parses and use them as given; their
 arithmetic is also defined for int and Fraction.  Every comparison is
 exact, with no numeric tolerance anywhere.
 
-`binomial_sum` is the one place, here and in `realize`, that forms a sum
-of C(n,k) * F_0 ... F_(k-1) * R_(n-k); it nests the sum by Horner's rule,
+`binomial_sum` is the one place here that forms a sum of
+C(n,k) * F_0 ... F_(k-1) * R_(n-k); it nests the sum by Horner's rule,
 so each product has one factor F_k as an operand.  With the powers of U
-from `running_products` as R, B(n) takes 2n products.  Likewise
+from `running_products` as R, B(n) takes 2n products.
+`realize.apply_binomial` nests B(n)*f the same way on a function, with
+the two actions of U in each step folded into one.  Likewise
 `parity_clauses` is the one statement of the parity dichotomy.
 """
 

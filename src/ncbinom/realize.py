@@ -17,10 +17,13 @@ truncated shift representation that serves as an independent check on
 the rewrite engine; and the proof, by one gcd of polynomials in mu, that
 no parameter mu makes the combination vanish for a genuinely third-order
 exponential sum.  Every single-mu verifier evaluates B(n)*f through
-`apply_binomial`.  As in `binomial`, each verifier takes its scalars as
-the field elements `cli.run_case` parses, with no coercion of its own,
-and returns its list of clauses; `run_case` names the case and builds
-its report.
+`apply_binomial`, which folds Horner's rule for B(n) into 2n - 1 actions
+of U and n of D with no free expansion; the word-by-word evaluator
+`apply_each` stays for the third-order proof, the truncated shift
+representation and Tier-1's oracle.  As in `binomial`, each verifier
+takes its scalars as the field elements `cli.run_case` parses, with no
+coercion of its own, and returns its list of clauses; `run_case` names
+the case and builds its report.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import attrgetter
 
 from .binomial import build_binomial, parity_clauses, power_sum, running_products
@@ -408,7 +411,8 @@ def apply_assigned(p: NcPoly, assignment: dict, f):
 # ---- scalar-function verifiers --------------------------------------------
 
 _UD = Alphabet(("U", "D"))
-# the free generators of every abstract B(n) applied below
+# the free generators of the abstract B(n) that `mu_coefficients` applies
+# word by word; `apply_binomial` builds no B(n)
 _U, _D = NcPoly.generator(_UD, "U"), NcPoly.generator(_UD, "D")
 
 
@@ -416,9 +420,29 @@ def apply_binomial(n: int, mu, u, f, kind: str = D_DX):
     """B(n) with parameter mu applied to f: U multiplies by u, D is the derivation `kind`.
 
     u is a function or a `FuncMatrix`, f a function or a vector of its
-    space.  Every single-mu realized verifier evaluates B(n)*f here.
+    space.  Every single-mu realized verifier evaluates B(n)*f here, with
+    no free expansion.  Horner's rule on the sum over k of
+    C(n,k) * F_0 ... F_(k-1) * U^(n-k) f, with F_k = D - U + k*mu, is
+    folded so that U acts once per step: g_n = f and, for k = n-1 down
+    to 0,
+
+        g_k = (D + k*mu) g_(k+1) + U (C(n,k) U^(n-k-1) f - g_(k+1)),
+
+    and B(n)*f = g_0.  That is 2n - 1 actions of U and n of D (none at
+    n = 0), where the word path acts once per suffix of about 2^(n+1)
+    words; Tier-1 keeps that path as the oracle.
     """
-    return apply_assigned(build_binomial(n, mu, _U, _D), letter_actions(u, kind), f)
+    powers = [f]  # U^i f for i < n
+    for _ in range(n - 1):
+        powers.append(u * powers[-1])
+    g = f
+    for k in range(n - 1, -1, -1):
+        lifted = f.combine(((CycloScalar.of(comb(n, k)), powers[n - k - 1]), (-ONE, g)))
+        pairs = [(ONE, g.differentiate(kind)), (ONE, u * lifted)]
+        if k and mu != 0:
+            pairs.append((mu * k, g))
+        g = f.combine(pairs)
+    return g
 
 
 def dichotomy_operator(kind: str, lam: CycloScalar) -> tuple[FuncExpr, CycloScalar, CycloScalar]:
@@ -640,6 +664,15 @@ def mu_coefficients(n: int, u: FuncExpr) -> dict[FuncKey, NcPoly]:
     interpolated by Newton's forward differences: f(mu) is the sum over k
     of (Delta^k f)(0) / k! * mu (mu - 1) ... (mu - k + 1).  The result is
     exact when each coefficient has degree at most n in mu.
+
+    The n + 1 values are the free B(n) applied word by word by one
+    `apply_each`, not n + 1 calls of `apply_binomial`.  So the gcd
+    certificate rests on the free expansion, a path independent of the
+    folded recurrence the single-mu verifiers use, and this is the
+    function-space caller of `build_binomial` and `NcPoly.__mul__` that
+    the traced function-space benchmark needs to show work in those
+    layers.  Past the default grid the fold would be faster (about 4x
+    at n = 9).
     """
     row = apply_each([build_binomial(n, CycloScalar.of(m), _U, _D) for m in range(n + 1)],
                      letter_actions(u), FuncExpr.one())

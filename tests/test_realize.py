@@ -112,7 +112,9 @@ def factor_by_factor(n: int, mu, u, f, kind: str = D_DX):
 
 
 def test_apply_binomial_matches_factor_by_factor_evaluation():
-    # every assignment a realized verifier makes, on two inputs each, for n <= 7
+    # every assignment a realized verifier makes, on two inputs each, for n <= 7,
+    # against the definition applied factor by factor and against the free
+    # expansion of B(n) applied word by word
     lam = parse_scalar("1/2 + i")
     rng = random.Random(17)
     a1, a2 = random_matrix(rng, 2), random_matrix(rng, 2)
@@ -134,7 +136,47 @@ def test_apply_binomial_matches_factor_by_factor_evaluation():
     for mu, u, kind, inputs in cases:
         for f in inputs:
             for n in range(8):
-                assert apply_binomial(n, mu, u, f, kind) == factor_by_factor(n, mu, u, f, kind)
+                got = apply_binomial(n, mu, u, f, kind)
+                assert got == factor_by_factor(n, mu, u, f, kind)
+                assert got == apply_assigned(build_binomial(n, mu, U, D),
+                                             letter_actions(u, kind), f)
+
+
+class CountingMultiplier:
+    """Multiplication by u that counts its actions."""
+
+    def __init__(self, u):
+        self.u, self.calls = u, 0
+
+    def __mul__(self, g):
+        self.calls += 1
+        return self.u * g
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "FuncMatrix"])
+def test_apply_binomial_acts_2n_minus_1_times_with_u_and_n_times_with_d(monkeypatch, vector):
+    lam = parse_scalar("1/2 + i")
+    if vector:
+        u = FuncMatrix([(random_matrix(random.Random(5), 2), FuncExpr.exponential(lam))])
+        f, carrier = VecFunc.constant([1, -2]), VecFunc
+    else:
+        u, f, carrier = FuncExpr.exponential(lam), FuncExpr.one(), FuncExpr
+    derivatives = []
+    differentiate = carrier.differentiate
+
+    def counting_differentiate(self, kind=D_DX):
+        derivatives.append(kind)
+        return differentiate(self, kind)
+
+    for n in range(11):
+        expected = apply_binomial(n, lam, u, f)
+        counter = CountingMultiplier(u)
+        derivatives.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(carrier, "differentiate", counting_differentiate)
+            assert apply_binomial(n, lam, counter, f) == expected
+        assert counter.calls <= max(2 * n - 1, 0)
+        assert len(derivatives) <= n
 
 
 def test_sin_cos_commutator_closure():
