@@ -19,9 +19,9 @@ no parameter mu makes the combination vanish for a genuinely third-order
 exponential sum.  Every single-mu verifier evaluates B(n)*f through
 `apply_binomial`, which folds Horner's rule for B(n) into 2n - 1 actions
 of U and n of D with no free expansion; the word-by-word evaluator
-`apply_each` stays for the third-order proof, the truncated shift
-representation and Tier-1's oracle.  As in `binomial`, each verifier
-takes its scalars as the field elements `cli.run_case` parses, with no
+`apply_each` stays for the third-order proof (one free B(n) with mu as
+a letter), the truncated shift representation and Tier-1's oracle.  As
+in `binomial`, each verifier takes its scalars as the field elements `cli.run_case` parses, with no
 coercion of its own, and returns its list of clauses; `run_case` names
 the case and builds its report.
 """
@@ -31,10 +31,10 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from operator import attrgetter
 
-from .binomial import build_binomial, parity_clauses, power_sum, running_products
+from .binomial import build_binomial, parity_clauses, power_sum
 from .freealg import Alphabet, Combination, NcPoly, accumulate
 from .report import Clause
 from .rewrite import RelationPreset
@@ -410,11 +410,6 @@ def apply_assigned(p: NcPoly, assignment: dict, f):
 
 # ---- scalar-function verifiers --------------------------------------------
 
-_UD = Alphabet(("U", "D"))
-# the free generators of the abstract B(n) that `mu_coefficients` applies
-# word by word; `apply_binomial` builds no B(n)
-_U, _D = NcPoly.generator(_UD, "U"), NcPoly.generator(_UD, "D")
-
 
 def apply_binomial(n: int, mu, u, f, kind: str = D_DX):
     """B(n) with parameter mu applied to f: U multiplies by u, D is the derivation `kind`.
@@ -655,36 +650,36 @@ def safe_block(mat: Matrix, size: int) -> Matrix:
 # ---- third-order proof -------------------------------------------------------
 
 _MU = Alphabet(("mu",))  # polynomials in the parameter mu are NcPoly in this one letter
+_UDM = Alphabet(("U", "D", "mu"))
+# the free generators of the one abstract B(n), mu among them, that
+# `mu_coefficients` applies word by word; `apply_binomial` builds no B(n)
+_U, _D, _M = (NcPoly.generator(_UDM, name) for name in _UDM.names)
 
 
 def mu_coefficients(n: int, u: FuncExpr) -> dict[FuncKey, NcPoly]:
     """Each exponential's coefficient in B(n)*1, U multiplying by u, as a polynomial in mu.
 
-    B(n)*1 is formed at mu = 0, 1, ..., n, and the coefficients are
-    interpolated by Newton's forward differences: f(mu) is the sum over k
-    of (Delta^k f)(0) / k! * mu (mu - 1) ... (mu - k + 1).  The result is
-    exact when each coefficient has degree at most n in mu.
-
-    The n + 1 values are the free B(n) applied word by word by one
-    `apply_each`, not n + 1 calls of `apply_binomial`.  So the gcd
-    certificate rests on the free expansion, a path independent of the
-    folded recurrence the single-mu verifiers use, and this is the
+    One free B(n) is built with mu as a letter; a word with k mu letters
+    carries mu^k.  With mu struck out, the words of each power add up
+    (words that differ only in where mu sat collapse) to one polynomial
+    in U and D, and the coefficient of mu^k is read off its image of 1.
+    The images come from `apply_each` on the free expansion, a path
+    independent of the fold in `apply_binomial`; this is also the
     function-space caller of `build_binomial` and `NcPoly.__mul__` that
-    the traced function-space benchmark needs to show work in those
-    layers.  Past the default grid the fold would be faster (about 4x
-    at n = 9).
+    the traced function-space benchmark needs to show work in those layers.
     """
-    row = apply_each([build_binomial(n, CycloScalar.of(m), _U, _D) for m in range(n + 1)],
-                     letter_actions(u), FuncExpr.one())
-    steps = []  # (Delta^k f)(0) / k!
-    for k in range(n + 1):
-        steps.append(row[0].scaled(Fraction(1, factorial(k))))
-        row = [b - a for a, b in zip(row, row[1:])]
-    mu, unit = NcPoly.generator(_MU, "mu"), NcPoly.unit(_MU)
-    falling = running_products(unit, [mu - j * unit for j in range(n)])
-    keys = set().union(*(s.terms for s in steps))
-    return {key: unit.combine((s.terms.get(key, ZERO), p) for s, p in zip(steps, falling))
-            for key in keys}
+    m = _UDM.index("mu")
+    by_power: dict[int, dict] = {}
+    for word, coeff in build_binomial(n, _M, _U, _D).terms.items():
+        accumulate([(tuple(i for i in word if i != m), coeff)],
+                   by_power.setdefault(word.count(m), {}))
+    images = apply_each([NcPoly._raw(_UDM, terms) for terms in by_power.values()],
+                        letter_actions(u), FuncExpr.one())
+    coefficients: dict[FuncKey, dict] = {}
+    for k, image in zip(by_power, images):
+        for key, coeff in image.terms.items():
+            coefficients.setdefault(key, {})[(0,) * k] = coeff  # mu^k in `_MU`
+    return {key: NcPoly._raw(_MU, terms) for key, terms in coefficients.items()}
 
 
 def mu_gcd(a: NcPoly, b: NcPoly) -> NcPoly:
@@ -707,11 +702,9 @@ def verify_third_order(n: int, lam) -> list[Clause]:
     """Proof that no complex mu makes B(n)*1 vanish, for a genuinely third-order sum.
 
     u = e^{lam x} + e^{w lam x} + e^{w^2 lam x} satisfies u''' = lam^3 u
-    and no lower-order equation of that shape; U multiplies by u.  Only the
-    factors F_j = D - U + j*mu*I with j >= 1 carry mu, each to the first
-    power, so each coefficient of B(n)*1 is a polynomial in mu of degree
-    below n, and `mu_coefficients` recovers it exactly from n + 1 points.
-    Exponentials with distinct exponents are linearly independent, so
+    and no lower-order equation of that shape; U multiplies by u, and
+    `mu_coefficients` gives each coefficient of B(n)*1 as a polynomial in
+    mu.  Exponentials with distinct exponents are linearly independent, so
     B(n)*1 vanishes at mu exactly when mu is a common root of all the
     coefficients.  Their gcd is formed over Q(z); a gcd over a field is the
     same in any extension field, C included, so gcd = 1 proves that no mu

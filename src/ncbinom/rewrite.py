@@ -31,13 +31,6 @@ from dataclasses import dataclass
 from .freealg import Alphabet, Combination, NcPoly, Word, accumulate
 from .scalars import ZERO, CycloScalar
 
-DEFAULT_STEP_BUDGET = 10_000_000
-
-
-class RewriteBudgetError(RuntimeError):
-    """Step budget exhausted; signals a malformed (non-terminating) preset."""
-
-
 class RelationPreset:
     """Named rule table over an alphabet, with the scalar parameters baked in.
 
@@ -90,7 +83,7 @@ class RelationPreset:
 
     # ---- word-level normalization (memoized leftmost strategy) --------
 
-    def _word_normal_form(self, word: Word, budget: list[int]) -> dict[Word, CycloScalar]:
+    def _word_normal_form(self, word: Word) -> dict[Word, CycloScalar]:
         cache = self._nf_cache
         cached = cache.get(word)
         if cached is not None:
@@ -104,15 +97,10 @@ class RelationPreset:
         if pos < 0:
             result = {word: CycloScalar.of(1)}
         else:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise RewriteBudgetError(
-                    f"step budget exceeded while normalizing under preset {self.name}"
-                )
             head, tail = word[:pos], word[pos + 2 :]
             result = {}
             for sub, coeff in rule_map[(word[pos], word[pos + 1])].items():
-                reduced = self._word_normal_form(head + sub + tail, budget)
+                reduced = self._word_normal_form(head + sub + tail)
                 accumulate(((w2, coeff * c2) for w2, c2 in reduced.items()), result)
         cache[word] = result
         return result
@@ -182,7 +170,7 @@ class Normal(NcPoly):
         return normalize(NcPoly.__pow__(self, exponent), self.preset)
 
 
-def normalize(p: NcPoly, preset: RelationPreset, step_budget: int = DEFAULT_STEP_BUDGET) -> Normal:
+def normalize(p: NcPoly, preset: RelationPreset) -> Normal:
     """Rewrite to the normal form under the preset's relations.
 
     The normal form is unique, and the result's `*` is the quotient
@@ -195,11 +183,10 @@ def normalize(p: NcPoly, preset: RelationPreset, step_budget: int = DEFAULT_STEP
         raise ValueError(
             f"polynomial alphabet {p.alphabet.names} does not match preset {preset.name}"
         )
-    budget = [step_budget]
     return Normal._of(preset, accumulate(
         (w2, coeff * c2)
         for word, coeff in p.terms.items()
-        for w2, c2 in preset._word_normal_form(word, budget).items()
+        for w2, c2 in preset._word_normal_form(word).items()
     ))
 
 

@@ -466,18 +466,27 @@ def mu_poly(*coeffs) -> NcPoly:
     return NcPoly(realize._MU, {(0,) * k: c for k, c in enumerate(coeffs)})
 
 
+def evaluate_mu_coefficients(coeffs, mu) -> FuncExpr:
+    """B(n)*1 from its polynomials in mu, each evaluated at mu."""
+    return FuncExpr({key: sum((c * mu ** len(w) for w, c in p.terms.items()), ZERO)
+                     for key, p in coeffs.items()})
+
+
 def test_verify_third_order(monkeypatch):
-    # the interpolants agree with B(n)*1 built directly at a mu off the interpolation points
+    # the polynomials in mu agree with B(n)*1 built directly at a non-integer mu, and
+    # with the folded recurrence at each integer mu = 0..n
     mu = parse_scalar("1/3 + 2*i")
     for n in (3, 5):
         for lam in (ONE, parse_scalar("1+i")):
             u = third_order_u(lam)
             coeffs = realize.mu_coefficients(n, u)
             assert all(max(map(len, p.terms)) < n for p in coeffs.values())
-            at_mu = FuncExpr({key: sum((c * mu ** len(w) for w, c in p.terms.items()), ZERO)
-                              for key, p in coeffs.items()})
-            assert at_mu == apply_assigned(build_binomial(n, mu, U, D), letter_actions(u),
-                                           FuncExpr.one())
+            assert evaluate_mu_coefficients(coeffs, mu) == apply_assigned(
+                build_binomial(n, mu, U, D), letter_actions(u), FuncExpr.one())
+            for k in range(n + 1):
+                at_k = CycloScalar.of(k)
+                assert evaluate_mu_coefficients(coeffs, at_k) == apply_binomial(
+                    n, at_k, u, FuncExpr.one())
             assert run_case({"suite": "third-order", "n": n, "lambda": str(lam)}).passed
 
     # a first-order u = e^(-lam x) collapses at mu = lam (the exp suite) and at mu = -lam
@@ -657,12 +666,12 @@ def differentiate_all_images(f: FuncExpr, kind: str) -> FuncExpr:
 
 
 def test_free_binomial_is_built_once_per_pair_under_a_cap():
-    """realize's free generators get one B(n) per (n, lam) from build_binomial's capped memo."""
+    """Free generators get one B(n) per (n, lam) from build_binomial's capped memo."""
     build_binomial.cache_clear()
     for lam in (ZERO, ONE, IMAG, parse_scalar("1+i")):
         for n in range(9):
-            b = build_binomial(n, lam, realize._U, realize._D)
-            assert build_binomial(n, lam, realize._U, realize._D) is b
+            b = build_binomial(n, lam, U, D)
+            assert build_binomial(n, lam, U, D) is b
             # the memoized value equals a build that bypasses the memo
             fresh = build_binomial.__wrapped__(n, lam, U, D)
             assert fresh is not b and fresh == b
@@ -672,7 +681,7 @@ def test_free_binomial_is_built_once_per_pair_under_a_cap():
     assert cap == BINOMIAL_MEMO_SIZE
     for n in range(2):
         for k in range(cap):
-            build_binomial(n, CycloScalar.of(k), realize._U, realize._D)
+            build_binomial(n, CycloScalar.of(k), U, D)
     assert build_binomial.cache_info().currsize == cap
 
 

@@ -1,4 +1,4 @@
-"""Normal ordering: presets, termination guard, kernel ops, confluence."""
+"""Normal ordering: presets, their descent check, kernel ops, confluence."""
 
 import itertools
 import random
@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from ncbinom.binomial import build_binomial
 from ncbinom.freealg import NcPoly, accumulate, commutator
 from ncbinom.rewrite import (
-    DEFAULT_STEP_BUDGET,
     PRESET_NAMES,
-    RewriteBudgetError,
     Normal,
     RelationPreset,
     check_confluence,
@@ -183,7 +181,7 @@ def test_normalize_returns_a_normal_of_its_preset_unchanged(monkeypatch):
     b = build_binomial(6, p.params["lambda"], p.normal_generator("U"), p.normal_generator("D"))
     evaluated, restricted = kernel_eval(b, p, mu), restrict_to_kernel(b, p)
 
-    def no_rewrite(self, word, budget):
+    def no_rewrite(self, word):
         raise AssertionError("a normal form was normalized again")
 
     monkeypatch.setattr(RelationPreset, "_word_normal_form", no_rewrite)
@@ -227,13 +225,6 @@ def test_second_order_names_the_commutator():
     p = make_preset("second-order", ONE)
     u, c, d = gens(p, "U", "C", "D")
     assert normalize(commutator(d, u), p) == c
-
-
-def test_step_budget_guard():
-    p = make_preset("first-order-plus", ONE)
-    u, d = gens(p, "U", "D")
-    with pytest.raises(RewriteBudgetError):
-        normalize((d**4) * (u**4), p, step_budget=3)
 
 
 def test_rule_invariant_rejects_bad_replacements():
@@ -313,7 +304,7 @@ def strategy_outcomes(preset, word):
 def assert_oracle_agrees(preset, max_length):
     for length in range(max_length + 1):
         for word in itertools.product(range(len(preset.alphabet)), repeat=length):
-            engine = preset._word_normal_form(word, [DEFAULT_STEP_BUDGET])
+            engine = preset._word_normal_form(word)
             outcomes = strategy_outcomes(preset, word)
             assert all(o == engine for o in outcomes), preset.alphabet.word_str(word)
 
