@@ -259,15 +259,16 @@ def verify_inverse_factorization(n: int, lam) -> list[Clause]:
     return [Clause("", lhs, rhs)]
 
 
+def shift_binomial_clauses(n: int, a1, a2, unit) -> list[Clause]:
+    """Shifting a1 down and a2 up by the unit leaves the binomial sum of a1 and a2 fixed."""
+    return [Clause("", power_sum(n, a1 - unit, a2 + unit, unit), power_sum(n, a1, a2, unit))]
+
+
 def verify_shift_binomial(n: int) -> list[Clause]:
-    """Shifting A1 down and A2 up by the unit leaves the binomial sum fixed."""
+    """The shifted binomial sum of the free generators A1 and A2."""
     alpha = Alphabet(("A1", "A2"))
-    a1 = NcPoly.generator(alpha, "A1")
-    a2 = NcPoly.generator(alpha, "A2")
-    unit = NcPoly.unit(alpha)
-    lhs = power_sum(n, a1 - unit, a2 + unit, unit)
-    rhs = power_sum(n, a1, a2, unit)
-    return [Clause("", lhs, rhs)]
+    a1, a2 = (NcPoly.generator(alpha, name) for name in alpha.names)
+    return shift_binomial_clauses(n, a1, a2, NcPoly.unit(alpha))
 
 
 def verify_noncommuting_binomial_form(n: int, lam) -> list[Clause]:

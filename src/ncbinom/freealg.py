@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .scalars import CycloScalar
+from .scalars import CycloScalar, signed_sum
 
 Word = tuple[int, ...]
 
@@ -277,18 +277,11 @@ class NcPoly(Combination):
         )
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         pieces = []
-        for idx, (word, coeff) in enumerate(self.sorted_terms()):
+        for word, coeff in self.sorted_terms():
             negative = _leading_negative(coeff)
-            mag = -coeff if negative else coeff
-            body = _term_str(self.alphabet, word, mag)
-            if idx == 0:
-                pieces.append(f"-{body}" if negative else body)
-            else:
-                pieces.append(f" - {body}" if negative else f" + {body}")
-        return "".join(pieces)
+            pieces.append((negative, _term_str(self.alphabet, word, -coeff if negative else coeff)))
+        return signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"

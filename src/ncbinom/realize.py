@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from operator import attrgetter
 
-from .binomial import build_binomial, parity_clauses, power_sum
+from .binomial import build_binomial, parity_clauses, shift_binomial_clauses
 from .freealg import Alphabet, Combination, NcPoly, accumulate
 from .report import Clause
 from .rewrite import RelationPreset
@@ -432,11 +432,8 @@ def apply_binomial(n: int, mu, u, f, kind: str = D_DX):
         powers.append(u * powers[-1])
     g = f
     for k in range(n - 1, -1, -1):
-        lifted = f.combine(((CycloScalar.of(comb(n, k)), powers[n - k - 1]), (-ONE, g)))
-        pairs = [(ONE, g.differentiate(kind)), (ONE, u * lifted)]
-        if k and mu != 0:
-            pairs.append((mu * k, g))
-        g = f.combine(pairs)
+        step = g.differentiate(kind) + u * (powers[n - k - 1].scaled(comb(n, k)) - g)
+        g = step + g.scaled(mu * k) if k and mu != 0 else step
     return g
 
 
@@ -459,7 +456,7 @@ def _decay(n: int, mu: CycloScalar) -> FuncExpr:
 
 def _shifted(result, mu: CycloScalar, n: int):
     """(2 d/dx + mu*n) applied to a scalar or vector function."""
-    return result.combine(((2, result.differentiate()), (mu * n, result)))
+    return result.differentiate().scaled(2) + result.scaled(mu * n)
 
 
 def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> list[Clause]:
@@ -542,10 +539,12 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
                 image = apply_binomial(n, lam, grow, basis)
                 clauses.append(Clause(f"j={j},col={col}", image, zero))
     elif item in range(2, 8):
+        # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
+        if item in (2, 3, 5, 6) and (item in (2, 5)) != (n % 2 == 1):
+            return []
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
         result = apply_binomial(n, mu, FuncMatrix([(a, u)]), cvec)
-        # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
-        if item in (2, 3, 5, 6) and (item in (2, 5)) == (n % 2 == 1):
+        if item in (2, 3, 5, 6):
             clauses += parity_clauses(n, result, zero, base * a,
                                       lambda mat: FuncMatrix([(mat, _decay(n, mu))]) * cvec)
         elif item == 4:  # the sign probe on (2 d/dx +/- mu n)
@@ -581,10 +580,7 @@ def verify_shift_binomial_matrices(n: int, dim: int, seed: int) -> list[Clause]:
     rng = random.Random(derive_seed(seed, n, dim))
     a1 = random_matrix(rng, dim)
     a2 = random_matrix(rng, dim)
-    ident = Matrix.identity(dim)
-    lhs = power_sum(n, a1 - ident, a2 + ident, ident)
-    rhs = power_sum(n, a1, a2, ident)
-    return [Clause("", lhs, rhs)]
+    return shift_binomial_clauses(n, a1, a2, Matrix.identity(dim))
 
 
 # ---- realized W-independence ------------------------------------------------
@@ -624,20 +620,24 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
 def truncated_shift_matrix(p: NcPoly, preset: RelationPreset, size: int) -> Matrix:
     """Matrix of p with U a raising shift and D diagonal, on e_0 .. e_size.
 
-    For the plus preset D has eigenvalue k*lam on e_k; for the minus
-    preset, -k*lam.  Entries are exact wherever no basis vector escapes
-    the truncation; `size` must exceed the U-degree of p by at least 2.
+    The preset must have exactly one rule, D U -> U D + c*U; c is read off
+    it, and D has eigenvalue k*c on e_k.  Entries are exact wherever no
+    basis vector escapes the truncation; `size` must exceed the U-degree
+    of p by at least 2.
     """
-    if preset.name not in ("first-order-plus", "first-order-minus"):
-        raise ValueError("shift representation exists for the first-order presets only")
-    lam = preset.params["lambda"]
-    sign = 1 if preset.name == "first-order-plus" else -1
+    if [pair for pair, _ in preset.rules] != [("D", "U")]:
+        raise ValueError(f"{preset.name}: shift representation needs one rule, for D U")
+    right = preset.rules[0][1]
+    u, d = preset.generator("U"), preset.generator("D")
+    c = right.terms.get(next(iter(u.terms)), ZERO)
+    if right != u * d + c * u:
+        raise ValueError(f"{preset.name}: shift representation needs D U -> U D + c*U, not {right}")
     u_deg = p.letter_degree("U")
     if size < u_deg + 2:
         raise ValueError(f"size {size} too small; need at least U-degree + 2 = {u_deg + 2}")
     dim = size + 1
     shift = Matrix._raw((dim, dim), {(j + 1, j): ONE for j in range(size)})
-    diag = Matrix._raw((dim, dim), accumulate(((i, i), (sign * i) * lam) for i in range(dim)))
+    diag = Matrix._raw((dim, dim), accumulate(((i, i), i * c) for i in range(dim)))
     actions = {"U": lambda g: shift * g, "D": lambda g: diag * g}
     return apply_assigned(p, actions, Matrix.identity(dim))
 

@@ -32,7 +32,7 @@ from .freealg import Alphabet, Combination, NcPoly, Word, accumulate
 from .scalars import ZERO, CycloScalar
 
 class RelationPreset:
-    """Named rule table over an alphabet, with the scalar parameters baked in.
+    """Named rule table over an alphabet; its scalars live only in the replacements.
 
     `rules` lists, in rule order, each left-hand pair of generator names
     (upper, lower) with its replacement polynomial.  This is the one place
@@ -44,12 +44,10 @@ class RelationPreset:
         name: str,
         alphabet: Alphabet,
         rules: tuple[tuple[tuple[str, str], NcPoly], ...],
-        params: dict[str, CycloScalar],
     ):
         self.name = name
         self.alphabet = alphabet
         self.rules = rules
-        self.params = params
         self.d_index = alphabet.index("D")
         if self.d_index != len(alphabet) - 1:
             raise ValueError(f"D must be the maximal generator of {alphabet.names}")
@@ -282,10 +280,10 @@ def _letters(*names: str) -> tuple[Alphabet, list[NcPoly]]:
     return alphabet, [NcPoly.generator(alphabet, name) for name in names]
 
 
-def _first_order(name: str, lam: CycloScalar, signed: CycloScalar) -> RelationPreset:
-    """DU -> UD + signed*U: the commutator of D with U is ±lam*U."""
+def _first_order(name: str, c: CycloScalar) -> RelationPreset:
+    """DU -> UD + c*U: the commutator of D with U is c*U."""
     alpha, (u, d) = _letters("U", "D")
-    return RelationPreset(name, alpha, ((("D", "U"), u * d + signed * u),), {"lambda": lam})
+    return RelationPreset(name, alpha, ((("D", "U"), u * d + c * u),))
 
 
 def _second_order(name: str, lam: CycloScalar) -> RelationPreset:
@@ -295,7 +293,7 @@ def _second_order(name: str, lam: CycloScalar) -> RelationPreset:
         (("D", "U"), u * d + c),
         (("D", "C"), c * d + (lam * lam) * u),
         (("C", "U"), u * c),
-    ), {"lambda": lam})
+    ))
 
 
 def _invertible(name: str, lam: CycloScalar, sign: int) -> RelationPreset:
@@ -306,7 +304,7 @@ def _invertible(name: str, lam: CycloScalar, sign: int) -> RelationPreset:
         (("D", "Uinv"), uinv * d - (sign * lam) * uinv),
         (("U", "Uinv"), unit),
         (("Uinv", "U"), unit),
-    ), {"lambda": lam})
+    ))
 
 
 def _partial_vw(lam: CycloScalar, mu: CycloScalar) -> RelationPreset:
@@ -322,19 +320,19 @@ def _partial_vw(lam: CycloScalar, mu: CycloScalar) -> RelationPreset:
         (("W", "V"), v * w),
         (("D", "V"), v * d + mu * v),
         (("D", "W"), w * d + lam * w),
-    ), {"lambda": lam, "mu": mu})
+    ))
 
 
 # preset name -> its rule table, built from (lam, mu)
 PRESETS = {
-    "first-order-plus": lambda lam, mu: _first_order("first-order-plus", lam, lam),
-    "first-order-minus": lambda lam, mu: _first_order("first-order-minus", lam, -lam),
+    "first-order-plus": lambda lam, mu: _first_order("first-order-plus", lam),
+    "first-order-minus": lambda lam, mu: _first_order("first-order-minus", -lam),
     "second-order": lambda lam, mu: _second_order("second-order", lam),
     "second-order-central": lambda lam, mu: _second_order("second-order-central", ZERO),
     "invertible-plus": lambda lam, mu: _invertible("invertible-plus", lam, +1),
     "invertible-minus": lambda lam, mu: _invertible("invertible-minus", lam, -1),
     "partial-vw": _partial_vw,
-    "free": lambda lam, mu: RelationPreset("free", Alphabet(("U", "D")), (), {}),
+    "free": lambda lam, mu: RelationPreset("free", Alphabet(("U", "D")), ()),
 }
 
 PRESET_NAMES = tuple(PRESETS)
@@ -352,9 +350,7 @@ def incomplete_vw_fixture(lam) -> RelationPreset:
     """`partial-vw` without its D-V rule: deliberately incomplete, diverges on D W V."""
     full = make_preset("partial-vw", lam)
     rules = tuple((pair, right) for pair, right in full.rules if pair != ("D", "V"))
-    return RelationPreset(
-        "partial-vw-incomplete", full.alphabet, rules, {"lambda": full.params["lambda"]}
-    )
+    return RelationPreset("partial-vw-incomplete", full.alphabet, rules)
 
 
 _preset_cache: dict[tuple, RelationPreset] = {}

@@ -22,14 +22,10 @@ accepts the sugar letters "i" and "w".
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 _RAT_TYPES = (int, Fraction)
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
 
 _new = object.__new__
 
@@ -131,19 +127,11 @@ class CycloScalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a rational hashes as the int or Fraction it equals, by the numeric
-        # hash rule of the Python docs, without building the Fraction
+        # a rational hashes as the int or Fraction it equals
         n0, n1, n2, n3, d = self.ints
         if n1 or n2 or n3:
             return hash(self.ints)
-        if d == 1:
-            return hash(n0)
-        if d % _HASH_MODULUS:
-            h = abs(n0) % _HASH_MODULUS * pow(d, -1, _HASH_MODULUS) % _HASH_MODULUS
-        else:
-            h = _HASH_INF
-        h = h if n0 >= 0 else -h
-        return -2 if h == -1 else h
+        return hash(n0) if d == 1 else hash(Fraction(n0, d))
 
     def __add__(self, other) -> CycloScalar:
         if not isinstance(other, CycloScalar):
@@ -287,15 +275,18 @@ def format_scalar(x: CycloScalar) -> str:
             power = "z" if k == 1 else f"z^{k}"
             body = power if mag == "1" else f"{mag}*{power}"
         parts.append((negative, body))
-    if not parts:
-        return "0"
+    return signed_sum(parts)
+
+
+def signed_sum(parts) -> str:
+    """Join (negative, body) pairs as "b0 - b1 + b2"; "0" when there are none."""
     out = []
-    for idx, (negative, body) in enumerate(parts):
-        if idx == 0:
-            out.append(f"-{body}" if negative else body)
-        else:
+    for negative, body in parts:
+        if out:
             out.append(f" - {body}" if negative else f" + {body}")
-    return "".join(out)
+        else:
+            out.append(f"-{body}" if negative else body)
+    return "".join(out) or "0"
 
 
 _NUMBER_RE = re.compile(r"\d+")

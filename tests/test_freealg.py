@@ -226,7 +226,7 @@ def test_equal_sums_hash_equally():
         (U - U, NcPoly.zero(UD)),
         (u, U),
         (d * u, normalize(D * U, PLUS)),
-        (normalize(D * U, PLUS), NcPoly.__mul__(u, d) + PLUS.params["lambda"] * U),
+        (normalize(D * U, PLUS), NcPoly.__mul__(u, d) + parse_scalar("1+i") * U),
         (FuncExpr.one() + FuncExpr.one(), FuncExpr.one().scaled(2)),
         (Matrix([[1, 0], [0, 1]]), Matrix.identity(2)),
         (VecFunc.constant([1, 0]) + VecFunc.constant([0, 1]), VecFunc.constant([1, 1])),

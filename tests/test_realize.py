@@ -36,7 +36,7 @@ from ncbinom.realize import (
     verify_vector_item,
 )
 from ncbinom.cli import run_case
-from ncbinom.rewrite import cached_preset, normalize
+from ncbinom.rewrite import RelationPreset, cached_preset, normalize
 from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar, wrap
 
 UD = Alphabet(("U", "D"))
@@ -389,11 +389,13 @@ def test_shift_matrix_agrees_with_normalize():
             assert safe_block(lhs, block) == safe_block(rhs, block)
 
 
-def word_by_word_shift_matrix(p: NcPoly, preset, size: int) -> Matrix:
-    """Reference: sum of coeff times the product of the letters' matrices, word by word."""
+def word_by_word_shift_matrix(p: NcPoly, preset, size: int, lam) -> Matrix:
+    """Reference: sum of coeff times the product of the letters' matrices, word by word.
+
+    D's eigenvalues take their sign from the preset's name, not from its rule.
+    """
     dim = size + 1
     sign = 1 if preset.name == "first-order-plus" else -1
-    lam = preset.params["lambda"]
     letters = {
         p.alphabet.index("U"): Matrix([[int(i == j + 1) for j in range(dim)] for i in range(dim)]),
         p.alphabet.index("D"): Matrix(
@@ -412,7 +414,8 @@ def word_by_word_shift_matrix(p: NcPoly, preset, size: int) -> Matrix:
 @pytest.mark.parametrize("preset_name", ["first-order-plus", "first-order-minus"])
 def test_shift_matrix_matches_word_by_word_reference(preset_name):
     rng = random.Random(2718)
-    preset = cached_preset(preset_name, parse_scalar("1+i"))
+    lam = parse_scalar("1+i")
+    preset = cached_preset(preset_name, lam)
     for _ in range(30):
         terms = {}
         for _ in range(rng.randint(1, 5)):
@@ -420,7 +423,20 @@ def test_shift_matrix_matches_word_by_word_reference(preset_name):
             terms[word] = terms.get(word, 0) + rng.randint(-4, 4)
         p = NcPoly(preset.alphabet, terms)
         size = p.letter_degree("U") + 3
-        assert truncated_shift_matrix(p, preset, size) == word_by_word_shift_matrix(p, preset, size)
+        assert truncated_shift_matrix(p, preset, size) == word_by_word_shift_matrix(
+            p, preset, size, lam)
+
+
+def test_shift_oracle_reads_its_eigenvalue_off_the_d_u_rule():
+    alpha = Alphabet(("U", "D"))
+    u, d = NcPoly.generator(alpha, "U"), NcPoly.generator(alpha, "D")
+    c = parse_scalar("2 - i")
+    custom = RelationPreset("custom", alpha, ((("D", "U"), u * d + c * u),))
+    assert safe_block(truncated_shift_matrix(d * u - u * d - c * u, custom, 6), 5).is_zero
+    for name in ("second-order", "free", "invertible-plus"):
+        preset = cached_preset(name, ONE)
+        with pytest.raises(ValueError, match="shift representation needs one rule"):
+            truncated_shift_matrix(preset.unit(), preset, 4)
 
 
 def test_vector_apply_under_diagonal_matrix_is_slotwise():

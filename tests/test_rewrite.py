@@ -104,10 +104,12 @@ def test_restrict_keeps_words_with_an_inner_d():
 @pytest.mark.parametrize("name", ["first-order-minus", "second-order", "second-order-central"])
 def test_restrict_agrees_with_deleting_d_words(name):
     for lam_text in ("1", "1+i"):
-        p = make_preset(name, parse_scalar(lam_text))
+        # the central preset's rules take lambda = 0 whatever is passed
+        lam = ZERO if name == "second-order-central" else parse_scalar(lam_text)
+        p = make_preset(name, lam)
         u, d = gens(p, "U", "D")
         for n in range(7):
-            b = build_binomial(n, p.params["lambda"], u, d)
+            b = build_binomial(n, lam, u, d)
             nf = normalize(b, p)
             deleted = NcPoly(p.alphabet, {w: c for w, c in nf.terms.items() if p.d_index not in w})
             assert restrict_to_kernel(b, p) == deleted
@@ -117,10 +119,11 @@ def test_restrict_takes_no_scalar_powers(monkeypatch):
     # on ker D a term either keeps its coefficient or vanishes: no mu**count is formed
     cases = []
     for name in ("first-order-minus", "second-order"):
-        p = make_preset(name, parse_scalar("1+i"))
+        lam = parse_scalar("1+i")
+        p = make_preset(name, lam)
         u, d = gens(p, "U", "D")
         for n in range(7):
-            b = build_binomial(n, p.params["lambda"], u, d)
+            b = build_binomial(n, lam, u, d)
             cases.append((b, p, restrict_to_kernel(b, p)))
 
     def no_power(self, exponent):
@@ -176,9 +179,10 @@ def test_normal_values_of_different_presets_are_never_equal():
 
 
 def test_normalize_returns_a_normal_of_its_preset_unchanged(monkeypatch):
-    p = make_preset("first-order-minus", parse_scalar("1+i"))
+    lam = parse_scalar("1+i")
+    p = make_preset("first-order-minus", lam)
     mu = parse_scalar("2")
-    b = build_binomial(6, p.params["lambda"], p.normal_generator("U"), p.normal_generator("D"))
+    b = build_binomial(6, lam, p.normal_generator("U"), p.normal_generator("D"))
     evaluated, restricted = kernel_eval(b, p, mu), restrict_to_kernel(b, p)
 
     def no_rewrite(self, word):
@@ -232,23 +236,23 @@ def test_rule_invariant_rejects_bad_replacements():
     u, d = gens(p, "U", "D")
     # replacement keeping the descending pair would not terminate
     with pytest.raises(ValueError):
-        RelationPreset("bad", p.alphabet, ((("D", "U"), d * u),), {})
+        RelationPreset("bad", p.alphabet, ((("D", "U"), d * u),))
     with pytest.raises(ValueError):
-        RelationPreset("bad2", p.alphabet, ((("D", "U"), u * d * u),), {})
+        RelationPreset("bad2", p.alphabet, ((("D", "U"), u * d * u),))
 
 
 def test_rule_naming_a_generator_outside_the_alphabet_fails_at_construction():
     p = make_preset("first-order-plus", ONE)
     u, d = gens(p, "U", "D")
     with pytest.raises(KeyError, match="unknown generator 'V'"):
-        RelationPreset("bad", p.alphabet, ((("D", "V"), u * d),), {})
+        RelationPreset("bad", p.alphabet, ((("D", "V"), u * d),))
 
 
 def test_a_left_hand_pair_stated_twice_is_rejected():
     p = make_preset("first-order-plus", ONE)
     u, d = gens(p, "U", "D")
     with pytest.raises(ValueError, match="duplicate rule for pair D U"):
-        RelationPreset("twice", p.alphabet, ((("D", "U"), u * d + u), (("D", "U"), u * d)), {})
+        RelationPreset("twice", p.alphabet, ((("D", "U"), u * d + u), (("D", "U"), u * d)))
 
 
 def test_d_must_be_maximal():
@@ -258,7 +262,7 @@ def test_d_must_be_maximal():
     alpha = Alphabet(("D", "U"))
     d, u = NcPoly.generator(alpha, "D"), NcPoly.generator(alpha, "U")
     with pytest.raises(ValueError, match="D must be the maximal generator"):
-        RelationPreset("bad", alpha, ((("U", "D"), d * u + u),), {})
+        RelationPreset("bad", alpha, ((("U", "D"), d * u + u),))
 
 
 # ---- confluence: the overlap proof and a brute-force oracle ------------------
@@ -359,7 +363,7 @@ def test_flipped_inverse_sign_diverges():
         (pair, uinv * d + lam * uinv if pair == ("D", "Uinv") else right)
         for pair, right in good.rules
     )
-    flipped = RelationPreset("invertible-flipped", alpha, rules, {"lambda": lam})
+    flipped = RelationPreset("invertible-flipped", alpha, rules)
     report = check_confluence(flipped)
     assert report.overlaps == EXPECTED_OVERLAPS["invertible-plus"]
     assert [w for w, _ in report.divergent] == ["D U Uinv", "D Uinv U"]
