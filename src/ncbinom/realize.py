@@ -20,10 +20,13 @@ exponential sum.  Every single-mu verifier evaluates B(n)*f through
 `apply_binomial`, which folds Horner's rule for B(n) into 2n - 1 actions
 of U and n of D with no free expansion; the word-by-word evaluator
 `apply_each` stays for the third-order proof (one free B(n) with mu as
-a letter), the truncated shift representation and Tier-1's oracle.  As
-in `binomial`, each verifier takes its scalars as the field elements `cli.run_case` parses, with no
-coercion of its own, and returns its list of clauses; `run_case` names
-the case and builds its report.
+a letter), the truncated shift representation and Tier-1's oracle.
+Vector items 1-7 (U = a*u, a a constant matrix) read B(n)*(c (x) phi)
+off one graded scalar fold, `apply_binomial_lifted`; item 8 and Tier-1
+keep the direct fold.  As in `binomial`, each verifier takes its scalars
+as the field elements `cli.run_case` parses, with no coercion of its
+own, and returns its list of clauses; `run_case` names the case and
+builds its report.
 """
 
 from __future__ import annotations
@@ -318,9 +321,12 @@ class VecFunc(Combination):
 
 
 class FuncMatrix:
-    """Multiplication by sum_k A_k*u_k(x); parts are (Matrix A_k, FuncExpr u_k), A_k square."""
+    """Multiplication by sum_k A_k*u_k(x); parts are (Matrix A_k, FuncExpr u_k), A_k square.
 
-    __slots__ = ("parts",)
+    Each part's column index, column j -> [(row i, A_k[i][j] != 0)], is built once, here.
+    """
+
+    __slots__ = ("parts", "_columns")
 
     def __init__(self, parts):
         data = tuple(parts)
@@ -330,6 +336,13 @@ class FuncMatrix:
         if any(a.shape != (m, m) for a, _ in data):
             raise ValueError("multiplication matrices must be square and of one size")
         object.__setattr__(self, "parts", data)
+        columns = []
+        for a, u in data:
+            rows_of: dict[int, list] = {}
+            for (i, j), x in a.terms.items():
+                rows_of.setdefault(j, []).append((i, x))
+            columns.append((rows_of, u))
+        object.__setattr__(self, "_columns", tuple(columns))
 
     def __setattr__(self, name, value):
         raise AttributeError("FuncMatrix is immutable")
@@ -345,10 +358,7 @@ class FuncMatrix:
         def images():
             # each (u_k term, v_j term) pair sums its keys once and goes to
             # every row i with A_k[i][j] != 0
-            for a, u in self.parts:
-                rows_of: dict[int, list] = {}
-                for (i, j), x in a.terms.items():
-                    rows_of.setdefault(j, []).append((i, x))
+            for rows_of, u in self._columns:
                 for (j, c2, a2, b2), w2 in v.terms.items():
                     rows = rows_of.get(j)
                     if rows:
@@ -459,7 +469,8 @@ def _shifted(result, mu: CycloScalar, n: int):
     return result.differentiate().scaled(2) + result.scaled(mu * n)
 
 
-def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> list[Clause]:
+@functools.lru_cache(maxsize=128)  # every j row of `exp` states the same decay dichotomy
+def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[Clause, ...]:
     """Parity and shift clauses of B(n)*1, B(n) built with the operator's mu."""
     u, mu, base = dichotomy_operator(kind, lam)
     result = apply_binomial(n, mu, u, FuncExpr.one())
@@ -467,7 +478,7 @@ def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> list[Clause]:
     clauses = parity_clauses(n, result, zero, base, _decay(n, mu).scaled)
     if n > 0:
         clauses.append(Clause("shifted-vanishes", _shifted(result, mu, n), zero))
-    return clauses
+    return tuple(clauses)
 
 
 def verify_exponential(n: int, lam, j: int | None) -> list[Clause]:
@@ -480,12 +491,12 @@ def verify_exponential(n: int, lam, j: int | None) -> list[Clause]:
         grow, target = FuncExpr.exponential(lam), FuncExpr.exponential(-(lam * j))
         clauses.append(Clause("kernel-target", apply_binomial(n, lam, grow, target),
                               FuncExpr.zero()))
-    return clauses + dichotomy
+    return clauses + list(dichotomy)
 
 
 def verify_sine(n: int, lam) -> list[Clause]:
     """Sine multiplication operator with binomial parameter i*lam."""
-    return _scalar_dichotomy("sine", n, lam)
+    return list(_scalar_dichotomy("sine", n, lam))
 
 
 def verify_linear(n: int, a, b) -> list[Clause]:
@@ -518,33 +529,59 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
 # ---- vector-function verifiers ---------------------------------------------
 
 
+def apply_binomial_lifted(n: int, mu, a: Matrix, u: FuncExpr, phi: FuncExpr, vectors,
+                          kind: str = D_DX) -> list[VecFunc]:
+    """B(n)*(c (x) phi), U multiplying by a*u, for each constant vector c, from one scalar fold.
+
+    `apply_binomial` runs once, with U as S*u on n + 1 slots (S the shift
+    e_k -> e_(k+1)) and f = e_0 (x) phi, so slot k holds G_k phi, the part
+    of B(n)*phi with exactly k U's; the image of c (x) phi is sum_k
+    (a^k c) (x) G_k phi.  Exact: e_k (x) psi -> a^k c (x) psi intertwines
+    S*u with a*u, and D with D, because a is constant.  Nothing is lost at
+    n + 1 slots: in the fold g_k has grades <= n - k, so U never acts on
+    grade n.  Tier-1 keeps the direct fold with `FuncMatrix([(a, u)])`.
+    """
+    shift = Matrix._raw((n + 1, n + 1), {(k + 1, k): ONE for k in range(n)})
+    start = VecFunc._raw(n + 1, {(0, *key): w for key, w in phi.terms.items()})
+    graded = apply_binomial(n, mu, FuncMatrix([(shift, u)]), start, kind).terms
+    top = max((key[0] for key in graded), default=-1)
+    images = []
+    for c in vectors:
+        powers = [accumulate(enumerate(c))]  # a^k c as row -> nonzero entry
+        for _ in range(top):
+            v = powers[-1]
+            powers.append(accumulate((i, x * v[j]) for (i, j), x in a.terms.items() if j in v))
+        images.append(VecFunc._raw(a.shape[0], accumulate(
+            ((i, *key[1:]), x * w) for key, w in graded.items()
+            for i, x in powers[key[0]].items())))
+    return images
+
+
 def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause]:
     """One of the eight vector-valued statements, with seeded exact data."""
     if m < 1:
         raise ValueError("dimension must be at least 1")
     rng = random.Random(derive_seed(seed, item, n, m))
     a = random_matrix(rng, m)
-    cvec = VecFunc.constant(random_vector(rng, m))
+    c = random_vector(rng, m)
     zero = VecFunc.zero(m)
     clauses: list[Clause] = []
 
     if item == 1:
-        grow = FuncMatrix([(a, FuncExpr.exponential(lam))])
-        for j in range(n):
-            target_scalar = FuncExpr.exponential(-(lam * j))
-            for col in range(m):
-                basis = VecFunc(
-                    [target_scalar if i == col else FuncExpr.zero() for i in range(m)]
-                )
-                image = apply_binomial(n, lam, grow, basis)
-                clauses.append(Clause(f"j={j},col={col}", image, zero))
+        grow = FuncExpr.exponential(lam)
+        units = [[ONE if i == col else ZERO for i in range(m)] for col in range(m)]
+        for j in range(n):  # one fold per target e^(-j lam x) serves every unit vector
+            images = apply_binomial_lifted(n, lam, a, grow, FuncExpr.exponential(-(lam * j)),
+                                           units)
+            clauses += (Clause(f"j={j},col={col}", image, zero) for col, image in enumerate(images))
     elif item in range(2, 8):
         # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
         if item in (2, 3, 5, 6) and (item in (2, 5)) != (n % 2 == 1):
             return []
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
-        result = apply_binomial(n, mu, FuncMatrix([(a, u)]), cvec)
+        result, = apply_binomial_lifted(n, mu, a, u, FuncExpr.one(), [c])
         if item in (2, 3, 5, 6):
+            cvec = VecFunc.constant(c)
             clauses += parity_clauses(n, result, zero, base * a,
                                       lambda mat: FuncMatrix([(mat, _decay(n, mu))]) * cvec)
         elif item == 4:  # the sign probe on (2 d/dx +/- mu n)
@@ -563,6 +600,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
         if a1 * a2 != a2 * a1:
             raise ValueError("item 8 requires commuting matrices")
         u = FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())])
+        cvec = VecFunc.constant(c)
         result = apply_binomial(n, ZERO, u, cvec)
         clauses += parity_clauses(n, result, zero, a1,
                                   lambda mat: FuncMatrix([(mat, FuncExpr.one())]) * cvec)

@@ -23,6 +23,7 @@ from ncbinom.realize import (
     XINV_D_DX,
     apply_assigned,
     apply_binomial,
+    apply_binomial_lifted,
     letter_actions,
     random_func_expr,
     random_matrix,
@@ -35,7 +36,7 @@ from ncbinom.realize import (
     verify_third_order,
     verify_vector_item,
 )
-from ncbinom.cli import run_case
+from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.rewrite import RelationPreset, cached_preset, normalize
 from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar, wrap
 
@@ -263,6 +264,76 @@ def test_change_of_variables():
         verify_change_of_variables(2, ONE, 2, "gauss")
     with pytest.raises(ValueError):
         verify_change_of_variables(2, ONE, 0, "polar")
+
+
+def graded_fold(n, mu, u, phi, slots):
+    """B(n)*(e_0 (x) phi) with U acting as S*u, S the shift e_k -> e_(k+1) on `slots` slots."""
+    shift = Matrix([[ONE if i == k + 1 else ZERO for k in range(slots)] for i in range(slots)])
+    start = VecFunc([phi] + [FuncExpr.zero()] * (slots - 1))
+    return apply_binomial(n, mu, FuncMatrix([(shift, u)]), start)
+
+
+LIFT_LAMBDAS = (CycloScalar.of(2), parse_scalar("1/2 + i"))
+LIFT_MULTIPLIERS = {  # name -> (u, mu) of lambda
+    "grow": lambda lam: (FuncExpr.exponential(lam), lam),
+    "decay": lambda lam: (FuncExpr.exponential(-lam), lam),
+    "sine": lambda lam: (sin_func(lam), IMAG * lam),
+}
+
+
+@pytest.mark.parametrize("multiplier", sorted(LIFT_MULTIPLIERS))
+def test_lifted_fold_matches_the_direct_vector_fold(multiplier):
+    # the direct fold with FuncMatrix([(a, u)]) on c (x) phi is the reference
+    rng = random.Random(2024)
+    nonzero = 0
+    for lam in LIFT_LAMBDAS:
+        u, mu = LIFT_MULTIPLIERS[multiplier](lam)
+        for m in (1, 2, 3):
+            a = random_matrix(rng, m)
+            vectors = [[CycloScalar.of(random_rational(rng)) for _ in range(m)] for _ in range(2)]
+            # 1 and e^(-lam x) are kernel targets of the grow multiplier; the third input is not
+            for phi in (FuncExpr.one(), FuncExpr.exponential(-lam), random_func_expr(rng)):
+                for n in range(7):
+                    lifted = apply_binomial_lifted(n, mu, a, u, phi, vectors)
+                    assert len(lifted) == len(vectors)
+                    for c, got in zip(vectors, lifted):
+                        direct = apply_binomial(n, mu, FuncMatrix([(a, u)]),
+                                                VecFunc([phi.scaled(x) for x in c]))
+                        assert got == direct, (multiplier, lam, m, n, c)
+                        nonzero += not got.is_zero
+    # of 2 lambdas * 3 dimensions * 3 inputs * 7 degrees * 2 vectors = 252 images
+    assert nonzero >= 100
+
+
+def test_graded_fold_leaves_the_top_slot_of_a_longer_shift_empty():
+    # U never acts on grade n, so n + 1 slots hold B(n)*phi exactly
+    for lam in LIFT_LAMBDAS:
+        for multiplier in sorted(LIFT_MULTIPLIERS):
+            u, mu = LIFT_MULTIPLIERS[multiplier](lam)
+            for phi in (FuncExpr.one(), FuncExpr.exponential(-lam)):
+                for n in range(7):
+                    longer = graded_fold(n, mu, u, phi, n + 2).entries
+                    assert longer[n + 1].is_zero, (multiplier, lam, n)
+                    assert longer[:n + 1] == graded_fold(n, mu, u, phi, n + 1).entries
+                    assert sum(longer, FuncExpr.zero()) == apply_binomial(n, mu, u, phi)
+
+
+def test_exp_dichotomy_is_evaluated_once_per_n_and_lambda(monkeypatch):
+    cases = iter_cases("exp", SuiteConfig(n_max=5, lambdas=("2", "1+i")))
+    calls = []
+    plain = realize.apply_binomial
+
+    def counted(*args, **kwargs):
+        calls.append(args[:1])
+        return plain(*args, **kwargs)
+
+    realize._scalar_dichotomy.cache_clear()
+    monkeypatch.setattr(realize, "apply_binomial", counted)
+    assert all(run_case(case).passed for case in cases)
+    # one kernel-target fold per j row, and one dichotomy per (n, lambda)
+    rows_with_j = sum("j" in case for case in cases)
+    pairs = {(case["n"], case["lambda"]) for case in cases}
+    assert len(calls) == rows_with_j + len(pairs) < 2 * len(cases)
 
 
 def test_vector_items_small():
