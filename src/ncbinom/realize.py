@@ -21,12 +21,12 @@ exponential sum.  Every single-mu verifier evaluates B(n)*f through
 of U and n of D with no free expansion; the word-by-word evaluator
 `apply_each` stays for the third-order proof (one free B(n) with mu as
 a letter), the truncated shift representation and Tier-1's oracle.
-Vector items 1-7 (U = a*u, a a constant matrix) read B(n)*(c (x) phi)
-off one graded scalar fold, `apply_binomial_lifted`; item 8 and Tier-1
-keep the direct fold.  As in `binomial`, each verifier takes its scalars
-as the field elements `cli.run_case` parses, with no coercion of its
-own, and returns its list of clauses; `run_case` names the case and
-builds its report.
+All eight vector items (U = sum p(a)*u, a a constant matrix and each p
+a polynomial) read B(n)*(c (x) phi) off one graded scalar fold,
+`apply_binomial_lifted`; Tier-1 keeps the direct fold.  As in
+`binomial`, each verifier takes its scalars as the field elements
+`cli.run_case` parses, with no coercion of its own, and returns its list
+of clauses; `run_case` names the case and builds its report.
 """
 
 from __future__ import annotations
@@ -300,7 +300,9 @@ class VecFunc(Combination):
 
     @staticmethod
     def constant(values) -> VecFunc:
-        return VecFunc([FuncExpr.term(v) for v in values])
+        # c (x) 1, keyed directly at the zero exponents
+        values, key = tuple(map(CycloScalar.of, values)), (_ZERO_INTS,) * 3
+        return VecFunc._raw(len(values), accumulate(((i, *key), v) for i, v in enumerate(values)))
 
     @staticmethod
     def zero(m: int) -> VecFunc:
@@ -529,21 +531,28 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
 # ---- vector-function verifiers ---------------------------------------------
 
 
-def apply_binomial_lifted(n: int, mu, a: Matrix, u: FuncExpr, phi: FuncExpr, vectors,
+def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors,
                           kind: str = D_DX) -> list[VecFunc]:
-    """B(n)*(c (x) phi), U multiplying by a*u, for each constant vector c, from one scalar fold.
+    """B(n)*(c (x) phi) for each constant vector c from one scalar fold; U = sum p(a)*u.
 
-    `apply_binomial` runs once, with U as S*u on n + 1 slots (S the shift
-    e_k -> e_(k+1)) and f = e_0 (x) phi, so slot k holds G_k phi, the part
-    of B(n)*phi with exactly k U's; the image of c (x) phi is sum_k
-    (a^k c) (x) G_k phi.  Exact: e_k (x) psi -> a^k c (x) psi intertwines
-    S*u with a*u, and D with D, because a is constant.  Nothing is lost at
-    n + 1 slots: in the fold g_k has grades <= n - k, so U never acts on
-    grade n.  Tier-1 keeps the direct fold with `FuncMatrix([(a, u)])`.
+    `parts` are the (p, u) of U, p a polynomial in the constant matrix a
+    by its coefficients (p[d] multiplies a^d) and u a function: U = a*u is
+    [((0, 1), u)].  `apply_binomial` runs once, on n*e + 1 slots (e the
+    highest degree of a p), with a replaced by the shift S: e_k -> e_(k+1)
+    and f = e_0 (x) phi, so slot k holds G_k phi, the grade-k part of
+    B(n)*phi; the image of c (x) phi is sum_k (a^k c) (x) G_k phi.  Exact:
+    e_k (x) psi -> a^k c (x) psi intertwines S with a, so p(S)*u with
+    p(a)*u, and D with D, because a is constant.  Nothing is lost on
+    n*e + 1 slots: no action lowers a grade, a U raises it by at most e,
+    and no term of the fold meets more than n U's.  Tier-1 keeps the
+    direct fold with `FuncMatrix([(p(a), u), ...])`.
     """
-    shift = Matrix._raw((n + 1, n + 1), {(k + 1, k): ONE for k in range(n)})
-    start = VecFunc._raw(n + 1, {(0, *key): w for key, w in phi.terms.items()})
-    graded = apply_binomial(n, mu, FuncMatrix([(shift, u)]), start, kind).terms
+    size = n * max(len(p) - 1 for p, _ in parts) + 1
+    lifted = FuncMatrix([(Matrix._raw((size, size), accumulate(
+        ((k + d, k), CycloScalar.of(x)) for d, x in enumerate(p) for k in range(size - d))), u)
+        for p, u in parts])
+    start = VecFunc._raw(size, {(0, *key): w for key, w in phi.terms.items()})
+    graded = apply_binomial(n, mu, lifted, start, kind).terms
     top = max((key[0] for key in graded), default=-1)
     images = []
     for c in vectors:
@@ -559,55 +568,44 @@ def apply_binomial_lifted(n: int, mu, a: Matrix, u: FuncExpr, phi: FuncExpr, vec
 
 def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause]:
     """One of the eight vector-valued statements, with seeded exact data."""
+    if item not in range(1, 9):
+        raise ValueError("vector item must be 1..8")
     if m < 1:
         raise ValueError("dimension must be at least 1")
     rng = random.Random(derive_seed(seed, item, n, m))
     a = random_matrix(rng, m)
     c = random_vector(rng, m)
     zero = VecFunc.zero(m)
-    clauses: list[Clause] = []
-
     if item == 1:
-        grow = FuncExpr.exponential(lam)
+        grow = [((0, 1), FuncExpr.exponential(lam))]
         units = [[ONE if i == col else ZERO for i in range(m)] for col in range(m)]
+        clauses = []
         for j in range(n):  # one fold per target e^(-j lam x) serves every unit vector
             images = apply_binomial_lifted(n, lam, a, grow, FuncExpr.exponential(-(lam * j)),
                                            units)
             clauses += (Clause(f"j={j},col={col}", image, zero) for col, image in enumerate(images))
-    elif item in range(2, 8):
-        # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half
-        if item in (2, 3, 5, 6) and (item in (2, 5)) != (n % 2 == 1):
-            return []
-        u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
-        result, = apply_binomial_lifted(n, mu, a, u, FuncExpr.one(), [c])
-        if item in (2, 3, 5, 6):
-            cvec = VecFunc.constant(c)
-            clauses += parity_clauses(n, result, zero, base * a,
-                                      lambda mat: FuncMatrix([(mat, _decay(n, mu))]) * cvec)
-        elif item == 4:  # the sign probe on (2 d/dx +/- mu n)
-            clauses.append(Clause("shift-plus-vanishes", _shifted(result, mu, n), zero))
-            clauses.append(Clause("minus_also_zero", _shifted(result, -mu, n), zero, probe=True))
-        elif item == 7 and n > 0:
-            clauses.append(Clause("shifted-vanishes", _shifted(result, mu, n), zero))
-    elif item == 8:
-        a1 = a
-        coeffs = [random_rational(rng, 3) for _ in range(3)]
-        a2 = (
-            Matrix.identity(m) * coeffs[0]
-            + a1 * coeffs[1]
-            + (a1 * a1) * coeffs[2]
-        )
-        if a1 * a2 != a2 * a1:
-            raise ValueError("item 8 requires commuting matrices")
-        u = FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())])
-        cvec = VecFunc.constant(c)
-        result = apply_binomial(n, ZERO, u, cvec)
-        clauses += parity_clauses(n, result, zero, a1,
-                                  lambda mat: FuncMatrix([(mat, FuncExpr.one())]) * cvec)
-        if n > 0:
-            clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
+        return clauses
+    # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half, 8 both
+    if item in (2, 3, 5, 6) and (item in (2, 5)) != (n % 2 == 1):
+        return []
+    if item == 8:  # U = a*x + p(a), p of degree 2: [D, U] = a is central, mu = 0
+        p = tuple(random_rational(rng, 3) for _ in range(3))
+        parts, mu, base = [((0, 1), FuncExpr.monomial(1)), (p, FuncExpr.one())], ZERO, ONE
     else:
-        raise ValueError("vector item must be 1..8")
+        u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
+        parts = [((0, 1), u)]
+    result, = apply_binomial_lifted(n, mu, a, parts, FuncExpr.one(), [c])
+    clauses = []
+    if item in (2, 3, 5, 6, 8):  # the even closed form is built apart from the lift
+        clauses = parity_clauses(n, result, zero, base * a, lambda mat: FuncMatrix(
+            [(mat, _decay(n, mu))]) * VecFunc.constant(c))
+    if item == 4:  # the sign probe on (2 d/dx +/- mu n)
+        clauses.append(Clause("shift-plus-vanishes", _shifted(result, mu, n), zero))
+        clauses.append(Clause("minus_also_zero", _shifted(result, -mu, n), zero, probe=True))
+    elif item == 7 and n > 0:
+        clauses.append(Clause("shifted-vanishes", _shifted(result, mu, n), zero))
+    elif item == 8 and n > 0:
+        clauses.append(Clause("derivative-vanishes", result.differentiate(), zero))
     return clauses
 
 

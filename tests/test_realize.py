@@ -266,38 +266,55 @@ def test_change_of_variables():
         verify_change_of_variables(2, ONE, 0, "polar")
 
 
-def graded_fold(n, mu, u, phi, slots):
-    """B(n)*(e_0 (x) phi) with U acting as S*u, S the shift e_k -> e_(k+1) on `slots` slots."""
+def poly_at(p, a: Matrix) -> Matrix:
+    """p(a), p a polynomial by its coefficients (p[d] multiplies a^d)."""
+    return sum((a ** d * x for d, x in enumerate(p)), Matrix.zeros(a.shape[0]))
+
+
+def graded_fold(n, mu, parts, phi, slots):
+    """B(n)*(e_0 (x) phi), U acting as sum p(S)*u, S the shift e_k -> e_(k+1) on `slots` slots."""
     shift = Matrix([[ONE if i == k + 1 else ZERO for k in range(slots)] for i in range(slots)])
     start = VecFunc([phi] + [FuncExpr.zero()] * (slots - 1))
-    return apply_binomial(n, mu, FuncMatrix([(shift, u)]), start)
+    return apply_binomial(n, mu, FuncMatrix([(poly_at(p, shift), u) for p, u in parts]), start)
+
+
+def random_quadratic(rng):
+    """Coefficients of a polynomial of degree exactly 2."""
+    return random_rational(rng), random_rational(rng), random_rational(rng) or Fraction(1)
 
 
 LIFT_LAMBDAS = (CycloScalar.of(2), parse_scalar("1/2 + i"))
-LIFT_MULTIPLIERS = {  # name -> (u, mu) of lambda
-    "grow": lambda lam: (FuncExpr.exponential(lam), lam),
-    "decay": lambda lam: (FuncExpr.exponential(-lam), lam),
-    "sine": lambda lam: (sin_func(lam), IMAG * lam),
+LIFT_MULTIPLIERS = {  # name -> (parts, mu) of lambda and a generator for any drawn coefficients
+    "grow": lambda lam, rng: ([((0, 1), FuncExpr.exponential(lam))], lam),
+    "decay": lambda lam, rng: ([((0, 1), FuncExpr.exponential(-lam))], lam),
+    "sine": lambda lam, rng: ([((0, 1), sin_func(lam))], IMAG * lam),
+    # a*x + p(a): [D, U] = a is central, the case of vector item 8, where B(n) drops p
+    "linear": lambda lam, rng: (
+        [((0, 1), FuncExpr.monomial(1)), (random_quadratic(rng), FuncExpr.one())], ZERO),
+    # a*x + p(a)*e^(lam x): [D, U] is not central, so p(a) stays in B(n)
+    "two-part": lambda lam, rng: (
+        [((0, 1), FuncExpr.monomial(1)), (random_quadratic(rng), FuncExpr.exponential(lam))], ZERO),
 }
 
 
 @pytest.mark.parametrize("multiplier", sorted(LIFT_MULTIPLIERS))
 def test_lifted_fold_matches_the_direct_vector_fold(multiplier):
-    # the direct fold with FuncMatrix([(a, u)]) on c (x) phi is the reference
+    # the direct fold with FuncMatrix([(p(a), u), ...]) on c (x) phi is the reference
     rng = random.Random(2024)
     nonzero = 0
     for lam in LIFT_LAMBDAS:
-        u, mu = LIFT_MULTIPLIERS[multiplier](lam)
+        parts, mu = LIFT_MULTIPLIERS[multiplier](lam, rng)
         for m in (1, 2, 3):
             a = random_matrix(rng, m)
+            direct_u = FuncMatrix([(poly_at(p, a), u) for p, u in parts])
             vectors = [[CycloScalar.of(random_rational(rng)) for _ in range(m)] for _ in range(2)]
             # 1 and e^(-lam x) are kernel targets of the grow multiplier; the third input is not
             for phi in (FuncExpr.one(), FuncExpr.exponential(-lam), random_func_expr(rng)):
                 for n in range(7):
-                    lifted = apply_binomial_lifted(n, mu, a, u, phi, vectors)
+                    lifted = apply_binomial_lifted(n, mu, a, parts, phi, vectors)
                     assert len(lifted) == len(vectors)
                     for c, got in zip(vectors, lifted):
-                        direct = apply_binomial(n, mu, FuncMatrix([(a, u)]),
+                        direct = apply_binomial(n, mu, direct_u,
                                                 VecFunc([phi.scaled(x) for x in c]))
                         assert got == direct, (multiplier, lam, m, n, c)
                         nonzero += not got.is_zero
@@ -306,16 +323,20 @@ def test_lifted_fold_matches_the_direct_vector_fold(multiplier):
 
 
 def test_graded_fold_leaves_the_top_slot_of_a_longer_shift_empty():
-    # U never acts on grade n, so n + 1 slots hold B(n)*phi exactly
+    # no action lowers a grade and a U raises it by at most e, so n*e + 1 slots are exact
+    rng = random.Random(11)
     for lam in LIFT_LAMBDAS:
         for multiplier in sorted(LIFT_MULTIPLIERS):
-            u, mu = LIFT_MULTIPLIERS[multiplier](lam)
+            parts, mu = LIFT_MULTIPLIERS[multiplier](lam, rng)
+            # at a = 1 the lift sums to U = sum p(1)*u
+            u_at_one = sum((u.scaled(sum(p)) for p, u in parts), FuncExpr.zero())
             for phi in (FuncExpr.one(), FuncExpr.exponential(-lam)):
                 for n in range(7):
-                    longer = graded_fold(n, mu, u, phi, n + 2).entries
-                    assert longer[n + 1].is_zero, (multiplier, lam, n)
-                    assert longer[:n + 1] == graded_fold(n, mu, u, phi, n + 1).entries
-                    assert sum(longer, FuncExpr.zero()) == apply_binomial(n, mu, u, phi)
+                    size = n * max(len(p) - 1 for p, _ in parts) + 1
+                    longer = graded_fold(n, mu, parts, phi, size + 1).entries
+                    assert longer[size].is_zero, (multiplier, lam, n)
+                    assert longer[:size] == graded_fold(n, mu, parts, phi, size).entries
+                    assert sum(longer, FuncExpr.zero()) == apply_binomial(n, mu, u_at_one, phi)
 
 
 def test_exp_dichotomy_is_evaluated_once_per_n_and_lambda(monkeypatch):
@@ -350,9 +371,12 @@ def test_vector_items_small():
     assert rep4.passed and rep4.params["minus_also_zero"] is False
 
 
-def test_vector_rejects_bad_item():
-    with pytest.raises(ValueError):
-        verify_vector_item(9, 2, ONE, 2, 7)
+def test_vector_rejects_bad_item(monkeypatch):
+    # a bad item or dimension fails before any seeded data is drawn
+    monkeypatch.setattr(realize, "derive_seed", None)
+    for item in (0, 9):
+        with pytest.raises(ValueError, match="1..8"):
+            verify_vector_item(item, 2, ONE, 2, 7)
     with pytest.raises(ValueError):
         verify_vector_item(1, 2, ONE, 0, 7)
 
