@@ -23,8 +23,13 @@ of U and n of D with no free expansion; the word-by-word evaluator
 a letter), the truncated shift representation and Tier-1's oracle.
 All eight vector items (U = sum p(a)*u, a a constant matrix and each p
 a polynomial) read B(n)*(c (x) phi) off one graded scalar fold,
-`apply_binomial_lifted`; Tier-1 keeps the direct fold.  As in
-`binomial`, each verifier takes its scalars as the field elements
+`apply_binomial_lifted`; Tier-1 keeps the direct fold.  The memos, each
+per process: `build_binomial`, LRU 128 on (n, lam, u, d), for the cases
+of one preset; `_scalar_dichotomy`, LRU 128 on (kind, n, lam), for the
+j rows of `exp`; `_graded_fold`, LRU 128 on (n, mu, parts, phi, kind),
+which never sees a or c, for vector items 2-4 and 5-7 over every m and
+seed; and each preset's `_nf_cache`, word -> normal form, with no cap.
+As in `binomial`, each verifier takes its scalars as the field elements
 `cli.run_case` parses, with no coercion of its own, and returns its list
 of clauses; `run_case` names the case and builds its report.
 """
@@ -34,7 +39,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import attrgetter
 
 from .binomial import build_binomial, parity_clauses, shift_binomial_clauses
@@ -256,18 +261,20 @@ class Matrix(Combination):
         return f"Matrix({self})"
 
 
-def random_rational(rng: random.Random, span: int = 5) -> Fraction:
-    num = rng.randint(-span, span)
-    den = rng.randint(1, 4)
-    return Fraction(num, den)
+def random_rational(rng: random.Random, span: int = 5) -> CycloScalar:
+    """num/den with |num| <= span and 1 <= den <= 4, made canonical in the field directly."""
+    num, den = rng.randint(-span, span), rng.randint(1, 4)
+    g = gcd(num, den)
+    return wrap((num // g, 0, 0, 0, den // g))
 
 
 def random_matrix(rng: random.Random, m: int) -> Matrix:
-    return Matrix([[random_rational(rng) for _ in range(m)] for _ in range(m)])
+    entries = [((i, j), random_rational(rng)) for i in range(m) for j in range(m)]
+    return Matrix._raw((m, m), {key: x for key, x in entries if not x.is_zero})
 
 
 def random_vector(rng: random.Random, m: int) -> tuple[CycloScalar, ...]:
-    return tuple(CycloScalar.of(random_rational(rng)) for _ in range(m))
+    return tuple(random_rational(rng) for _ in range(m))
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -531,21 +538,11 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
 # ---- vector-function verifiers ---------------------------------------------
 
 
-def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors,
-                          kind: str = D_DX) -> list[VecFunc]:
-    """B(n)*(c (x) phi) for each constant vector c from one scalar fold; U = sum p(a)*u.
+@functools.lru_cache(maxsize=128)  # item 8 alone draws data (its p) that enters the key
+def _graded_fold(n: int, mu, parts: tuple, phi: FuncExpr, kind: str) -> tuple[dict, int]:
+    """The read-only terms of B(n)*(e_0 (x) phi) keyed (grade, exponents), and the top grade.
 
-    `parts` are the (p, u) of U, p a polynomial in the constant matrix a
-    by its coefficients (p[d] multiplies a^d) and u a function: U = a*u is
-    [((0, 1), u)].  `apply_binomial` runs once, on n*e + 1 slots (e the
-    highest degree of a p), with a replaced by the shift S: e_k -> e_(k+1)
-    and f = e_0 (x) phi, so slot k holds G_k phi, the grade-k part of
-    B(n)*phi; the image of c (x) phi is sum_k (a^k c) (x) G_k phi.  Exact:
-    e_k (x) psi -> a^k c (x) psi intertwines S with a, so p(S)*u with
-    p(a)*u, and D with D, because a is constant.  Nothing is lost on
-    n*e + 1 slots: no action lowers a grade, a U raises it by at most e,
-    and no term of the fold meets more than n U's.  Tier-1 keeps the
-    direct fold with `FuncMatrix([(p(a), u), ...])`.
+    See `apply_binomial_lifted`; the fold never sees a or c, so cases share it.
     """
     size = n * max(len(p) - 1 for p, _ in parts) + 1
     lifted = FuncMatrix([(Matrix._raw((size, size), accumulate(
@@ -553,7 +550,27 @@ def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors,
         for p, u in parts])
     start = VecFunc._raw(size, {(0, *key): w for key, w in phi.terms.items()})
     graded = apply_binomial(n, mu, lifted, start, kind).terms
-    top = max((key[0] for key in graded), default=-1)
+    return graded, max((key[0] for key in graded), default=-1)
+
+
+def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors,
+                          kind: str = D_DX) -> list[VecFunc]:
+    """B(n)*(c (x) phi) for each constant vector c from one scalar fold; U = sum p(a)*u.
+
+    `parts` are the (p, u) of U, p a polynomial in the constant matrix a
+    by its coefficients (p[d] multiplies a^d) and u a function: U = a*u is
+    [((0, 1), u)].  `apply_binomial` runs once per key of the memo
+    `_graded_fold`, on n*e + 1 slots (e the highest degree of a p), with a
+    replaced by the shift S: e_k -> e_(k+1) and f = e_0 (x) phi, so slot k
+    holds G_k phi, the grade-k part of B(n)*phi; each case lifts the image
+    of its c (x) phi as sum_k (a^k c) (x) G_k phi.  Exact:
+    e_k (x) psi -> a^k c (x) psi intertwines S with a, so p(S)*u with
+    p(a)*u, and D with D, because a is constant.  Nothing is lost on
+    n*e + 1 slots: no action lowers a grade, a U raises it by at most e,
+    and no term of the fold meets more than n U's.  Tier-1 keeps the
+    direct fold with `FuncMatrix([(p(a), u), ...])`.
+    """
+    graded, top = _graded_fold(n, mu, tuple((tuple(p), u) for p, u in parts), phi, kind)
     images = []
     for c in vectors:
         powers = [accumulate(enumerate(c))]  # a^k c as row -> nonzero entry
@@ -572,9 +589,12 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
         raise ValueError("vector item must be 1..8")
     if m < 1:
         raise ValueError("dimension must be at least 1")
+    # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half, 8 both; at n = 0
+    # B(0) = I and only item 4 states anything, so no other case draws data or folds
+    if (n == 0 and item != 4) or (item in (2, 3, 5, 6) and (item in (2, 5)) != (n % 2 == 1)):
+        return []
     rng = random.Random(derive_seed(seed, item, n, m))
     a = random_matrix(rng, m)
-    c = random_vector(rng, m)
     zero = VecFunc.zero(m)
     if item == 1:
         grow = [((0, 1), FuncExpr.exponential(lam))]
@@ -585,9 +605,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
                                            units)
             clauses += (Clause(f"j={j},col={col}", image, zero) for col, image in enumerate(images))
         return clauses
-    # items 2 and 5 state the odd half of the dichotomy, 3 and 6 the even half, 8 both
-    if item in (2, 3, 5, 6) and (item in (2, 5)) != (n % 2 == 1):
-        return []
+    c = random_vector(rng, m)
     if item == 8:  # U = a*x + p(a), p of degree 2: [D, U] = a is central, mu = 0
         p = tuple(random_rational(rng, 3) for _ in range(3))
         parts, mu, base = [((0, 1), FuncExpr.monomial(1)), (p, FuncExpr.one())], ZERO, ONE

@@ -3,7 +3,10 @@
 A report captures one verified case: the suite, the case parameters, the
 canonical left and right forms, and their difference; `cli.run_case`
 builds it from the clauses a verifier returns.  Status is "pass" exactly
-when every checked clause's residual is the zero element.
+when every checked clause's residual is the zero element.  A passing
+form is formatted once.  The memos behind the forms (`build_binomial`,
+`realize._scalar_dichotomy`, `realize._graded_fold`, each preset's
+`_nf_cache`) are per process; `realize`'s docstring gives keys and caps.
 """
 
 from __future__ import annotations
@@ -72,12 +75,15 @@ def report_from_clauses(suite: str, params: dict, clauses: list[Clause]) -> Veri
         return VerificationReport(suite, params, PASS, "", "", "0")
     residuals = [c.residual() for c in clauses]
     status = PASS if all(r.is_zero for r in residuals) else FAIL
+    lhs = [str(c.lhs) for c in clauses]
+    # equal sums of one type print alike, so a passing clause's rhs reuses the lhs text
+    rhs = [text if r.is_zero and type(c.lhs) is type(c.rhs) else str(c.rhs)
+           for c, r, text in zip(clauses, residuals, lhs)]
+    residual = [str(r) for r in residuals]
     if len(clauses) == 1 and not clauses[0].label:
-        c = clauses[0]
-        return VerificationReport(suite, params, status, str(c.lhs), str(c.rhs), str(residuals[0]))
-    lhs = " | ".join(f"{c.label}: {c.lhs}" for c in clauses)
-    rhs = " | ".join(f"{c.label}: {c.rhs}" for c in clauses)
-    residual = " | ".join(f"{c.label}: {r}" for c, r in zip(clauses, residuals))
+        return VerificationReport(suite, params, status, lhs[0], rhs[0], residual[0])
+    lhs, rhs, residual = (" | ".join(f"{c.label}: {text}" for c, text in zip(clauses, texts))
+                          for texts in (lhs, rhs, residual))
     return VerificationReport(suite, params, status, lhs, rhs, residual)
 
 

@@ -339,22 +339,65 @@ def test_graded_fold_leaves_the_top_slot_of_a_longer_shift_empty():
                     assert sum(longer, FuncExpr.zero()) == apply_binomial(n, mu, u_at_one, phi)
 
 
-def test_exp_dichotomy_is_evaluated_once_per_n_and_lambda(monkeypatch):
-    cases = iter_cases("exp", SuiteConfig(n_max=5, lambdas=("2", "1+i")))
+def count_folds(monkeypatch) -> list:
+    """Record (n, mu) of every `realize.apply_binomial` call from now on.
+
+    The memos above the fold are cleared first, so no cached value answers
+    without reaching the patched function.
+    """
     calls = []
     plain = realize.apply_binomial
 
     def counted(*args, **kwargs):
-        calls.append(args[:1])
+        calls.append(args[:2])
         return plain(*args, **kwargs)
 
     realize._scalar_dichotomy.cache_clear()
+    realize._graded_fold.cache_clear()
     monkeypatch.setattr(realize, "apply_binomial", counted)
+    return calls
+
+
+def test_exp_dichotomy_is_evaluated_once_per_n_and_lambda(monkeypatch):
+    cases = iter_cases("exp", SuiteConfig(n_max=5, lambdas=("2", "1+i")))
+    calls = count_folds(monkeypatch)
     assert all(run_case(case).passed for case in cases)
     # one kernel-target fold per j row, and one dichotomy per (n, lambda)
     rows_with_j = sum("j" in case for case in cases)
     pairs = {(case["n"], case["lambda"]) for case in cases}
     assert len(calls) == rows_with_j + len(pairs) < 2 * len(cases)
+
+
+def test_vector_fold_is_evaluated_once_per_operator_n_and_lambda(monkeypatch):
+    # the graded fold never sees the seeded a or c, so the dimensions and seeds share it
+    calls = count_folds(monkeypatch)
+    used = set()
+    for n in range(5):
+        for lam in (CycloScalar.of(2), parse_scalar("1+i")):
+            for item in range(2, 8):
+                for m in (2, 3):
+                    for seed in (0, 1):
+                        clauses = verify_vector_item(item, n, lam, m, seed)
+                        assert all(c.residual().is_zero for c in clauses if not c.probe)
+                        if clauses:  # items 2-4 fold the decay operator, 5-7 the sine
+                            used.add((n, lam if item <= 4 else IMAG * lam))
+    # item 4 states a decay clause at every n; at n = 0 no sine item states anything
+    assert len(used) == 2 * 5 + 2 * 4
+    assert len(calls) == len(used) and set(calls) == used
+
+
+def test_seeded_draws_are_canonical_rationals():
+    # one numerator, then one denominator, per entry; zero entries are dropped
+    def draw(rng):
+        return CycloScalar.of(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+    for seed in range(20):
+        for m in (1, 2, 3, 4):
+            rng, reference = random.Random(seed), random.Random(seed)
+            a, c = random_matrix(rng, m), realize.random_vector(rng, m)
+            assert a == Matrix([[draw(reference) for _ in range(m)] for _ in range(m)])
+            assert [x.ints for x in c] == [draw(reference).ints for _ in range(m)]
+            assert rng.random() == reference.random()
 
 
 def test_vector_items_small():
