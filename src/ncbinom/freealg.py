@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .scalars import CycloScalar, signed_sum
+from .scalars import ONE, CycloScalar, signed_sum
 
 Word = tuple[int, ...]
 
@@ -89,11 +89,13 @@ class Combination:
 
     Its kinds are `NcPoly` (keys are words), `realize.FuncExpr` (exponent
     triples), `realize.VecFunc` ((slot, exponents) quadruples) and
-    `realize.Matrix` ((row, column) pairs).  Each kind supplies `_key`,
-    which coerces the keys handed to the public constructor.  A direct
-    subclass of `Combination` is a kind, recorded as `_kind`; its own
-    subclasses (`rewrite.Normal`) share it, so their members combine.
-    Sums of different kinds never add, subtract or compare equal.
+    `realize.Matrix` ((row, column) pairs).  This class owns `+`, `-`,
+    scalar `*`, `==`, hash, `combine`, `zero`, `**` and `repr`; a kind
+    states only its `_key` (coercing the public constructor's keys; a
+    tuple by default), product, `_unit` (where `**` starts) and `str`.
+    A direct subclass is a kind, recorded as `_kind`; its own subclasses
+    (`rewrite.Normal`) share it, so their members combine.  Sums of
+    different kinds never add, subtract or compare equal.
 
     Every sum is tied to one `context`, and this class alone holds the
     rule for it: sums of one kind but different contexts raise
@@ -109,6 +111,7 @@ class Combination:
 
     __slots__ = ("context", "terms")
 
+    _key = staticmethod(tuple)
     _context_name = "context"
 
     def __init_subclass__(cls, **kwargs):
@@ -129,6 +132,11 @@ class Combination:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, context=None):
+        # the zero of the kind: `Normal.zero(alphabet)` is a plain `NcPoly`
+        return cls._kind._raw(context, {})
 
     @classmethod
     def _raw(cls, context, clean_terms: dict):
@@ -209,13 +217,26 @@ class Combination:
             (key, c * v) for c, g in pairs for key, v in g.terms.items()
         ))
 
+    def __pow__(self, exponent: int):
+        # only an algebra has a unit; a kind without `_unit` declines, so Python raises TypeError
+        if not hasattr(self, "_unit"):
+            return NotImplemented
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"{type(self).__name__} powers take non-negative integer exponents")
+        result = self._unit()  # in this sum's own arithmetic; zero ** 0 is the unit too
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
 
 class NcPoly(Combination):
     """Finite map word -> nonzero scalar coefficient, over one alphabet."""
 
     __slots__ = ()
 
-    _key = staticmethod(tuple)
     _context_name = "alphabet"
     alphabet = property(attrgetter("context"))
 
@@ -223,10 +244,6 @@ class NcPoly(Combination):
         super().__init__(terms, alphabet)
 
     # ---- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(alphabet: Alphabet) -> NcPoly:
-        return NcPoly(alphabet)
 
     @staticmethod
     def unit(alphabet: Alphabet) -> NcPoly:
@@ -258,14 +275,9 @@ class NcPoly(Combination):
             ))
         return Combination.__rmul__(self, other)
 
-    def __pow__(self, exponent: int) -> NcPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers take non-negative integer exponents")
-        # zero exponent always yields I, including for the zero polynomial
-        result = NcPoly.unit(self.alphabet)
-        for _ in range(exponent):
-            result = result * self
-        return result
+    def _unit(self) -> NcPoly:
+        # `_like` keeps a `Normal`'s preset, so its powers multiply Normals
+        return self._like({EMPTY_WORD: ONE})
 
     # ---- canonical output ---------------------------------------------
 
@@ -282,9 +294,6 @@ class NcPoly(Combination):
             negative = _leading_negative(coeff)
             pieces.append((negative, _term_str(self.alphabet, word, -coeff if negative else coeff)))
         return signed_sum(pieces)
-
-    def __repr__(self) -> str:
-        return f"NcPoly({self})"
 
 
 def _leading_negative(coeff: CycloScalar) -> bool:

@@ -26,7 +26,7 @@ a polynomial) read B(n)*(c (x) phi) off one graded scalar fold,
 `apply_binomial_lifted`; Tier-1 keeps the direct fold.  The memos, each
 per process: `build_binomial`, LRU 128 on (n, lam, u, d), for the cases
 of one preset; `_scalar_dichotomy`, LRU 128 on (kind, n, lam), for the
-j rows of `exp`; `_graded_fold`, LRU 128 on (n, mu, parts, phi, kind),
+j rows of `exp`; `_graded_fold`, LRU 128 on (n, mu, parts, phi),
 which never sees a or c, for vector items 2-4 and 5-7 over every m and
 seed; and each preset's `_nf_cache`, word -> normal form, with no cap.
 As in `binomial`, each verifier takes its scalars as the field elements
@@ -67,10 +67,12 @@ _POWER_SHIFTS = {
 
 def _exponent(x) -> tuple:
     """Canonical ints of an exponent: an int, Fraction, CycloScalar or (n0, n1, n2, n3, d)."""
+    if type(x) is CycloScalar:  # canonical already
+        return x.ints
     if isinstance(x, tuple):
         *numerators, d = x
         return CycloScalar([Fraction(n, d) for n in numerators]).ints
-    return CycloScalar.of(x).ints
+    return _ZERO_INTS if x == 0 else CycloScalar.of(x).ints
 
 
 def _derivative(terms: dict, kind: str) -> dict:
@@ -111,12 +113,10 @@ class FuncExpr(Combination):
         return tuple(map(_exponent, key))
 
     @staticmethod
-    def zero() -> FuncExpr:
-        return FuncExpr()
-
-    @staticmethod
     def term(coeff, c=0, alpha=0, beta=0) -> FuncExpr:
-        return FuncExpr({(c, alpha, beta): coeff})
+        # keyed here, not by `_key`; a zero coefficient (`random_func_expr` draws some) gives zero
+        key, coeff = (_exponent(c), _exponent(alpha), _exponent(beta)), CycloScalar.of(coeff)
+        return FuncExpr._raw(None, {key: coeff} if coeff else {})
 
     @staticmethod
     def one() -> FuncExpr:
@@ -149,15 +149,7 @@ class FuncExpr(Combination):
         )
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for key, coeff in self.sorted_terms():
-            pieces.append(_func_term_str(key, coeff))
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"FuncExpr({self})"
+        return " + ".join(_func_term_str(key, coeff) for key, coeff in self.sorted_terms()) or "0"
 
 
 def _paren(scalar: CycloScalar) -> str:
@@ -202,7 +194,6 @@ class Matrix(Combination):
 
     __slots__ = ()
 
-    _key = staticmethod(tuple)
     _context_name = "shape"
     shape = property(attrgetter("context"))
 
@@ -216,10 +207,6 @@ class Matrix(Combination):
     @staticmethod
     def identity(n: int) -> Matrix:
         return Matrix._raw((n, n), {(i, i): ONE for i in range(n)})
-
-    @staticmethod
-    def zeros(n: int, m: int | None = None) -> Matrix:
-        return Matrix._raw((n, n if m is None else m), {})
 
     @property
     def rows(self) -> tuple[tuple[CycloScalar, ...], ...]:
@@ -242,23 +229,15 @@ class Matrix(Combination):
             ))
         return Combination.__rmul__(self, other)
 
-    def __pow__(self, e: int) -> Matrix:
+    def _unit(self) -> Matrix:
         n, m = self.shape
         if n != m:
             raise ValueError("power of a non-square matrix")
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("matrix powers take non-negative integer exponents")
-        result = Matrix.identity(n)
-        for _ in range(e):
-            result = result * self
-        return result
+        return Matrix.identity(n)
 
     def __str__(self) -> str:
         rows = ("[" + ", ".join(map(str, row)) + "]" for row in self.rows)
         return "[" + ", ".join(rows) + "]"
-
-    def __repr__(self) -> str:
-        return f"Matrix({self})"
 
 
 def random_rational(rng: random.Random, span: int = 5) -> CycloScalar:
@@ -310,10 +289,6 @@ class VecFunc(Combination):
         # c (x) 1, keyed directly at the zero exponents
         values, key = tuple(map(CycloScalar.of, values)), (_ZERO_INTS,) * 3
         return VecFunc._raw(len(values), accumulate(((i, *key), v) for i, v in enumerate(values)))
-
-    @staticmethod
-    def zero(m: int) -> VecFunc:
-        return VecFunc([FuncExpr.zero()] * m)
 
     @property
     def entries(self) -> tuple[FuncExpr, ...]:
@@ -539,7 +514,7 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
 
 
 @functools.lru_cache(maxsize=128)  # item 8 alone draws data (its p) that enters the key
-def _graded_fold(n: int, mu, parts: tuple, phi: FuncExpr, kind: str) -> tuple[dict, int]:
+def _graded_fold(n: int, mu, parts: tuple, phi: FuncExpr) -> tuple[dict, int]:
     """The read-only terms of B(n)*(e_0 (x) phi) keyed (grade, exponents), and the top grade.
 
     See `apply_binomial_lifted`; the fold never sees a or c, so cases share it.
@@ -549,28 +524,27 @@ def _graded_fold(n: int, mu, parts: tuple, phi: FuncExpr, kind: str) -> tuple[di
         ((k + d, k), CycloScalar.of(x)) for d, x in enumerate(p) for k in range(size - d))), u)
         for p, u in parts])
     start = VecFunc._raw(size, {(0, *key): w for key, w in phi.terms.items()})
-    graded = apply_binomial(n, mu, lifted, start, kind).terms
+    graded = apply_binomial(n, mu, lifted, start).terms
     return graded, max((key[0] for key in graded), default=-1)
 
 
-def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors,
-                          kind: str = D_DX) -> list[VecFunc]:
+def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors) -> list[VecFunc]:
     """B(n)*(c (x) phi) for each constant vector c from one scalar fold; U = sum p(a)*u.
 
     `parts` are the (p, u) of U, p a polynomial in the constant matrix a
     by its coefficients (p[d] multiplies a^d) and u a function: U = a*u is
-    [((0, 1), u)].  `apply_binomial` runs once per key of the memo
-    `_graded_fold`, on n*e + 1 slots (e the highest degree of a p), with a
-    replaced by the shift S: e_k -> e_(k+1) and f = e_0 (x) phi, so slot k
-    holds G_k phi, the grade-k part of B(n)*phi; each case lifts the image
-    of its c (x) phi as sum_k (a^k c) (x) G_k phi.  Exact:
+    [((0, 1), u)], and D is d/dx.  `apply_binomial` runs once per key of
+    the memo `_graded_fold`, on n*e + 1 slots (e the highest degree of
+    a p), with a replaced by the shift S: e_k -> e_(k+1) and
+    f = e_0 (x) phi, so slot k holds G_k phi, the grade-k part of B(n)*phi; each case
+    lifts the image of its c (x) phi as sum_k (a^k c) (x) G_k phi.  Exact:
     e_k (x) psi -> a^k c (x) psi intertwines S with a, so p(S)*u with
     p(a)*u, and D with D, because a is constant.  Nothing is lost on
     n*e + 1 slots: no action lowers a grade, a U raises it by at most e,
     and no term of the fold meets more than n U's.  Tier-1 keeps the
     direct fold with `FuncMatrix([(p(a), u), ...])`.
     """
-    graded, top = _graded_fold(n, mu, tuple((tuple(p), u) for p, u in parts), phi, kind)
+    graded, top = _graded_fold(n, mu, tuple((tuple(p), u) for p, u in parts), phi)
     images = []
     for c in vectors:
         powers = [accumulate(enumerate(c))]  # a^k c as row -> nonzero entry

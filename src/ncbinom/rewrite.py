@@ -163,10 +163,6 @@ class Normal(NcPoly):
             return normalize(NcPoly.__mul__(self._coerce(other), self), self.preset)
         return Combination.__rmul__(self, other)
 
-    def __pow__(self, exponent: int) -> Normal:
-        # the zero power is the plain unit, which is normal
-        return normalize(NcPoly.__pow__(self, exponent), self.preset)
-
 
 def normalize(p: NcPoly, preset: RelationPreset) -> Normal:
     """Rewrite to the normal form under the preset's relations.

@@ -163,6 +163,10 @@ def test_every_operation_keeps_the_kind_and_context(kind):
         a.combine([(2, a), (ONE, b)]),
         a.combine([]),
     )
+    # an algebra's powers multiply in its own arithmetic, from its own unit
+    if kind in (NcPoly, Normal, Matrix):
+        results += (a ** 0, a ** 2)
+        assert a ** 2 == a * a and a ** 0 * b == b
     for result in results:
         assert context(result) == context(a)
     assert a.scaled(0).is_zero and a.combine([]).is_zero
@@ -216,6 +220,37 @@ def test_only_combination_states_the_context_rule():
         for name in ("_raw", "_like", "_accepts", "__eq__", "__hash__") if name in vars(kind)
     )
     assert restated == []
+    # the zero, the power and the printed name are shared by every kind, Normal included
+    restated = sorted(
+        f"{kind.__name__}.{name}" for kind in kinds
+        for name in ("zero", "__pow__", "__repr__") if name in vars(kind)
+    )
+    assert restated == []
+
+
+def test_powers_zeros_and_names_follow_the_kind():
+    u = PLUS.normal_generator("U")
+    unit = u ** 0
+    assert type(unit) is Normal and unit.preset is PLUS and unit == PLUS.unit()
+    assert type(Normal.zero(UD)) is NcPoly and Normal.zero(UD) == NcPoly.zero(UD)
+    assert Matrix.zero((2, 3)).shape == (2, 3) and VecFunc.zero(2).dim == 2
+    assert FuncExpr.zero().context is None and FuncExpr.zero().is_zero
+    # a module has no unit, so it has no powers
+    for value in (FuncExpr.one(), VecFunc.constant([1, 2])):
+        with pytest.raises(TypeError):
+            value ** 2
+    with pytest.raises(ValueError, match="non-square"):
+        Matrix([[1, 2, 3], [4, 5, 6]]) ** 2
+    for value in (U, u, Matrix.identity(2)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            value ** -1
+        with pytest.raises(ValueError, match="non-negative integer"):
+            value ** Fraction(1, 2)
+    assert repr(U * D + 2 * U) == "NcPoly(U D + 2 * U)"
+    assert repr(u) == "Normal(U)"
+    assert repr(FuncExpr.exponential(1)) == "FuncExpr(exp(1*x))"
+    assert repr(Matrix.identity(2)) == "Matrix([[1, 0], [0, 1]])"
+    assert repr(VecFunc.constant([1, 0])) == "VecFunc([1, 0])"
 
 
 def test_equal_sums_hash_equally():

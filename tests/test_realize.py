@@ -268,7 +268,7 @@ def test_change_of_variables():
 
 def poly_at(p, a: Matrix) -> Matrix:
     """p(a), p a polynomial by its coefficients (p[d] multiplies a^d)."""
-    return sum((a ** d * x for d, x in enumerate(p)), Matrix.zeros(a.shape[0]))
+    return sum((a ** d * x for d, x in enumerate(p)), Matrix.zero(a.shape))
 
 
 def graded_fold(n, mu, parts, phi, slots):
@@ -446,7 +446,7 @@ def test_matrix_arithmetic():
     tall = Matrix([[0, 2], [IMAG, 0], [0, 0]])
     column, row = Matrix([[1], [0], [-2]]), Matrix([[0, half, 3]])
     for left, right in ((wide, tall), (tall, wide), (column, row), (row, column),
-                        (a, wide), (a, Matrix.zeros(2, 3))):
+                        (a, wide), (a, Matrix.zero((2, 3)))):
         product = left * right
         assert product == dense_product(left, right)
         assert product.shape == (left.shape[0], right.shape[1])
@@ -463,11 +463,11 @@ def test_matrix_arithmetic():
     with pytest.raises(ValueError):
         wide - tall
     assert wide != tall
-    assert Matrix.zeros(2, 2) != Matrix.zeros(2, 3)
-    assert Matrix.zeros(2, 3) == Matrix([[0, 0, 0], [0, 0, 0]])
+    assert Matrix.zero((2, 2)) != Matrix.zero((2, 3))
+    assert Matrix.zero((2, 3)) == Matrix([[0, 0, 0], [0, 0, 0]])
     assert str(wide - wide) == "[[0, 0, 0], [0, 0, 0]]"
     assert str(0 * wide) == "[[0, 0, 0], [0, 0, 0]]"
-    assert wide.combine([]) == Matrix.zeros(2, 3)
+    assert wide.combine([]) == Matrix.zero((2, 3))
     assert wide.combine([(2, wide), (-1, wide)]) == wide
     with pytest.raises(AttributeError):
         wide.shape = (3, 2)
@@ -540,7 +540,7 @@ def word_by_word_shift_matrix(p: NcPoly, preset, size: int, lam) -> Matrix:
             [[(sign * i) * lam if i == j else ZERO for j in range(dim)] for i in range(dim)]
         ),
     }
-    total = Matrix.zeros(dim)
+    total = Matrix.zero((dim, dim))
     for word, coeff in p.terms.items():
         mat = Matrix.identity(dim)
         for letter in word:
@@ -782,6 +782,20 @@ def test_funcexpr_coerces_plain_number_keys_like_term():
         assert plain == want
         assert plain.differentiate() == want.differentiate()
         assert str(plain.differentiate(X_D_DX)) == str(want.differentiate(X_D_DX))
+
+
+def test_term_keys_like_the_coercing_constructor():
+    # `term` keys its exponents itself; the constructor goes through `_key`
+    values = (0, 3, -2, Fraction(0), Fraction(-5, 4), ZERO, ONE, parse_scalar("1/2 + 1/3*i"))
+    for coeff in values:
+        for c, alpha, beta in ((0, 0, 0), (2, Fraction(1, 2), 0), (ONE, 0, parse_scalar("i")),
+                               (Fraction(3), ZERO, -1), (IMAG, 4, Fraction(-2, 3))):
+            got = FuncExpr.term(coeff, c, alpha, beta)
+            want = FuncExpr({(c, alpha, beta): coeff})
+            assert got == want and got.context is None
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert all(type(v) is CycloScalar for v in got.terms.values())
+            assert got.is_zero == (coeff == 0)
 
 
 def test_funcexpr_keys_coerce_to_canonical_int_tuples():
