@@ -132,10 +132,11 @@ def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,
     On ker D the restriction vanishes for odd n and is (n-1)!! * base^(n/2)
     for even n > 0; (2D + n*lam) * B(n) vanishes there for every n.
     """
-    u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
+    u, d = preset.normal_generator("U"), preset.normal_generator("D")
+    unit = u**0
     b = build_binomial(n, lam, u, d)
     restricted = restrict_to_kernel(b, preset)
-    zero = NcPoly.zero(preset.alphabet)
+    zero = 0 * unit  # a Normal: comparing with it normalizes nothing
     clauses = parity_clauses(n, restricted, zero, base, lambda p: p)
     shifted = restrict_to_kernel((2 * d + (lam * n) * unit) * b, preset)
     clauses.append(Clause("shifted-vanishes", shifted, zero))
@@ -162,9 +163,9 @@ def verify_ascending_recurrence(n: int, lam) -> list[Clause]:
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
     preset = cached_preset("first-order-plus", lam)
-    u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
+    u, d = preset.normal_generator("U"), preset.normal_generator("D")
     lhs = build_binomial(n, lam, u, d)
-    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit)
+    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * u**0)
     return [Clause("", lhs, rhs)]
 
 
@@ -179,9 +180,9 @@ def verify_minus_recurrence(n: int, lam) -> list[Clause]:
     if n < 2:
         raise ValueError("recurrence needs n >= 2")
     preset = cached_preset("first-order-minus", lam)
-    u, d, unit = preset.normal_generator("U"), preset.normal_generator("D"), preset.unit()
+    u, d = preset.normal_generator("U"), preset.normal_generator("D")
     lhs = build_binomial(n, lam, u, d)
-    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * unit)
+    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * u**0)
     rhs = rhs - (2 * (n - 1)) * lam * (u * build_binomial(n - 2, lam, u, d))
     if n > 2:
         rhs = rhs + (2 * (n - 1) * (n - 2)) * (lam * lam) * (
@@ -229,7 +230,7 @@ def verify_kernel_vectors(n: int, lam, j: int) -> list[Clause]:
     preset = cached_preset("first-order-plus", lam)
     b = build_binomial(n, lam, preset.normal_generator("U"), preset.normal_generator("D"))
     value = kernel_eval(b, preset, -(lam * j))
-    return [Clause("", value, NcPoly.zero(preset.alphabet))]
+    return [Clause("", value, 0 * value)]  # the Normal zero, so comparing normalizes nothing
 
 
 def verify_w_independence(n: int, lam, mu) -> list[Clause]:
@@ -275,7 +276,7 @@ def verify_noncommuting_binomial_form(n: int, lam) -> list[Clause]:
     """B(n) as a binomial sum in DU - U^2 and U^2, times Uinv^n."""
     preset = cached_preset("invertible-minus", lam)
     uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
-    core = power_sum(n, d * u - u * u, u * u, preset.unit())
+    core = power_sum(n, d * u - u * u, u * u, u**0)
     lhs = build_binomial(n, lam, u, d)
     rhs = core * uinv**n
     return [Clause("", lhs, rhs)]

@@ -4,16 +4,19 @@ Exit codes: 0 when every non-skipped case passes, 1 when any case fails,
 2 on usage or literal-parse errors, out-of-range flags and runs with no
 cases; flags are checked before any case runs.  Output is deterministic:
 identical flags and seed give byte-identical output, regardless of --jobs.
+`SuiteConfig` and `Suite` are named tuples and `build_parser` alone imports
+`argparse`, so a caller of `iter_cases` and `run_case` loads neither
+`dataclasses` nor `argparse`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import binomial
 from .report import FAIL, PASS, VerificationReport, report_from_clauses, skipped_report
@@ -45,25 +48,19 @@ FLAG_MINIMUMS = {"n_max": 0, "jobs": 1}
 SUITE_FLAGS = ("j", "m", "seed")
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    n_max: int | None = None
-    lambdas: tuple[str, ...] | None = None  # canonical literals
-    j: int | None = None
-    m: int | None = None
-    seed: int | None = None
-    jobs: int = 1
+# the flags of one run; None takes the suite's default
+SuiteConfig = namedtuple("SuiteConfig", "n_max lambdas j m seed jobs",
+                         defaults=(None, None, None, None, None, 1))
 
-
-@dataclass(frozen=True)
-class Suite:
-    """One verification suite: its defaults, its case grid and its runner."""
-
-    n_max: int | None  # default degree bound; None when the grid has no degree
-    lambdas: tuple[str, ...] | None  # default lambda literals; None: takes no lambda
-    grid: Callable  # (suite, n_max, lambda literals, cfg) -> list of case dicts
-    run: Callable | None  # (case, parsed lambda) -> list of Clause; None for confluence
-    flags: dict = field(default_factory=dict)  # SUITE_FLAGS it reads -> smallest value, None: any
+# One verification suite: its defaults, its case grid and its runner.
+#   n_max: default degree bound; None when the grid has no degree
+#   lambdas: default lambda literals; None: takes no lambda
+#   grid: (suite, n_max, lambda literals, cfg) -> list of case dicts
+#   run: (case, parsed lambda) -> list of Clause; None for confluence
+#   flags: SUITE_FLAGS it reads -> smallest value, None: any; read-only when defaulted
+#   realizes: its runner calls into `realize` (for cor-vw, the realized variant only)
+Suite = namedtuple("Suite", "n_max lambdas grid run flags realizes",
+                   defaults=(MappingProxyType({}), False))
 
 
 def _seed(cfg: SuiteConfig) -> int:
@@ -191,6 +188,11 @@ def _realize():
     return realize
 
 
+def needs_realize(case: dict) -> bool:
+    """Whether running `case` calls into `realize`; cor-vw's abstract variant does not."""
+    return SUITES[case["suite"]].realizes and case.get("variant") != "abstract"
+
+
 WITH_ZERO = BASE_LAMBDAS + ("0",)
 
 # Runners look verifiers up on their module at call time, so that a
@@ -214,7 +216,8 @@ SUITES: dict[str, Suite] = {
     "cor-vw": Suite(8, BASE_LAMBDAS, _vw_grid, lambda c, lam: (
         binomial.verify_w_independence(c["n"], lam, parse_scalar(c["mu"]))
         if c["variant"] == "abstract"
-        else _realize().verify_w_independence_realized(c["n"], lam, c["seed"])), {"seed": None}),
+        else _realize().verify_w_independence_realized(c["n"], lam, c["seed"])),
+        {"seed": None}, realizes=True),
     "lemma-l2": Suite(10, WITH_ZERO, _lambda_grid(1),
                       lambda c, lam: binomial.verify_alt_expansion(c["n"], lam)),
     "lemma-l3": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
@@ -224,23 +227,28 @@ SUITES: dict[str, Suite] = {
     "final-remark": Suite(8, BASE_LAMBDAS, _lambda_grid(0),
                           lambda c, lam: binomial.verify_noncommuting_binomial_form(c["n"], lam)),
     "exp": Suite(8, BASE_LAMBDAS, _exp_grid,
-                 lambda c, lam: _realize().verify_exponential(c["n"], lam, c.get("j")), {"j": 0}),
+                 lambda c, lam: _realize().verify_exponential(c["n"], lam, c.get("j")), {"j": 0},
+                 realizes=True),
     "sin": Suite(8, BASE_LAMBDAS, _lambda_grid(0, nonzero=True),
-                 lambda c, lam: _realize().verify_sine(c["n"], lam)),
+                 lambda c, lam: _realize().verify_sine(c["n"], lam), realizes=True),
     "linear": Suite(8, None, _linear_grid, lambda c, lam: (
-        _realize().verify_linear(c["n"], parse_scalar(c["a"]), parse_scalar(c["b"])))),
+        _realize().verify_linear(c["n"], parse_scalar(c["a"]), parse_scalar(c["b"]))),
+        realizes=True),
     "chvar-gauss": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
-        _realize().verify_change_of_variables(c["n"], lam, c["j"], "gauss")), {"j": 0}),
+        _realize().verify_change_of_variables(c["n"], lam, c["j"], "gauss")), {"j": 0},
+        realizes=True),
     "chvar-log": Suite(6, BASE_LAMBDAS, _chvar_grid, lambda c, lam: (
-        _realize().verify_change_of_variables(c["n"], lam, c["j"], "log")), {"j": 0}),
+        _realize().verify_change_of_variables(c["n"], lam, c["j"], "log")), {"j": 0},
+        realizes=True),
     "vector": Suite(6, BASE_LAMBDAS, _vector_grid, lambda c, lam: (
         _realize().verify_vector_item(c["item"], c["n"], lam, c["m"], c["seed"])),
-        {"m": 1, "seed": None}),
+        {"m": 1, "seed": None}, realizes=True),
     "eq5-matrix": Suite(6, None, _eq5_grid, lambda c, lam: (
         _realize().verify_shift_binomial_matrices(c["n"], c["dim"], c["seed"])),
-        {"m": 2, "seed": None}),
+        {"m": 2, "seed": None}, realizes=True),
     "third-order": Suite(5, ("1",), _third_order_grid,
-                         lambda c, lam: _realize().verify_third_order(c["n"], lam)),
+                         lambda c, lam: _realize().verify_third_order(c["n"], lam),
+                         realizes=True),
     "confluence": Suite(None, None, _confluence_grid, None),  # run_case reports it
 }
 
@@ -334,6 +342,10 @@ def _run_cases(cases: list[dict], jobs: int) -> list[VerificationReport]:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # imported before the pool forks, the workers share it instead of each compiling it
+        if any(map(needs_realize, cases)):
+            _realize()
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_case, cases, chunksize=8))
     return [run_case(c) for c in cases]
@@ -376,6 +388,8 @@ def cmd_expand(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only a parse of argv needs it; `iter_cases` and `run_case` do not
+
     parser = argparse.ArgumentParser(
         prog="ncbinom",
         description="Exact verification of binomial-type identities for "

@@ -11,7 +11,6 @@ so they can be shared freely.  Equality is exact, term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
@@ -56,15 +55,32 @@ def accumulate(pairs, out: dict | None = None) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Ordered generator names; the position in `names` is the order index."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate generator names in {self.names}")
+    def __init__(self, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate generator names in {names}")
+        _set(self, "names", names)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Alphabet is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Alphabet, (self.names,)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Alphabet and self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return f"Alphabet(names={self.names!r})"
 
     def index(self, name: str) -> int:
         try:
@@ -157,7 +173,7 @@ class Combination:
         # a sum of this kind over another context is never combined
         if not isinstance(other, self._kind):
             return False
-        # the one shared context object is the common case; skip the dataclass `==`
+        # the one shared context object is the common case; skip the full `==`
         if self.context is not other.context and self.context != other.context:
             raise ValueError(
                 f"{self._context_name} mismatch: {self.context} vs {other.context}"

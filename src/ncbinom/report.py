@@ -7,25 +7,26 @@ when every checked clause's residual is the zero element.  A passing
 form is formatted once.  The memos behind the forms (`build_binomial`,
 `realize._scalar_dichotomy`, `realize._graded_fold`, each preset's
 `_nf_cache`) are per process; `realize`'s docstring gives keys and caps.
+`VerificationReport` and `Clause` are named tuples: a dataclass would load
+`inspect`, with its `ast`, `dis` and `tokenize`, into every fresh run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    params: dict
-    status: str
-    lhs: str
-    rhs: str
-    residual: str
+class VerificationReport(namedtuple("VerificationReport", "suite params status lhs rhs residual")):
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        # `__new__` stores the fields; an `__init__` that takes them lets a wrapper
+        # call through (perfbench/tracer.py numbers the cases there)
+        pass
 
     @property
     def passed(self) -> bool:
@@ -46,17 +47,13 @@ class VerificationReport:
         return f"[{self.status.upper():>7}] {self.suite} {params}".rstrip()
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(namedtuple("Clause", "label lhs rhs probe", defaults=(False,))):
     """One comparison inside a case; values must support '-', is_zero, str.
 
     `probe=True` makes a probe: its outcome is recorded, not checked.
     """
 
-    label: str
-    lhs: object
-    rhs: object
-    probe: bool = False
+    __slots__ = ()
 
     def residual(self):
         return self.lhs - self.rhs

@@ -26,7 +26,7 @@ handed `Normal` generators, without ever forming the free expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .freealg import Alphabet, Combination, NcPoly, Word, accumulate
 from .scalars import ZERO, CycloScalar
@@ -72,9 +72,6 @@ class RelationPreset:
 
     def generator(self, name: str) -> NcPoly:
         return NcPoly.generator(self.alphabet, name)
-
-    def unit(self) -> NcPoly:
-        return NcPoly.unit(self.alphabet)
 
     def normal_generator(self, name: str) -> Normal:
         return normalize(self.generator(name), self)
@@ -213,11 +210,11 @@ def restrict_to_kernel(p: NcPoly, preset: RelationPreset) -> Normal:
 # ---- confluence proof ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    preset_name: str
-    overlaps: tuple[str, ...]  # every overlap word abc, in rule order
-    divergent: tuple[tuple[str, tuple[str, ...]], ...]  # (word, normal forms of both reducts)
+class ConfluenceReport(namedtuple("ConfluenceReport", "preset_name overlaps divergent")):
+    """`overlaps`: every overlap word abc, in rule order; `divergent`: each
+    (word, normal forms of both reducts) whose reducts differ."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -2,9 +2,11 @@
 
 import math
 import random
+import sys
 
 import pytest
 
+from ncbinom import rewrite
 from ncbinom.binomial import (
     binomial_sum,
     build_binomial,
@@ -18,7 +20,7 @@ from ncbinom.binomial import (
     verify_central_recurrence,
     verify_minus_recurrence,
 )
-from ncbinom.cli import run_case
+from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import Matrix, random_matrix
 from ncbinom.rewrite import Normal, cached_preset, make_preset, normalize, restrict_to_kernel
@@ -378,7 +380,7 @@ def test_normal_arithmetic_agrees_on_the_invertible_forms(lam_text):
     for name in ("invertible-plus", "invertible-minus"):
         preset = make_preset(name, parse_scalar(lam_text))
         free, normal = _free_and_normal(preset, "Uinv", "U", "D")
-        unit = preset.unit()
+        unit = NcPoly.unit(preset.alphabet)
         for n in range(7):
             factored, core = [], []
             for uinv, u, d in (free, normal):
@@ -445,3 +447,22 @@ def test_normal_binomial_memo_keys_on_lambda_and_u():
     at_twin = build_binomial(4, ONE, twin.normal_generator("V"), twin.normal_generator("D"))
     assert at_twin.preset is twin and at_twin is not at_one
     assert size() == 7
+
+
+def test_normal_verifiers_coerce_no_plain_unit(monkeypatch):
+    """Units and zeros mixed into `Normal` sums are Normal already; none is normalized again."""
+    real = rewrite.normalize
+    coerced = []
+
+    def recording(p, preset):
+        # a plain c * I, zero included: every word of it is empty
+        if type(p) is NcPoly and not any(p.terms):
+            coerced.append(sys._getframe(1).f_code.co_name)
+        return real(p, preset)
+
+    monkeypatch.setattr(rewrite, "normalize", recording)
+    for suite in ("thm-wrongsign", "rec-3", "rec-6", "final-remark", "cor-kernel"):
+        for case in iter_cases(suite, SuiteConfig(n_max=4)):
+            assert run_case(case).status in ("pass", "skipped"), case
+    # a product of two normal forms is normalized whole (final-remark's I * Uinv^0 at n = 0)
+    assert "_coerce" not in coerced

@@ -353,35 +353,98 @@ def test_worker_count_is_clamped_to_cpus_and_cases(monkeypatch):
     assert sizes == [2]
 
 
-# Run in a fresh interpreter, so that no other test's imports are counted.
+# Run in a fresh interpreter, so that no other test's imports are counted; each
+# list names the watched modules loaded since before `from ncbinom import cli`.
 # The symbolic suites are every suite but the realizations; cor-vw runs abstract.
 _IMPORT_FOOTPRINT = """
 import sys
+before = set(sys.modules)
 from ncbinom import cli
 
-LAZY = ("concurrent.futures", "multiprocessing", "ncbinom.realize")
+WATCHED = ("argparse", "concurrent.futures", "dataclasses", "inspect", "multiprocessing",
+           "ncbinom.realize", "typing")
+
+
+def loaded():
+    return [name for name in WATCHED if name in sys.modules and name not in before]
+
+
 SYMBOLIC = ("thm-nou", "rec-3", "thm-wrongsign", "rec-6", "thm-2nd", "rec-7", "cor-kernel",
             "cor-vw", "lemma-l2", "lemma-l3", "lemma-eq5", "final-remark", "confluence")
 for suite in SYMBOLIC:
     case = [c for c in cli.iter_cases(suite, cli.SuiteConfig())
             if c.get("variant") != "realized" and "skip" not in c][0]
     assert cli.run_case(case).status == "pass", suite
+print("symbolic:", loaded())
 assert cli.main(["expand", "--n", "2"]) == 0
-print("symbolic:", [name for name in LAZY if name in sys.modules])
+print("expand:", loaded())
 assert cli.run_case(cli.iter_cases("exp", cli.SuiteConfig(n_max=1))[-1]).status == "pass"
-print("exp:", [name for name in LAZY if name in sys.modules])
+print("exp:", loaded())
 """
 
 
-def test_serial_symbolic_run_imports_neither_pool_nor_realize():
+def run_script(script):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    # expand prints its two forms before the first summary line
-    assert lines[-2:] == ["symbolic: []", "exp: ['ncbinom.realize']"]
+    return done.stdout.splitlines()
+
+
+def test_serial_symbolic_run_imports_neither_pool_nor_realize():
+    # no dataclasses, inspect or typing at all, and argparse only once `main` parses argv;
+    # expand's own two lines (its forms) sit between the summary lines
+    lines = run_script(_IMPORT_FOOTPRINT)
+    assert [lines[0], lines[-2], lines[-1]] == [
+        "symbolic: []", "expand: ['argparse']", "exp: ['argparse', 'ncbinom.realize']"]
+
+
+_POOL_IMPORTS = """
+import concurrent.futures, os, sys
+from ncbinom import cli
+
+
+class RecordingPool:
+    def __init__(self, max_workers):
+        print("realize before the pool:", "ncbinom.realize" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+os.cpu_count = lambda: 2
+for suite in ("thm-nou", "exp"):
+    cli._run_cases(cli.iter_cases(suite, cli.SuiteConfig(n_max=1)), 2)
+"""
+
+
+def test_pool_inherits_realize_only_when_a_case_needs_it():
+    # forked workers share what the calling process imported before the pool starts
+    assert run_script(_POOL_IMPORTS) == [
+        "realize before the pool: False", "realize before the pool: True"]
+
+
+def test_needs_realize_names_the_cases_that_call_realize(monkeypatch):
+    calls = []
+    real = cli._realize
+    monkeypatch.setattr(cli, "_realize", lambda: calls.append(1) or real())
+    for suite in cli.SUITE_ORDER:
+        firsts = {}  # the first case of each variant
+        for case in iter_cases(suite, SuiteConfig()):
+            if "skip" not in case:
+                firsts.setdefault(case.get("variant"), case)
+        for case in firsts.values():
+            calls.clear()
+            run_case(case)
+            assert bool(calls) == cli.needs_realize(case), case
 
 
 # ---- pinned report streams ------------------------------------------------------

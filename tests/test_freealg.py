@@ -231,7 +231,7 @@ def test_only_combination_states_the_context_rule():
 def test_powers_zeros_and_names_follow_the_kind():
     u = PLUS.normal_generator("U")
     unit = u ** 0
-    assert type(unit) is Normal and unit.preset is PLUS and unit == PLUS.unit()
+    assert type(unit) is Normal and unit.preset is PLUS and unit == NcPoly.unit(PLUS.alphabet)
     assert type(Normal.zero(UD)) is NcPoly and Normal.zero(UD) == NcPoly.zero(UD)
     assert Matrix.zero((2, 3)).shape == (2, 3) and VecFunc.zero(2).dim == 2
     assert FuncExpr.zero().context is None and FuncExpr.zero().is_zero

@@ -574,7 +574,7 @@ def test_shift_oracle_reads_its_eigenvalue_off_the_d_u_rule():
     for name in ("second-order", "free", "invertible-plus"):
         preset = cached_preset(name, ONE)
         with pytest.raises(ValueError, match="shift representation needs one rule"):
-            truncated_shift_matrix(preset.unit(), preset, 4)
+            truncated_shift_matrix(NcPoly.unit(preset.alphabet), preset, 4)
 
 
 def test_vector_apply_under_diagonal_matrix_is_slotwise():

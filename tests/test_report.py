@@ -1,8 +1,13 @@
 """Reports built from clauses: status, text fields, and one residual per clause."""
 
-from ncbinom.freealg import NcPoly
-from ncbinom.report import FAIL, PASS, Clause, report_from_clauses
-from ncbinom.rewrite import cached_preset, normalize
+import pickle
+
+import pytest
+
+from ncbinom.cli import Suite, SuiteConfig
+from ncbinom.freealg import Alphabet, NcPoly
+from ncbinom.report import FAIL, PASS, Clause, VerificationReport, report_from_clauses
+from ncbinom.rewrite import ConfluenceReport, cached_preset, normalize
 
 
 class Counted:
@@ -98,3 +103,46 @@ def test_a_passing_clause_of_two_types_prints_each_side():
     assert report.status == PASS
     assert (report.lhs, report.rhs) == (str(lhs), str(plain))
     assert report.lhs != report.rhs
+
+
+def test_record_types_keep_their_contract():
+    """The six record types: constructors, defaults, immutability, equality, hash, pickling."""
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        Alphabet(("U", "D", "U"))
+    ud = Alphabet(("U", "D"))
+    assert ud == Alphabet(names=("U", "D")) and hash(ud) == hash(Alphabet(("U", "D")))
+    assert ud != Alphabet(("D", "U")) and len(ud) == 2 and repr(ud) == "Alphabet(names=('U', 'D'))"
+
+    assert SuiteConfig() == SuiteConfig(n_max=None, lambdas=None, j=None, m=None, seed=None, jobs=1)
+    cfg = SuiteConfig(n_max=3, lambdas=("1",), seed=5)
+    assert (cfg.n_max, cfg.lambdas, cfg.j, cfg.m, cfg.seed, cfg.jobs) == (3, ("1",), None, None, 5, 1)
+    assert hash(cfg) == hash(SuiteConfig(3, ("1",), None, None, 5))
+
+    suite = Suite(2, None, list, None)
+    assert suite.flags == {} and suite.realizes is False
+    with pytest.raises(TypeError):  # the default flags are shared, so read-only
+        suite.flags["j"] = 0
+    assert Suite(2, None, list, None, {"j": 0}, True).flags == {"j": 0}
+
+    clause = Clause("a", 1, 2)
+    assert clause.probe is False and clause == Clause(label="a", lhs=1, rhs=2, probe=False)
+    assert hash(clause) == hash(Clause("a", 1, 2)) and clause.residual() == -1
+
+    confluent = ConfluenceReport("p", ("U D U",), ())
+    assert confluent.ok and confluent.overlap_list == "U D U"
+    divergent = ConfluenceReport("p", (), (("U D U", ("U", "D")),))
+    assert not divergent.ok and divergent.overlap_list == "none"
+    assert str(divergent) == "p: divergent on U D U -> {U | D}"
+
+    report = VerificationReport("demo", {"n": 1}, PASS, "x", "x", "0")
+    assert list(report.to_json_obj()) == ["suite", "params", "status", "lhs", "rhs", "residual"]
+    assert report.passed and report == VerificationReport("demo", {"n": 1}, PASS, "x", "x", "0")
+
+    for record in (ud, cfg, suite, clause, confluent, report):
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        field = "names" if record is ud else type(record)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    for record in (ud, cfg, clause, confluent, report):
+        assert pickle.loads(pickle.dumps(record)) == record
