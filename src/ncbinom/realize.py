@@ -11,24 +11,23 @@ Also here: constant matrices over the scalars, a kind of
 `freealg.Combination` keyed by (row, column) with the shape as context
 (for the vector-valued variants and the shifted-binomial matrix
 oracle); vector-valued functions, keyed by (slot, c, alpha, beta) with
-the dimension as context, and the multipliers sum_k A_k*u_k(x) that act
-on them (A_k constant matrices, u_k scalar functions); the
-truncated shift representation that serves as an independent check on
-the rewrite engine; and the proof, by one gcd of polynomials in mu, that
-no parameter mu makes the combination vanish for a genuinely third-order
-exponential sum.  Every single-mu verifier evaluates B(n)*f through
+the dimension as context, and the lift's graded multiplier that acts on
+them; and the proof, by one gcd of polynomials in mu, that no parameter
+mu makes the combination vanish for a genuinely third-order exponential
+sum.  Every single-mu verifier evaluates B(n)*f through
 `apply_binomial`, which folds Horner's rule for B(n) into 2n - 1 actions
 of U and n of D with no free expansion; the word-by-word evaluator
 `apply_each` stays for the third-order proof (one free B(n) with mu as
-a letter), the truncated shift representation and Tier-1's oracle.
-All eight vector items (U = sum p(a)*u, a a constant matrix and each p
-a polynomial) read B(n)*(c (x) phi) off one graded scalar fold,
-`apply_binomial_lifted`; Tier-1 keeps the direct fold.  The memos, each
-per process: `build_binomial`, LRU 128 on (n, lam, u, d), for the cases
-of one preset; `_scalar_dichotomy`, LRU 128 on (kind, n, lam), for the
-j rows of `exp`; `_graded_fold`, LRU 128 on (n, mu, parts, phi),
-which never sees a or c, for vector items 2-4 and 5-7 over every m and
-seed; and each preset's `_nf_cache`, word -> normal form, with no cap.
+a letter).  All eight vector items (U = sum p(a)*u, a a constant matrix
+and each p a polynomial) read B(n)*(c (x) phi) off one graded scalar
+fold, `apply_binomial_lifted`, on e*floor(n/2) + 1 slots: B(n) has
+U-degree at most floor(n/2), by its generating function (see
+`apply_binomial`).  The memos, each per process: `build_binomial`, LRU
+128 on (n, lam, u, d), for the cases of one preset; `_scalar_dichotomy`,
+LRU 128 on (kind, n, lam), for the j rows of `exp`; `_graded_fold`, LRU
+128 on (n, mu, parts, phi), which never sees a or c, for vector items
+2-4 and 5-7 over every m and seed; and each preset's `_nf_cache`, word
+-> normal form, with no cap.
 As in `binomial`, each verifier takes its scalars as the field elements
 `cli.run_case` parses, with no coercion of its own, and returns its list
 of clauses; `run_case` names the case and builds its report.
@@ -45,7 +44,6 @@ from operator import attrgetter
 from .binomial import build_binomial, parity_clauses, shift_binomial_clauses
 from .freealg import Alphabet, Combination, NcPoly, accumulate
 from .report import Clause
-from .rewrite import RelationPreset
 from .scalars import IMAG, OMEGA, ONE, ZERO, CycloScalar, add_ints, wrap
 
 # derivation kinds
@@ -305,52 +303,31 @@ class VecFunc(Combination):
 
 
 class FuncMatrix:
-    """Multiplication by sum_k A_k*u_k(x); parts are (Matrix A_k, FuncExpr u_k), A_k square.
+    """The lift's graded multiplier: sum_d p[d]*S^d*u over its parts (p, u), S the shift.
 
-    Each part's column index, column j -> [(row i, A_k[i][j] != 0)], is built once, here.
+    p is a polynomial by its coefficients and u a function; a term moves
+    from slot k to slot k + d, and slots at or past the vector's dimension
+    are dropped.
     """
 
-    __slots__ = ("parts", "_columns")
+    __slots__ = ("parts",)
 
     def __init__(self, parts):
-        data = tuple(parts)
-        if not data:
-            raise ValueError("a multiplier needs at least one part")
-        m = data[0][0].shape[0]
-        if any(a.shape != (m, m) for a, _ in data):
-            raise ValueError("multiplication matrices must be square and of one size")
-        object.__setattr__(self, "parts", data)
-        columns = []
-        for a, u in data:
-            rows_of: dict[int, list] = {}
-            for (i, j), x in a.terms.items():
-                rows_of.setdefault(j, []).append((i, x))
-            columns.append((rows_of, u))
-        object.__setattr__(self, "_columns", tuple(columns))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FuncMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.parts[0][0].shape[0]
+        # each p as its nonzero (d, p[d]), formed once
+        self.parts = tuple((tuple((d, CycloScalar.of(x)) for d, x in enumerate(p) if x), u)
+                           for p, u in parts)
 
     def matvec(self, v: VecFunc) -> VecFunc:
-        if v.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {v.dim}")
-
         def images():
-            # each (u_k term, v_j term) pair sums its keys once and goes to
-            # every row i with A_k[i][j] != 0
-            for rows_of, u in self._columns:
-                for (j, c2, a2, b2), w2 in v.terms.items():
-                    rows = rows_of.get(j)
-                    if rows:
-                        for (c1, a1, b1), w1 in u.terms.items():
-                            key = (add_ints(c1, c2), add_ints(a1, a2), add_ints(b1, b2))
-                            w = w1 * w2
-                            for i, x in rows:
-                                yield (i, *key), x * w
+            # each (u term, v term) pair sums its keys once and goes to each slot k + d kept
+            for p, u in self.parts:
+                for (k, c2, a2, b2), w2 in v.terms.items():
+                    shifts = [(k + d, x) for d, x in p if k + d < v.dim]
+                    for (c1, a1, b1), w1 in u.terms.items() if shifts else ():
+                        key = (add_ints(c1, c2), add_ints(a1, a2), add_ints(b1, b2))
+                        w = w1 * w2
+                        for slot, x in shifts:
+                            yield (slot, *key), x * w
 
         return v._like(accumulate(images()))
 
@@ -398,7 +375,11 @@ def apply_each(polys, assignment: dict, f) -> list:
 
 
 def apply_assigned(p: NcPoly, assignment: dict, f):
-    """Act with p on f: `apply_each` of one polynomial."""
+    """Act with p on f: `apply_each` of one polynomial.
+
+    It stays in `src` only because perfbench's tracer patches it by name;
+    once the tracer counts the letter actions instead, it can join the oracles.
+    """
     return apply_each([p], assignment, f)[0]
 
 
@@ -420,6 +401,16 @@ def apply_binomial(n: int, mu, u, f, kind: str = D_DX):
     and B(n)*f = g_0.  That is 2n - 1 actions of U and n of D (none at
     n = 0), where the word path acts once per suffix of about 2^(n+1)
     words; Tier-1 keeps that path as the oracle.
+
+    With D = d/dx, phi' = u*phi and s(t) = -log(1 - mu*t)/mu (t at mu = 0),
+    sum_n B(n)*t^n/n! = phi*e^(s(t)*D)*e^(t*U)*phi^-1: D - U = phi*D*phi^-1,
+    and the rising products D(D + mu)...(D + (k-1)mu) sum to e^(s(t)*D)
+    (Graham, Knuth, Patashnik, Concrete Mathematics, ch. 5 and 7).  On g it
+    is e^E(t)*g(x + s), E(t) = sum_j u^(j)*(t*s^j/j! - s^(j+1)/(j+1)!), and
+    each coefficient of E starts at t^2, so B(n) has U-degree at most
+    floor(n/2).  Only the derivation rule enters, so the bound holds for
+    multiplication by any element of a commutative ring with a derivation,
+    the lift's sum p(S)*u among them.
     """
     powers = [f]  # U^i f for i < n
     for _ in range(n - 1):
@@ -517,14 +508,14 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
 def _graded_fold(n: int, mu, parts: tuple, phi: FuncExpr) -> tuple[dict, int]:
     """The read-only terms of B(n)*(e_0 (x) phi) keyed (grade, exponents), and the top grade.
 
-    See `apply_binomial_lifted`; the fold never sees a or c, so cases share it.
+    See `apply_binomial_lifted`; the fold never sees a or c, so cases share
+    it.  Its e*floor(n/2) + 1 slots (e the highest degree of a p) are
+    exact: no action lowers a grade, a U raises it by at most e, and B(n)
+    has U-degree at most floor(n/2) (`apply_binomial`).
     """
-    size = n * max(len(p) - 1 for p, _ in parts) + 1
-    lifted = FuncMatrix([(Matrix._raw((size, size), accumulate(
-        ((k + d, k), CycloScalar.of(x)) for d, x in enumerate(p) for k in range(size - d))), u)
-        for p, u in parts])
-    start = VecFunc._raw(size, {(0, *key): w for key, w in phi.terms.items()})
-    graded = apply_binomial(n, mu, lifted, start).terms
+    start = VecFunc._raw(max(len(p) - 1 for p, _ in parts) * (n // 2) + 1,
+                         {(0, *key): w for key, w in phi.terms.items()})
+    graded = apply_binomial(n, mu, FuncMatrix(parts), start).terms
     return graded, max((key[0] for key in graded), default=-1)
 
 
@@ -534,15 +525,13 @@ def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors) 
     `parts` are the (p, u) of U, p a polynomial in the constant matrix a
     by its coefficients (p[d] multiplies a^d) and u a function: U = a*u is
     [((0, 1), u)], and D is d/dx.  `apply_binomial` runs once per key of
-    the memo `_graded_fold`, on n*e + 1 slots (e the highest degree of
-    a p), with a replaced by the shift S: e_k -> e_(k+1) and
-    f = e_0 (x) phi, so slot k holds G_k phi, the grade-k part of B(n)*phi; each case
-    lifts the image of its c (x) phi as sum_k (a^k c) (x) G_k phi.  Exact:
-    e_k (x) psi -> a^k c (x) psi intertwines S with a, so p(S)*u with
-    p(a)*u, and D with D, because a is constant.  Nothing is lost on
-    n*e + 1 slots: no action lowers a grade, a U raises it by at most e,
-    and no term of the fold meets more than n U's.  Tier-1 keeps the
-    direct fold with `FuncMatrix([(p(a), u), ...])`.
+    the memo `_graded_fold`, with a replaced by the shift S: e_k -> e_(k+1)
+    and f = e_0 (x) phi, so slot k holds G_k phi, the grade-k part of
+    B(n)*phi; each case lifts the image of its c (x) phi as
+    sum_k (a^k c) (x) G_k phi.  Exact: e_k (x) psi -> a^k c (x) psi
+    intertwines S with a, so p(S)*u with p(a)*u, and D with D, because a
+    is constant.  The fold keeps e*floor(n/2) + 1 slots, the grades that
+    the U-degree bound of `apply_binomial` leaves.
     """
     graded, top = _graded_fold(n, mu, tuple((tuple(p), u) for p, u in parts), phi)
     images = []
@@ -588,9 +577,10 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
         parts = [((0, 1), u)]
     result, = apply_binomial_lifted(n, mu, a, parts, FuncExpr.one(), [c])
     clauses = []
-    if item in (2, 3, 5, 6, 8):  # the even closed form is built apart from the lift
-        clauses = parity_clauses(n, result, zero, base * a, lambda mat: FuncMatrix(
-            [(mat, _decay(n, mu))]) * VecFunc.constant(c))
+    if item in (2, 3, 5, 6, 8):  # the even closed form mat*c (x) e^(-mu*n*x/2), apart from the lift
+        (key, _), = _decay(n, mu).terms.items()
+        clauses = parity_clauses(n, result, zero, base * a, lambda mat: VecFunc._raw(m, accumulate(
+            ((i, *key), x * c[j]) for (i, j), x in mat.terms.items())))
     if item == 4:  # the sign probe on (2 d/dx +/- mu n)
         clauses.append(Clause("shift-plus-vanishes", _shifted(result, mu, n), zero))
         clauses.append(Clause("minus_also_zero", _shifted(result, -mu, n), zero, probe=True))
@@ -640,39 +630,6 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
         clauses.append(Clause(f"sample-{idx}", apply_binomial(n, lam, v_plus_w, f),
                               apply_binomial(n, lam, v, f)))
     return clauses
-
-
-# ---- truncated shift representation (oracle for the rewrite engine) --------
-
-
-def truncated_shift_matrix(p: NcPoly, preset: RelationPreset, size: int) -> Matrix:
-    """Matrix of p with U a raising shift and D diagonal, on e_0 .. e_size.
-
-    The preset must have exactly one rule, D U -> U D + c*U; c is read off
-    it, and D has eigenvalue k*c on e_k.  Entries are exact wherever no
-    basis vector escapes the truncation; `size` must exceed the U-degree
-    of p by at least 2.
-    """
-    if [pair for pair, _ in preset.rules] != [("D", "U")]:
-        raise ValueError(f"{preset.name}: shift representation needs one rule, for D U")
-    right = preset.rules[0][1]
-    u, d = preset.generator("U"), preset.generator("D")
-    c = right.terms.get(next(iter(u.terms)), ZERO)
-    if right != u * d + c * u:
-        raise ValueError(f"{preset.name}: shift representation needs D U -> U D + c*U, not {right}")
-    u_deg = p.letter_degree("U")
-    if size < u_deg + 2:
-        raise ValueError(f"size {size} too small; need at least U-degree + 2 = {u_deg + 2}")
-    dim = size + 1
-    shift = Matrix._raw((dim, dim), {(j + 1, j): ONE for j in range(size)})
-    diag = Matrix._raw((dim, dim), accumulate(((i, i), i * c) for i in range(dim)))
-    actions = {"U": lambda g: shift * g, "D": lambda g: diag * g}
-    return apply_assigned(p, actions, Matrix.identity(dim))
-
-
-def safe_block(mat: Matrix, size: int) -> Matrix:
-    shape = tuple(min(size + 1, d) for d in mat.shape)
-    return Matrix._raw(shape, {key: x for key, x in mat.terms.items() if max(key) <= size})
 
 
 # ---- third-order proof -------------------------------------------------------

@@ -112,8 +112,9 @@ class Normal(NcPoly):
     The value is an element of the preset's quotient algebra, and `*` its
     product, only when the preset is confluent (`check_confluence(preset).ok`,
     proved for every shipped preset).  Under a non-confluent preset such as
-    `incomplete_vw_fixture` a normal form depends on the rewrite order, and
-    a product of normal forms need not be the normal form of the product.
+    `incomplete_vw_fixture` in `tests/oracles.py` a normal form depends on
+    the rewrite order, and a product of normal forms need not be the normal
+    form of the product.
     """
 
     __slots__ = ("preset",)
@@ -305,8 +306,8 @@ def _partial_vw(lam: CycloScalar, mu: CycloScalar) -> RelationPreset:
 
     The D-V rule is a sufficient extra hypothesis: without any D-V
     relation the two remaining rules are not confluent (see
-    `incomplete_vw_fixture`), so the free-hanging case is exercised on
-    the function-space realization instead.
+    `incomplete_vw_fixture` in `tests/oracles.py`), so the free-hanging
+    case is exercised on the function-space realization instead.
     """
     alpha, (v, w, d) = _letters("V", "W", "D")
     return RelationPreset("partial-vw", alpha, (
@@ -337,13 +338,6 @@ def make_preset(name: str, lam=ZERO, mu=ZERO) -> RelationPreset:
     if build is None:
         raise ValueError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
     return build(CycloScalar.of(lam), CycloScalar.of(mu))
-
-
-def incomplete_vw_fixture(lam) -> RelationPreset:
-    """`partial-vw` without its D-V rule: deliberately incomplete, diverges on D W V."""
-    full = make_preset("partial-vw", lam)
-    rules = tuple((pair, right) for pair, right in full.rules if pair != ("D", "V"))
-    return RelationPreset("partial-vw-incomplete", full.alphabet, rules)
 
 
 _preset_cache: dict[tuple, RelationPreset] = {}

@@ -11,8 +11,9 @@ import pytest
 
 from ncbinom import cli, rewrite
 from ncbinom.cli import SuiteConfig, iter_cases, main, run_case
-from ncbinom.rewrite import incomplete_vw_fixture
 from ncbinom.scalars import ONE
+
+from oracles import incomplete_vw_fixture
 
 
 def run_cli(capsys, *argv):

@@ -299,7 +299,7 @@ def test_a_product_of_different_kinds_names_both():
     pairs = [(poly, func), (func, poly), (normal, func), (func, normal)]
     pairs += [pair for other in (func, poly, normal) for pair in ((matrix, other), (other, matrix))]
     # a multiplier acts only on a vector function
-    multiplier = FuncMatrix([(Matrix.identity(2), func)])
+    multiplier = FuncMatrix([((0, 1), func)])
     pairs += [(multiplier, other) for other in (func, poly, normal, matrix, 3)]
     for a, b in pairs:
         for symbol, op in (("*", operator.mul), ("+", operator.add), ("-", operator.sub)):

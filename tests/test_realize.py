@@ -28,9 +28,7 @@ from ncbinom.realize import (
     random_func_expr,
     random_matrix,
     random_rational,
-    safe_block,
     sin_func,
-    truncated_shift_matrix,
     verify_change_of_variables,
     verify_exponential,
     verify_third_order,
@@ -39,6 +37,9 @@ from ncbinom.realize import (
 from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.rewrite import RelationPreset, cached_preset, normalize
 from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar, wrap
+
+import oracles
+from oracles import MatrixMultiplier, safe_block, truncated_shift_matrix
 
 UD = Alphabet(("U", "D"))
 U = NcPoly.generator(UD, "U")
@@ -129,10 +130,14 @@ def test_apply_binomial_matches_factor_by_factor_evaluation():
         (lam, FuncExpr.exponential(0, lam * Fraction(1, 2)), XINV_D_DX, scalars),  # gauss
         (lam, FuncExpr.monomial(lam), X_D_DX, scalars),  # log
         (lam, random_func_expr(rng) + FuncExpr.exponential(lam), D_DX, scalars),  # v + w
-        (lam, FuncMatrix([(a1, FuncExpr.exponential(lam))]), D_DX, vectors),
-        (lam, FuncMatrix([(a1, FuncExpr.exponential(-lam))]), D_DX, vectors),
-        (IMAG * lam, FuncMatrix([(a1, sin_func(lam))]), D_DX, vectors),
-        (ZERO, FuncMatrix([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())]), D_DX, vectors),
+        (lam, MatrixMultiplier([(a1, FuncExpr.exponential(lam))]), D_DX, vectors),
+        (lam, MatrixMultiplier([(a1, FuncExpr.exponential(-lam))]), D_DX, vectors),
+        (IMAG * lam, MatrixMultiplier([(a1, sin_func(lam))]), D_DX, vectors),
+        (ZERO, MatrixMultiplier([(a1, FuncExpr.monomial(1)), (a2, FuncExpr.one())]), D_DX,
+         vectors),
+        # the lift's graded multiplier: a*x + p(a) on the shift slots
+        (ZERO, FuncMatrix([((0, 1), FuncExpr.monomial(1)), ((2, 0, -1), FuncExpr.one())]), D_DX,
+         vectors),
     ]
     for mu, u, kind, inputs in cases:
         for f in inputs:
@@ -158,7 +163,7 @@ class CountingMultiplier:
 def test_apply_binomial_acts_2n_minus_1_times_with_u_and_n_times_with_d(monkeypatch, vector):
     lam = parse_scalar("1/2 + i")
     if vector:
-        u = FuncMatrix([(random_matrix(random.Random(5), 2), FuncExpr.exponential(lam))])
+        u = FuncMatrix([((1, 2), FuncExpr.exponential(lam))])
         f, carrier = VecFunc.constant([1, -2]), VecFunc
     else:
         u, f, carrier = FuncExpr.exponential(lam), FuncExpr.one(), FuncExpr
@@ -271,11 +276,17 @@ def poly_at(p, a: Matrix) -> Matrix:
     return sum((a ** d * x for d, x in enumerate(p)), Matrix.zero(a.shape))
 
 
+def shift_matrix(slots: int) -> Matrix:
+    """S: e_k -> e_(k+1) on `slots` slots, the last one sent to zero."""
+    return Matrix([[ONE if i == k + 1 else ZERO for k in range(slots)] for i in range(slots)])
+
+
 def graded_fold(n, mu, parts, phi, slots):
-    """B(n)*(e_0 (x) phi), U acting as sum p(S)*u, S the shift e_k -> e_(k+1) on `slots` slots."""
-    shift = Matrix([[ONE if i == k + 1 else ZERO for k in range(slots)] for i in range(slots)])
+    """B(n)*(e_0 (x) phi), U acting as sum p(S)*u, S the shift on `slots` slots."""
+    shift = shift_matrix(slots)
     start = VecFunc([phi] + [FuncExpr.zero()] * (slots - 1))
-    return apply_binomial(n, mu, FuncMatrix([(poly_at(p, shift), u) for p, u in parts]), start)
+    return apply_binomial(n, mu, MatrixMultiplier([(poly_at(p, shift), u) for p, u in parts]),
+                          start)
 
 
 def random_quadratic(rng):
@@ -299,14 +310,14 @@ LIFT_MULTIPLIERS = {  # name -> (parts, mu) of lambda and a generator for any dr
 
 @pytest.mark.parametrize("multiplier", sorted(LIFT_MULTIPLIERS))
 def test_lifted_fold_matches_the_direct_vector_fold(multiplier):
-    # the direct fold with FuncMatrix([(p(a), u), ...]) on c (x) phi is the reference
+    # the direct fold with MatrixMultiplier([(p(a), u), ...]) on c (x) phi is the reference
     rng = random.Random(2024)
     nonzero = 0
     for lam in LIFT_LAMBDAS:
         parts, mu = LIFT_MULTIPLIERS[multiplier](lam, rng)
         for m in (1, 2, 3):
             a = random_matrix(rng, m)
-            direct_u = FuncMatrix([(poly_at(p, a), u) for p, u in parts])
+            direct_u = MatrixMultiplier([(poly_at(p, a), u) for p, u in parts])
             vectors = [[CycloScalar.of(random_rational(rng)) for _ in range(m)] for _ in range(2)]
             # 1 and e^(-lam x) are kernel targets of the grow multiplier; the third input is not
             for phi in (FuncExpr.one(), FuncExpr.exponential(-lam), random_func_expr(rng)):
@@ -322,21 +333,54 @@ def test_lifted_fold_matches_the_direct_vector_fold(multiplier):
     assert nonzero >= 100
 
 
-def test_graded_fold_leaves_the_top_slot_of_a_longer_shift_empty():
-    # no action lowers a grade and a U raises it by at most e, so n*e + 1 slots are exact
+def test_graded_fold_keeps_exactly_e_floor_half_n_plus_1_slots():
+    # B(n) has U-degree at most floor(n/2) (`apply_binomial`) and a U raises the grade by at
+    # most e, so e*floor(n/2) + 1 slots are exact, and the fold's top slot can be nonzero
     rng = random.Random(11)
+    reach_top = set()
     for lam in LIFT_LAMBDAS:
         for multiplier in sorted(LIFT_MULTIPLIERS):
             parts, mu = LIFT_MULTIPLIERS[multiplier](lam, rng)
+            e = max(len(p) - 1 for p, _ in parts)
             # at a = 1 the lift sums to U = sum p(1)*u
             u_at_one = sum((u.scaled(sum(p)) for p, u in parts), FuncExpr.zero())
             for phi in (FuncExpr.one(), FuncExpr.exponential(-lam)):
-                for n in range(7):
-                    size = n * max(len(p) - 1 for p, _ in parts) + 1
-                    longer = graded_fold(n, mu, parts, phi, size + 1).entries
-                    assert longer[size].is_zero, (multiplier, lam, n)
-                    assert longer[:size] == graded_fold(n, mu, parts, phi, size).entries
-                    assert sum(longer, FuncExpr.zero()) == apply_binomial(n, mu, u_at_one, phi)
+                for n in range(11):
+                    size = e * (n // 2) + 1
+                    longer = graded_fold(n, mu, parts, phi, size + 1)
+                    assert longer.entries[size].is_zero, (multiplier, lam, n)
+                    exact = graded_fold(n, mu, parts, phi, size)
+                    assert longer.entries[:size] == exact.entries
+                    assert sum(longer.entries, FuncExpr.zero()) == apply_binomial(
+                        n, mu, u_at_one, phi)
+                    graded, _ = realize._graded_fold(n, mu, tuple((tuple(p), u) for p, u in parts),
+                                                     phi)
+                    assert graded == exact.terms, (multiplier, lam, n)
+                    if size > 1 and not exact.entries[size - 1].is_zero:
+                        reach_top.add(multiplier)  # e*floor(n/2) slots would lose this grade
+    # grow meets no u at all (its E(t) is 0), and linear drops p, so its grades stop at floor(n/2)
+    assert reach_top == {"decay", "sine", "two-part"}
+
+
+def test_graded_multiplier_matches_the_matrix_multiplier_of_p_of_the_shift():
+    # sum p(S)*u against p(S) given as a matrix on the same slots; terms shifted past the
+    # last slot are dropped, and the slots kept agree with those of a longer vector
+    rng = random.Random(4711)
+    dropped = 0
+    for size in (1, 2, 3, 4):
+        shift = shift_matrix(size)
+        for n_parts in (1, 2):
+            for _ in range(4):
+                parts = [(tuple(rng.choice((0, random_rational(rng))) for _ in range(3)),
+                          random_func_expr(rng)) for _ in range(n_parts)]
+                v = VecFunc([rng.choice((FuncExpr.zero(), random_func_expr(rng)))
+                             for _ in range(size)])
+                got = FuncMatrix(parts) * v
+                assert got == MatrixMultiplier([(poly_at(p, shift), u) for p, u in parts]) * v
+                longer = FuncMatrix(parts) * VecFunc(v.entries + (FuncExpr.zero(),) * 2)
+                assert longer.entries[:size] == got.entries
+                dropped += any(not g.is_zero for g in longer.entries[size:])
+    assert dropped > 0
 
 
 def count_folds(monkeypatch) -> list:
@@ -580,7 +624,7 @@ def test_shift_oracle_reads_its_eigenvalue_off_the_d_u_rule():
 def test_vector_apply_under_diagonal_matrix_is_slotwise():
     lam = parse_scalar("1/2")
     u1, u2 = FuncExpr.exponential(lam), sin_func(parse_scalar("2"))
-    diag = FuncMatrix([(Matrix([[1, 0], [0, 0]]), u1), (Matrix([[0, 0], [0, 1]]), u2)])
+    diag = MatrixMultiplier([(Matrix([[1, 0], [0, 0]]), u1), (Matrix([[0, 0], [0, 1]]), u2)])
     rng = random.Random(11)
     f1, f2 = random_func_expr(rng), random_func_expr(rng)
     for n in range(5):
@@ -732,7 +776,7 @@ def grid_matvec(parts, v: VecFunc) -> VecFunc:
 def test_matvec_matches_grid_reference_in_one_accumulate(monkeypatch):
     rng = random.Random(1729)
     passes = 0
-    plain_accumulate = realize.accumulate
+    plain_accumulate = oracles.accumulate
 
     def counted_accumulate(*args):
         nonlocal passes
@@ -756,8 +800,8 @@ def test_matvec_matches_grid_reference_in_one_accumulate(monkeypatch):
                 want = grid_matvec(parts, v)
                 passes = 0
                 with monkeypatch.context() as patched:
-                    patched.setattr(realize, "accumulate", counted_accumulate)
-                    got = FuncMatrix(parts) * v
+                    patched.setattr(oracles, "accumulate", counted_accumulate)
+                    got = MatrixMultiplier(parts) * v
                 assert got == want
                 assert passes == 1
     # zero and nonzero matrix entries and vector slots all occurred
@@ -765,13 +809,13 @@ def test_matvec_matches_grid_reference_in_one_accumulate(monkeypatch):
 
     u = sin_func(1)
     with pytest.raises(ValueError):
-        FuncMatrix([])
+        MatrixMultiplier([])
     with pytest.raises(ValueError):
-        FuncMatrix([(Matrix([[1, 2]]), u)])
+        MatrixMultiplier([(Matrix([[1, 2]]), u)])
     with pytest.raises(ValueError):
-        FuncMatrix([(random_matrix(rng, 2), u), (random_matrix(rng, 3), u)])
+        MatrixMultiplier([(random_matrix(rng, 2), u), (random_matrix(rng, 3), u)])
     with pytest.raises(ValueError):
-        FuncMatrix([(random_matrix(rng, 2), u)]) * VecFunc.constant([1, 2, 3])
+        MatrixMultiplier([(random_matrix(rng, 2), u)]) * VecFunc.constant([1, 2, 3])
 
 
 def test_funcexpr_coerces_plain_number_keys_like_term():

@@ -14,13 +14,14 @@ from ncbinom.rewrite import (
     Normal,
     RelationPreset,
     check_confluence,
-    incomplete_vw_fixture,
     kernel_eval,
     make_preset,
     normalize,
     restrict_to_kernel,
 )
 from ncbinom.scalars import ONE, ZERO, CycloScalar, parse_scalar
+
+from oracles import incomplete_vw_fixture
 
 
 def gens(preset, *names):
