@@ -110,8 +110,8 @@ class Combination:
     states only its `_key` (coercing the public constructor's keys; a
     tuple by default), product, `_unit` (where `**` starts) and `str`.
     A direct subclass is a kind, recorded as `_kind`; its own subclasses
-    (`rewrite.Normal`) share it, so their members combine.  Sums of
-    different kinds never add, subtract or compare equal.
+    (`rewrite.Normal`, `realize.DiffOperator`) share it, so their members
+    combine.  Sums of different kinds never add, subtract or compare equal.
 
     Every sum is tied to one `context`, and this class alone holds the
     rule for it: sums of one kind but different contexts raise

@@ -12,14 +12,18 @@ Also here: constant matrices over the scalars, a kind of
 (for the vector-valued variants and the shifted-binomial matrix
 oracle); vector-valued functions, keyed by (slot, c, alpha, beta) with
 the dimension as context, and the lift's graded multiplier that acts on
-them; and the proof, by one gcd of polynomials in mu, that no parameter
-mu makes the combination vanish for a genuinely third-order exponential
-sum.  Every single-mu verifier evaluates B(n)*f through
+them; the operator carrier `DiffOperator`, sum_r p_r*D^r with slot r
+holding p_r; and the proof, by one gcd of polynomials in mu, that no
+parameter mu makes the combination vanish for a genuinely third-order
+exponential sum.  Every single-mu verifier evaluates B(n) through
 `apply_binomial`, which folds Horner's rule for B(n) into 2n - 1 actions
-of U and n of D with no free expansion; the word-by-word evaluator
-`apply_each` stays for the third-order proof (one free B(n) with mu as
-a letter).  All eight vector items (U = sum p(a)*u, a a constant matrix
-and each p a polynomial) read B(n)*(c (x) phi) off one graded scalar
+of U and n of D with no free expansion: on f itself, or, for the
+realized W-independence rows, once per multiplier on `DiffOperator`
+from the identity, then applied to each of the five samples; the
+word-by-word evaluator `apply_each` stays for the third-order proof
+(one free B(n) with mu as a letter).  All eight vector items
+(U = sum p(a)*u, a a constant matrix and each p a polynomial) read
+B(n)*(c (x) phi) off one graded scalar
 fold, `apply_binomial_lifted`, on e*floor(n/2) + 1 slots: B(n) has
 U-degree at most floor(n/2), by its generating function (see
 `apply_binomial`).  The memos, each per process: `build_binomial`, LRU
@@ -282,12 +286,6 @@ class VecFunc(Combination):
         object.__setattr__(self, "terms", {
             (i, *key): v for i, e in enumerate(entries) for key, v in e.terms.items()})
 
-    @staticmethod
-    def constant(values) -> VecFunc:
-        # c (x) 1, keyed directly at the zero exponents
-        values, key = tuple(map(CycloScalar.of, values)), (_ZERO_INTS,) * 3
-        return VecFunc._raw(len(values), accumulate(((i, *key), v) for i, v in enumerate(values)))
-
     @property
     def entries(self) -> tuple[FuncExpr, ...]:
         slots = [{} for _ in range(self.dim)]
@@ -300,6 +298,36 @@ class VecFunc(Combination):
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(e) for e in self.entries) + "]"
+
+
+class DiffOperator(VecFunc):
+    """The operator sum_r p_r*D^r: slot r holds the function p_r, on a fixed number of slots.
+
+    U acts as `FuncMatrix([((1,), u)])` acts on any vector; only D differs.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def identity(dim: int) -> DiffOperator:
+        return DiffOperator._raw(dim, {(0, _ZERO_INTS, _ZERO_INTS, _ZERO_INTS): ONE})
+
+    def differentiate(self, kind: str = D_DX) -> DiffOperator:
+        # D*(p*D^r) = p'*D^r + p*D^(r+1) for each of the three derivations; slots past the last drop
+        dim = self.dim
+        return self._like(accumulate((((key[0] + 1,) + key[1:], v) for key, v in self.terms.items()
+                                      if key[0] + 1 < dim), _derivative(self.terms, kind)))
+
+    def apply(self, f: FuncExpr, kind: str = D_DX) -> FuncExpr:
+        """sum_r p_r * f^(r), f^(r) the r-th image of f under the derivation `kind`."""
+        derivatives = [f]
+        for _ in range(max((key[0] for key in self.terms), default=0)):
+            derivatives.append(derivatives[-1].differentiate(kind))
+        return f._like(accumulate(
+            ((add_ints(c1, c2), add_ints(a1, a2), add_ints(b1, b2)), v1 * v2)
+            for (r, c1, a1, b1), v1 in self.terms.items()
+            for (c2, a2, b2), v2 in derivatives[r].terms.items()
+        ))
 
 
 class FuncMatrix:
@@ -390,11 +418,12 @@ def apply_binomial(n: int, mu, u, f, kind: str = D_DX):
     """B(n) with parameter mu applied to f: U multiplies by u, D is the derivation `kind`.
 
     u is a function or a `FuncMatrix`, f a function or a vector of its
-    space.  Every single-mu realized verifier evaluates B(n)*f here, with
-    no free expansion.  Horner's rule on the sum over k of
-    C(n,k) * F_0 ... F_(k-1) * U^(n-k) f, with F_k = D - U + k*mu, is
-    folded so that U acts once per step: g_n = f and, for k = n-1 down
-    to 0,
+    space; from the identity `DiffOperator`, with u as FuncMatrix([((1,), u)]),
+    the result is B(n) itself as sum_r p_r*D^r.  Every single-mu realized
+    verifier evaluates B(n) here, with no free expansion.  Horner's rule
+    on the sum over k of C(n,k) * F_0 ... F_(k-1) * U^(n-k) f, with
+    F_k = D - U + k*mu, is folded so that U acts once per step: g_n = f
+    and, for k = n-1 down to 0,
 
         g_k = (D + k*mu) g_(k+1) + U (C(n,k) U^(n-k-1) f - g_(k+1)),
 
@@ -620,16 +649,17 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
     V multiplies by a pseudo-random exponential-polynomial (so no
     relation between D and V is assumed at all); W multiplies by
     e^{lam*x}.  The two combinations must agree on five sample inputs.
+    Each side's B(n) is folded once, by `apply_binomial` on the operator
+    carrier `DiffOperator` from the identity, into sum_r p_r*D^r on its
+    n + 1 slots (B(n) has D-order at most n), and applied to every sample.
     """
     rng = random.Random(derive_seed(seed, n))
     v = random_func_expr(rng)
-    v_plus_w = v + FuncExpr.exponential(lam)
-    clauses = []
-    for idx in range(5):
-        f = random_func_expr(rng)
-        clauses.append(Clause(f"sample-{idx}", apply_binomial(n, lam, v_plus_w, f),
-                              apply_binomial(n, lam, v, f)))
-    return clauses
+    one = DiffOperator.identity(n + 1)
+    lhs, rhs = (apply_binomial(n, lam, FuncMatrix([((1,), u)]), one)
+                for u in (v + FuncExpr.exponential(lam), v))
+    return [Clause(f"sample-{idx}", lhs.apply(f), rhs.apply(f))
+            for idx, f in enumerate([random_func_expr(rng) for _ in range(5)])]
 
 
 # ---- third-order proof -------------------------------------------------------

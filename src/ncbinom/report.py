@@ -28,10 +28,6 @@ class VerificationReport(namedtuple("VerificationReport", "suite params status l
         # call through (perfbench/tracer.py numbers the cases there)
         pass
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def to_json_obj(self) -> dict:
         return {
             "suite": self.suite,

@@ -21,6 +21,7 @@ accepts the sugar letters "i" and "w".
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -294,11 +295,14 @@ _NUMBER_RE = re.compile(r"\d+")
 _SYMBOL_VALUES = {"i": IMAG, "w": OMEGA, "z": ZETA}
 
 
+@functools.lru_cache(maxsize=256)  # every case parses its lambda; scalars are immutable
 def parse_scalar(text: str) -> CycloScalar:
     """Parse a scalar literal: a sum of signed terms.
 
     term := rational | [rational ['*']] symbol
     symbol := 'i' | 'w' | 'z' ['^' digits]
+
+    Memoized per literal; a malformed literal raises each time, since errors are not cached.
     """
     pos = 0
     n = len(text)

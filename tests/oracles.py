@@ -7,6 +7,7 @@
 - `truncated_shift_matrix` and `safe_block`: a polynomial in U and D as a
   matrix, U a raising shift and D diagonal, to check `normalize` against.
 - `incomplete_vw_fixture`: a rule set that `check_confluence` must reject.
+- `constant_vector`: the vector function c (x) 1 of a constant vector c.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from ncbinom.freealg import NcPoly, accumulate
 from ncbinom.realize import Matrix, VecFunc, apply_assigned
 from ncbinom.rewrite import RelationPreset, make_preset
-from ncbinom.scalars import ONE, ZERO, add_ints
+from ncbinom.scalars import ONE, ZERO, CycloScalar, add_ints
 
 
 class MatrixMultiplier:
@@ -109,3 +110,9 @@ def incomplete_vw_fixture(lam) -> RelationPreset:
     full = make_preset("partial-vw", lam)
     rules = tuple((pair, right) for pair, right in full.rules if pair != ("D", "V"))
     return RelationPreset("partial-vw-incomplete", full.alphabet, rules)
+
+
+def constant_vector(values) -> VecFunc:
+    """c (x) 1, keyed directly at the zero exponents."""
+    values, key = tuple(map(CycloScalar.of, values)), (ZERO.ints,) * 3
+    return VecFunc._raw(len(values), accumulate(((i, *key), v) for i, v in enumerate(values)))

@@ -23,6 +23,7 @@ from ncbinom.binomial import (
 from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.freealg import Alphabet, NcPoly
 from ncbinom.realize import Matrix, random_matrix
+from ncbinom.report import PASS
 from ncbinom.rewrite import Normal, cached_preset, make_preset, normalize, restrict_to_kernel
 from ncbinom.scalars import ONE, ZERO, parse_scalar
 
@@ -75,20 +76,20 @@ def test_alt_expansion_is_free_identity(lam_text):
 
 
 def test_alt_expansion_verifier():
-    assert run_case({"suite": "lemma-l2", "n": 5, "lambda": "i"}).passed
+    assert run_case({"suite": "lemma-l2", "n": 5, "lambda": "i"}).status == PASS
     with pytest.raises(ValueError):
         verify_alt_expansion(0, ONE)
 
 
 def test_u_independence_small():
     rep = run_case({"suite": "thm-nou", "n": 2, "lambda": "1"})
-    assert rep.passed
+    assert rep.status == PASS
     preset = cached_preset("first-order-plus", ONE)
     d = preset.generator("D")
     nf = normalize(build_binomial(2, ONE, preset.generator("U"), d), preset)
     assert nf == d * d + d
-    assert run_case({"suite": "thm-nou", "n": 0, "lambda": "i"}).passed
-    assert run_case({"suite": "thm-nou", "n": 7, "lambda": "1/2"}).passed
+    assert run_case({"suite": "thm-nou", "n": 0, "lambda": "i"}).status == PASS
+    assert run_case({"suite": "thm-nou", "n": 7, "lambda": "1/2"}).status == PASS
 
 
 def test_u_independence_no_u_letters():
@@ -110,23 +111,23 @@ def test_homogeneity_of_product_form():
 
 
 def test_ascending_recurrence():
-    assert run_case({"suite": "rec-3", "n": 1, "lambda": "1"}).passed
+    assert run_case({"suite": "rec-3", "n": 1, "lambda": "1"}).status == PASS
     rep = run_case({"suite": "rec-3", "n": 2, "lambda": "1"})
-    assert rep.passed and rep.lhs == "D D + D"
-    assert run_case({"suite": "rec-3", "n": 8, "lambda": "i"}).passed
+    assert rep.status == PASS and rep.lhs == "D D + D"
+    assert run_case({"suite": "rec-3", "n": 8, "lambda": "i"}).status == PASS
     with pytest.raises(ValueError):
         verify_ascending_recurrence(0, ONE)
 
 
 def test_minus_theorem_spot_values():
-    assert run_case({"suite": "thm-wrongsign", "n": 1, "lambda": "1"}).passed
+    assert run_case({"suite": "thm-wrongsign", "n": 1, "lambda": "1"}).status == PASS
     lam = ONE
     preset = cached_preset("first-order-minus", lam)
     u, d = preset.generator("U"), preset.generator("D")
     assert restrict_to_kernel(build_binomial(2, lam, u, d), preset) == (-2 * lam) * u
     # n = 4: 3!! * (-2)^2 = 12 on U^2
     assert restrict_to_kernel(build_binomial(4, lam, u, d), preset) == 12 * (u * u)
-    assert run_case({"suite": "thm-wrongsign", "n": 4, "lambda": "1"}).passed
+    assert run_case({"suite": "thm-wrongsign", "n": 4, "lambda": "1"}).status == PASS
 
 
 def test_minus_theorem_parity_dichotomy():
@@ -139,9 +140,9 @@ def test_minus_theorem_parity_dichotomy():
 
 
 def test_minus_recurrence():
-    assert run_case({"suite": "rec-6", "n": 2, "lambda": "1"}).passed  # two-term form
-    assert run_case({"suite": "rec-6", "n": 3, "lambda": "1"}).passed
-    assert run_case({"suite": "rec-6", "n": 6, "lambda": "-3"}).passed
+    assert run_case({"suite": "rec-6", "n": 2, "lambda": "1"}).status == PASS  # two-term form
+    assert run_case({"suite": "rec-6", "n": 3, "lambda": "1"}).status == PASS
+    assert run_case({"suite": "rec-6", "n": 6, "lambda": "-3"}).status == PASS
     with pytest.raises(ValueError):
         verify_minus_recurrence(1, ONE)
 
@@ -151,8 +152,8 @@ def test_second_theorem_spot_values():
     preset = cached_preset("second-order", lam)
     u, c, d = preset.generator("U"), preset.generator("C"), preset.generator("D")
     assert restrict_to_kernel(build_binomial(2, lam, u, d), preset) == c - lam * u
-    assert run_case({"suite": "thm-2nd", "n": 2, "lambda": "1"}).passed
-    assert run_case({"suite": "thm-2nd", "n": 1, "lambda": "0"}).passed
+    assert run_case({"suite": "thm-2nd", "n": 2, "lambda": "1"}).status == PASS
+    assert run_case({"suite": "thm-2nd", "n": 1, "lambda": "0"}).status == PASS
     # at lam = 0 the restriction of the n=2 case is the commutator itself
     preset0 = cached_preset("second-order", ZERO)
     b2 = build_binomial(2, ZERO, preset0.generator("U"), preset0.generator("D"))
@@ -169,24 +170,24 @@ def test_second_theorem_parity_dichotomy():
 
 
 def test_central_recurrence():
-    assert run_case({"suite": "rec-7", "n": 3}).passed
+    assert run_case({"suite": "rec-7", "n": 3}).status == PASS
     rep = run_case({"suite": "rec-7", "n": 4})
-    assert rep.passed
+    assert rep.status == PASS
     preset = cached_preset("second-order-central", ZERO)
     c = preset.generator("C")
     b4 = build_binomial(4, ZERO, preset.generator("U"), preset.generator("D"))
     lhs = restrict_to_kernel(b4, preset)
     assert lhs == 3 * (c * c)
-    assert run_case({"suite": "rec-7", "n": 5}).passed
+    assert run_case({"suite": "rec-7", "n": 5}).status == PASS
     with pytest.raises(ValueError):
         verify_central_recurrence(2)
 
 
 def test_kernel_vectors():
-    assert run_case({"suite": "cor-kernel", "n": 1, "lambda": "1", "j": 0}).passed
-    assert run_case({"suite": "cor-kernel", "n": 3, "lambda": "1", "j": 1}).passed
+    assert run_case({"suite": "cor-kernel", "n": 1, "lambda": "1", "j": 0}).status == PASS
+    assert run_case({"suite": "cor-kernel", "n": 3, "lambda": "1", "j": 1}).status == PASS
     negative = run_case({"suite": "cor-kernel", "n": 3, "lambda": "1", "j": 3})
-    assert not negative.passed
+    assert negative.status != PASS
     # residual of the negative control is the predicted product (-3)(-2)(-1)
     assert negative.residual == "-6"
 
@@ -194,24 +195,24 @@ def test_kernel_vectors():
 def test_w_independence_abstract():
     for n, mu in ((1, "0"), (2, "0"), (5, "2")):
         assert run_case({"suite": "cor-vw", "n": n, "lambda": "1", "mu": mu,
-                         "variant": "abstract"}).passed
+                         "variant": "abstract"}).status == PASS
 
 
 def test_inverse_factorization():
     for n in (0, 1, 4):
-        assert run_case({"suite": "lemma-l3", "n": n, "lambda": "1"}).passed
+        assert run_case({"suite": "lemma-l3", "n": n, "lambda": "1"}).status == PASS
 
 
 def test_shift_binomial_identity():
     rep1 = run_case({"suite": "lemma-eq5", "n": 1})
-    assert rep1.passed and rep1.lhs == "A2 + A1"
-    assert run_case({"suite": "lemma-eq5", "n": 2}).passed
-    assert run_case({"suite": "lemma-eq5", "n": 6}).passed
+    assert rep1.status == PASS and rep1.lhs == "A2 + A1"
+    assert run_case({"suite": "lemma-eq5", "n": 2}).status == PASS
+    assert run_case({"suite": "lemma-eq5", "n": 6}).status == PASS
 
 
 def test_noncommuting_binomial_form():
     for n in (0, 1, 3):
-        assert run_case({"suite": "final-remark", "n": n, "lambda": "1"}).passed
+        assert run_case({"suite": "final-remark", "n": n, "lambda": "1"}).status == PASS
 
 
 # ---- independent oracle for binomial_sum and the builders -----------------

@@ -12,6 +12,8 @@ from ncbinom.realize import FuncExpr, FuncMatrix, Matrix, VecFunc
 from ncbinom.rewrite import Normal, make_preset, normalize
 from ncbinom.scalars import ONE, parse_scalar
 
+from oracles import constant_vector
+
 UD = Alphabet(("U", "D"))
 U = NcPoly.generator(UD, "U")
 D = NcPoly.generator(UD, "D")
@@ -182,7 +184,7 @@ def test_every_operation_keeps_the_kind_and_context(kind):
 CONTEXT_PAIRS = {
     NcPoly: (U, NcPoly.generator(Alphabet(("U", "D", "C")), "U"), "alphabet mismatch"),
     Matrix: (Matrix.identity(2), Matrix([[1, 0, 0], [0, 1, 0]]), "shape mismatch"),
-    VecFunc: (VecFunc.constant([1, 2]), VecFunc.constant([1, 2, 0]), "dimension mismatch"),
+    VecFunc: (constant_vector([1, 2]), constant_vector([1, 2, 0]), "dimension mismatch"),
 }
 
 
@@ -236,7 +238,7 @@ def test_powers_zeros_and_names_follow_the_kind():
     assert Matrix.zero((2, 3)).shape == (2, 3) and VecFunc.zero(2).dim == 2
     assert FuncExpr.zero().context is None and FuncExpr.zero().is_zero
     # a module has no unit, so it has no powers
-    for value in (FuncExpr.one(), VecFunc.constant([1, 2])):
+    for value in (FuncExpr.one(), constant_vector([1, 2])):
         with pytest.raises(TypeError):
             value ** 2
     with pytest.raises(ValueError, match="non-square"):
@@ -250,7 +252,7 @@ def test_powers_zeros_and_names_follow_the_kind():
     assert repr(u) == "Normal(U)"
     assert repr(FuncExpr.exponential(1)) == "FuncExpr(exp(1*x))"
     assert repr(Matrix.identity(2)) == "Matrix([[1, 0], [0, 1]])"
-    assert repr(VecFunc.constant([1, 0])) == "VecFunc([1, 0])"
+    assert repr(constant_vector([1, 0])) == "VecFunc([1, 0])"
 
 
 def test_equal_sums_hash_equally():
@@ -264,7 +266,7 @@ def test_equal_sums_hash_equally():
         (normalize(D * U, PLUS), NcPoly.__mul__(u, d) + parse_scalar("1+i") * U),
         (FuncExpr.one() + FuncExpr.one(), FuncExpr.one().scaled(2)),
         (Matrix([[1, 0], [0, 1]]), Matrix.identity(2)),
-        (VecFunc.constant([1, 0]) + VecFunc.constant([0, 1]), VecFunc.constant([1, 1])),
+        (constant_vector([1, 0]) + constant_vector([0, 1]), constant_vector([1, 1])),
     ]
     for a, b in pairs:
         assert a is not b and a == b

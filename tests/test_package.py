@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import ncbinom
 
@@ -9,20 +10,36 @@ PACKAGE = pathlib.Path(ncbinom.__file__).parent
 
 # perfbench's tracer patches it by name; no verifier calls it
 KEPT_FOR_THE_TRACER = {"apply_assigned"}
+# perfbench reads them off the scalars it builds and traces
+READ_BY_PERFBENCH = {"CycloScalar.coords", "CycloScalar.is_rational"}
 
 
-def test_every_top_level_function_and_class_is_used_in_src_or_exported():
+NAMES, ATTRIBUTES = (ast.Name, ast.Attribute), (ast.Attribute,)
+
+
+def _references(node, kinds) -> Counter:
+    """Every name or attribute, of the ast node types `kinds`, referenced under node, counted."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, kinds))
+
+
+def test_every_function_class_and_method_is_used_in_src_or_exported():
     # a definition that only tests call belongs in tests/oracles.py, not in the package
-    defined, used_by = {}, {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    definitions = {}  # name -> (node, the kinds of reference that reach it)
+    for tree in trees:
+        for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined[own] = path.name
-            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-            used_by.setdefault(own, set()).update(names)
+                definitions[stmt.name] = stmt, NAMES
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    # a method, dunders aside, is reached only as an attribute, not by a
+                    # parameter or local of its name
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        definitions[f"{stmt.name}.{item.name}"] = item, ATTRIBUTES
+    used = {kinds: sum((_references(tree, kinds) for tree in trees), Counter())
+            for kinds in (NAMES, ATTRIBUTES)}
     # a reference from a definition's own body (recursion) does not count
-    unused = {name for name in defined
-              if not any(name in names for owner, names in used_by.items() if owner != name)}
-    assert unused - set(ncbinom.__all__) == KEPT_FOR_THE_TRACER
+    unused = {name for name, (node, kinds) in definitions.items()
+              if used[kinds][node.name] == _references(node, kinds)[node.name]}
+    assert unused - set(ncbinom.__all__) == KEPT_FOR_THE_TRACER | READ_BY_PERFBENCH

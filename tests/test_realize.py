@@ -15,6 +15,7 @@ from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
 from ncbinom.realize import (
     D_DX,
     DERIVATION_KINDS,
+    DiffOperator,
     FuncExpr,
     FuncMatrix,
     Matrix,
@@ -35,11 +36,12 @@ from ncbinom.realize import (
     verify_vector_item,
 )
 from ncbinom.cli import SuiteConfig, iter_cases, run_case
+from ncbinom.report import PASS
 from ncbinom.rewrite import RelationPreset, cached_preset, normalize
 from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar, wrap
 
 import oracles
-from oracles import MatrixMultiplier, safe_block, truncated_shift_matrix
+from oracles import MatrixMultiplier, constant_vector, safe_block, truncated_shift_matrix
 
 UD = Alphabet(("U", "D"))
 U = NcPoly.generator(UD, "U")
@@ -113,6 +115,19 @@ def factor_by_factor(n: int, mu, u, f, kind: str = D_DX):
     return total
 
 
+def scalar_assignments(lam, rng) -> list:
+    """(mu, u, kind) of each scalar assignment a realized verifier makes; v + w draws v from rng."""
+    return [
+        (lam, FuncExpr.exponential(-lam), D_DX),  # decay
+        (lam, FuncExpr.exponential(lam), D_DX),  # grow
+        (IMAG * lam, sin_func(lam), D_DX),  # sine
+        (ZERO, FuncExpr.monomial(1).scaled(lam) + FuncExpr.term(3), D_DX),  # linear
+        (lam, FuncExpr.exponential(0, lam * Fraction(1, 2)), XINV_D_DX),  # gauss
+        (lam, FuncExpr.monomial(lam), X_D_DX),  # log
+        (lam, random_func_expr(rng) + FuncExpr.exponential(lam), D_DX),  # v + w
+    ]
+
+
 def test_apply_binomial_matches_factor_by_factor_evaluation():
     # every assignment a realized verifier makes, on two inputs each, for n <= 7,
     # against the definition applied factor by factor and against the free
@@ -121,15 +136,9 @@ def test_apply_binomial_matches_factor_by_factor_evaluation():
     rng = random.Random(17)
     a1, a2 = random_matrix(rng, 2), random_matrix(rng, 2)
     scalars = [FuncExpr.one(), random_func_expr(rng)]
-    vectors = [VecFunc.constant([1, -2]), VecFunc([random_func_expr(rng), FuncExpr.one()])]
-    cases = [  # (mu, u, kind, inputs)
-        (lam, FuncExpr.exponential(-lam), D_DX, scalars),  # decay
-        (lam, FuncExpr.exponential(lam), D_DX, scalars),  # grow
-        (IMAG * lam, sin_func(lam), D_DX, scalars),  # sine
-        (ZERO, FuncExpr.monomial(1).scaled(lam) + FuncExpr.term(3), D_DX, scalars),  # linear
-        (lam, FuncExpr.exponential(0, lam * Fraction(1, 2)), XINV_D_DX, scalars),  # gauss
-        (lam, FuncExpr.monomial(lam), X_D_DX, scalars),  # log
-        (lam, random_func_expr(rng) + FuncExpr.exponential(lam), D_DX, scalars),  # v + w
+    vectors = [constant_vector([1, -2]), VecFunc([random_func_expr(rng), FuncExpr.one()])]
+    cases = [(mu, u, kind, scalars) for mu, u, kind in scalar_assignments(lam, rng)] + [
+        # (mu, u, kind, inputs)
         (lam, MatrixMultiplier([(a1, FuncExpr.exponential(lam))]), D_DX, vectors),
         (lam, MatrixMultiplier([(a1, FuncExpr.exponential(-lam))]), D_DX, vectors),
         (IMAG * lam, MatrixMultiplier([(a1, sin_func(lam))]), D_DX, vectors),
@@ -148,6 +157,42 @@ def test_apply_binomial_matches_factor_by_factor_evaluation():
                                              letter_actions(u, kind), f)
 
 
+def binomial_operator(n: int, mu, u, kind: str = D_DX, slots: int | None = None) -> DiffOperator:
+    """B(n) as sum_r p_r*D^r, folded from the identity on n + 1 slots unless told otherwise."""
+    one = DiffOperator.identity(n + 1 if slots is None else slots)
+    return apply_binomial(n, mu, FuncMatrix([((1,), u)]), one, kind)
+
+
+def test_binomial_operator_applied_to_f_matches_the_per_sample_fold():
+    # the operator form against `apply_binomial` on f itself, for every scalar assignment,
+    # on the two inputs of the factor-by-factor test, for n <= 7
+    lam = parse_scalar("1/2 + i")
+    rng = random.Random(17)
+    inputs = [FuncExpr.one(), random_func_expr(rng)]
+    for mu, u, kind in scalar_assignments(lam, rng):
+        for n in range(8):
+            op = binomial_operator(n, mu, u, kind)
+            for f in inputs:
+                assert op.apply(f, kind) == apply_binomial(n, mu, u, f, kind)
+            # B(n) has D-order n, with D^n alone from F_0 ... F_(n-1): on n + 2 slots the top
+            # one stays empty and the others hold the same coefficients
+            roomy = binomial_operator(n, mu, u, kind, slots=n + 2)
+            assert roomy.entries == op.entries + (FuncExpr.zero(),)
+            assert op.entries[n] == FuncExpr.one()
+
+
+@pytest.mark.parametrize("lam", ["1", "1+i"])
+def test_w_independence_holds_as_operators(lam):
+    # the realized corollary for every input at once: B(n) with U = V + W equals B(n) with
+    # U = V as an operator, V a seeded draw and W multiplication by e^(lam*x)
+    lam = parse_scalar(lam)
+    for seed in (1, 1729):
+        for n in range(7):
+            v = random_func_expr(random.Random(realize.derive_seed(seed, n)))
+            assert (binomial_operator(n, lam, v + FuncExpr.exponential(lam))
+                    == binomial_operator(n, lam, v))
+
+
 class CountingMultiplier:
     """Multiplication by u that counts its actions."""
 
@@ -164,7 +209,7 @@ def test_apply_binomial_acts_2n_minus_1_times_with_u_and_n_times_with_d(monkeypa
     lam = parse_scalar("1/2 + i")
     if vector:
         u = FuncMatrix([((1, 2), FuncExpr.exponential(lam))])
-        f, carrier = VecFunc.constant([1, -2]), VecFunc
+        f, carrier = constant_vector([1, -2]), VecFunc
     else:
         u, f, carrier = FuncExpr.exponential(lam), FuncExpr.one(), FuncExpr
     derivatives = []
@@ -228,43 +273,43 @@ def test_apply_is_homomorphism(f):
 
 
 def test_exponential_identities():
-    assert run_case({"suite": "exp", "n": 1, "lambda": "1", "j": 0}).passed
+    assert run_case({"suite": "exp", "n": 1, "lambda": "1", "j": 0}).status == PASS
     lam = ONE
     asg = letter_actions(FuncExpr.exponential(-lam))
     got = apply_assigned(build_binomial(2, lam, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.exponential(-lam).scaled(-2)
     got4 = apply_assigned(build_binomial(4, lam, U, D), asg, FuncExpr.one())
     assert got4 == FuncExpr.exponential(-2 * lam).scaled(12)
-    assert run_case({"suite": "exp", "n": 4, "lambda": "1", "j": 2}).passed
+    assert run_case({"suite": "exp", "n": 4, "lambda": "1", "j": 2}).status == PASS
     with pytest.raises(ValueError):
         verify_exponential(3, ONE, 3)
 
 
 def test_sine_identities():
-    assert run_case({"suite": "sin", "n": 1, "lambda": "1"}).passed
+    assert run_case({"suite": "sin", "n": 1, "lambda": "1"}).status == PASS
     lam = ONE
     asg = letter_actions(sin_func(lam))
     got = apply_assigned(build_binomial(2, IMAG * lam, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.exponential(-IMAG)
-    assert run_case({"suite": "sin", "n": 2, "lambda": "1"}).passed
-    assert run_case({"suite": "sin", "n": 3, "lambda": "2"}).passed
+    assert run_case({"suite": "sin", "n": 2, "lambda": "1"}).status == PASS
+    assert run_case({"suite": "sin", "n": 3, "lambda": "2"}).status == PASS
 
 
 def test_linear_identities():
     rep = run_case({"suite": "linear", "n": 2, "a": "1", "b": "0"})
-    assert rep.passed
+    assert rep.status == PASS
     asg = letter_actions(FuncExpr.monomial(1))
     got = apply_assigned(build_binomial(2, ZERO, U, D), asg, FuncExpr.one())
     assert got == FuncExpr.one()
-    assert run_case({"suite": "linear", "n": 3, "a": "2", "b": "5"}).passed
-    assert run_case({"suite": "linear", "n": 4, "a": "1", "b": "1"}).passed
+    assert run_case({"suite": "linear", "n": 3, "a": "2", "b": "5"}).status == PASS
+    assert run_case({"suite": "linear", "n": 4, "a": "1", "b": "1"}).status == PASS
 
 
 def test_change_of_variables():
-    assert run_case({"suite": "chvar-gauss", "n": 1, "lambda": "1", "j": 0}).passed
-    assert run_case({"suite": "chvar-gauss", "n": 3, "lambda": "1", "j": 1}).passed
+    assert run_case({"suite": "chvar-gauss", "n": 1, "lambda": "1", "j": 0}).status == PASS
+    assert run_case({"suite": "chvar-gauss", "n": 3, "lambda": "1", "j": 1}).status == PASS
     # fractional multiplier exercises exponents outside the integers
-    assert run_case({"suite": "chvar-log", "n": 2, "lambda": "1/2", "j": 1}).passed
+    assert run_case({"suite": "chvar-log", "n": 2, "lambda": "1/2", "j": 1}).status == PASS
     with pytest.raises(ValueError):
         verify_change_of_variables(2, ONE, 2, "gauss")
     with pytest.raises(ValueError):
@@ -405,7 +450,7 @@ def count_folds(monkeypatch) -> list:
 def test_exp_dichotomy_is_evaluated_once_per_n_and_lambda(monkeypatch):
     cases = iter_cases("exp", SuiteConfig(n_max=5, lambdas=("2", "1+i")))
     calls = count_folds(monkeypatch)
-    assert all(run_case(case).passed for case in cases)
+    assert all(run_case(case).status == PASS for case in cases)
     # one kernel-target fold per j row, and one dichotomy per (n, lambda)
     rows_with_j = sum("j" in case for case in cases)
     pairs = {(case["n"], case["lambda"]) for case in cases}
@@ -451,11 +496,11 @@ def test_vector_items_small():
 
     for item in range(1, 9):
         rep = vector_case(item, 3, 99)
-        assert rep.passed, (item, rep.residual)
+        assert rep.status == PASS, (item, rep.residual)
     rep = vector_case(3, 2, 7)
-    assert rep.passed
+    assert rep.status == PASS
     rep4 = vector_case(4, 2, 7)
-    assert rep4.passed and rep4.params["minus_also_zero"] is False
+    assert rep4.status == PASS and rep4.params["minus_also_zero"] is False
 
 
 def test_vector_rejects_bad_item(monkeypatch):
@@ -524,9 +569,9 @@ def test_matrix_power_rejects_negative_exponent():
 
 def test_eq5_matrix_oracle():
     rep = run_case({"suite": "eq5-matrix", "n": 1, "dim": 2, "seed": 7})
-    assert rep.passed
-    assert run_case({"suite": "eq5-matrix", "n": 4, "dim": 3, "seed": 42}).passed
-    assert run_case({"suite": "eq5-matrix", "n": 6, "dim": 2, "seed": 7}).passed
+    assert rep.status == PASS
+    assert run_case({"suite": "eq5-matrix", "n": 4, "dim": 3, "seed": 42}).status == PASS
+    assert run_case({"suite": "eq5-matrix", "n": 6, "dim": 2, "seed": 7}).status == PASS
 
 
 def test_w_independence_realized():
@@ -535,8 +580,8 @@ def test_w_independence_realized():
                          "variant": "realized"})
 
     for n in (1, 2, 4):
-        assert realized(n, "1", 1729).passed
-    assert realized(3, "1/2", 4).passed
+        assert realized(n, "1", 1729).status == PASS
+    assert realized(3, "1/2", 4).status == PASS
 
 
 def test_truncated_shift_examples():
@@ -685,7 +730,7 @@ def test_verify_third_order(monkeypatch):
                 at_k = CycloScalar.of(k)
                 assert evaluate_mu_coefficients(coeffs, at_k) == apply_binomial(
                     n, at_k, u, FuncExpr.one())
-            assert run_case({"suite": "third-order", "n": n, "lambda": str(lam)}).passed
+            assert run_case({"suite": "third-order", "n": n, "lambda": str(lam)}).status == PASS
 
     # a first-order u = e^(-lam x) collapses at mu = lam (the exp suite) and at mu = -lam
     two = parse_scalar("2")
@@ -697,7 +742,7 @@ def test_verify_third_order(monkeypatch):
     monkeypatch.setattr(realize, "mu_coefficients", lambda n, u: {
         key: p * mu_poly(-1, 1) for key, p in honest(n, u).items()})
     report = run_case({"suite": "third-order", "n": 3, "lambda": "1"})
-    assert not report.passed
+    assert report.status != PASS
     assert report.lhs == "coefficient-gcd: mu - I"
 
     # Euclid's gcd is monic: gcd(p*q, p*r) = p / 3 for coprime q and r, gcd(a, 0) = a / lead(a)
@@ -728,13 +773,13 @@ def test_third_order_base_function_is_genuinely_third_order():
 
 
 def test_vecfunc_basics():
-    v = VecFunc.constant([1, 2])
-    w = VecFunc.constant([1, 2])
+    v = constant_vector([1, 2])
+    w = constant_vector([1, 2])
     assert v == w
     assert (v - w).is_zero
     assert v.differentiate().is_zero
     with pytest.raises(ValueError):
-        v - VecFunc.constant([1, 2, 3])
+        v - constant_vector([1, 2, 3])
 
     # a Combination keyed by (slot, c, alpha, beta), with its dimension as context
     rng = random.Random(808)
@@ -815,7 +860,7 @@ def test_matvec_matches_grid_reference_in_one_accumulate(monkeypatch):
     with pytest.raises(ValueError):
         MatrixMultiplier([(random_matrix(rng, 2), u), (random_matrix(rng, 3), u)])
     with pytest.raises(ValueError):
-        MatrixMultiplier([(random_matrix(rng, 2), u)]) * VecFunc.constant([1, 2, 3])
+        MatrixMultiplier([(random_matrix(rng, 2), u)]) * constant_vector([1, 2, 3])
 
 
 def test_funcexpr_coerces_plain_number_keys_like_term():

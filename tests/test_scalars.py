@@ -102,6 +102,20 @@ def test_parse_errors(bad):
     assert info.value.position >= 0
 
 
+def test_parse_is_memoized_per_literal_under_a_bound():
+    x = parse_scalar("1/2 - 3*i")
+    assert parse_scalar("1/2 - 3*i") is x and x.coords[0] == Fraction(1, 2)
+    # errors are not cached: a malformed literal raises again, at the same position
+    for _ in range(2):
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar("1 + 3/0")
+        assert info.value.position == 6
+    for k in range(300):
+        assert parse_scalar(str(k)) == k
+    info = parse_scalar.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
+
+
 def test_field_axioms_on_random_samples():
     rng = random.Random(20240)
 
