@@ -104,7 +104,7 @@ def _vw_grid(suite, n_max, lambdas, cfg):
         for n in range(0, n_max + 1):
             cases += [{"suite": suite, "n": n, "lambda": lam, "mu": mu, "variant": "abstract"}
                       for mu in VW_MU_SAMPLES]
-            # function-space check grows fast; degree 6 already covers the claim
+            # one operator identity per (n, lambda) on n + 1 slots; degree 6 keeps 42 by default
             if n <= 6:
                 cases.append({"suite": suite, "n": n, "lambda": lam, "seed": _seed(cfg),
                               "variant": "realized"})

@@ -8,12 +8,15 @@
   matrix, U a raising shift and D diagonal, to check `normalize` against.
 - `incomplete_vw_fixture`: a rule set that `check_confluence` must reject.
 - `constant_vector`: the vector function c (x) 1 of a constant vector c.
+- `apply_operator`: a `DiffOperator` sum_r p_r*D^r applied to a function
+  f as sum_r p_r*f^(r); against the per-sample fold `apply_binomial` on f,
+  it checks the operator form of B(n) that `cor-vw`'s realized rows state.
 """
 
 from __future__ import annotations
 
 from ncbinom.freealg import NcPoly, accumulate
-from ncbinom.realize import Matrix, VecFunc, apply_assigned
+from ncbinom.realize import D_DX, DiffOperator, FuncExpr, Matrix, VecFunc, apply_assigned
 from ncbinom.rewrite import RelationPreset, make_preset
 from ncbinom.scalars import ONE, ZERO, CycloScalar, add_ints
 
@@ -116,3 +119,15 @@ def constant_vector(values) -> VecFunc:
     """c (x) 1, keyed directly at the zero exponents."""
     values, key = tuple(map(CycloScalar.of, values)), (ZERO.ints,) * 3
     return VecFunc._raw(len(values), accumulate(((i, *key), v) for i, v in enumerate(values)))
+
+
+def apply_operator(op: DiffOperator, f: FuncExpr, kind: str = D_DX) -> FuncExpr:
+    """sum_r p_r * f^(r), f^(r) the r-th image of f under the derivation `kind`."""
+    derivatives = [f]
+    for _ in range(max((key[0] for key in op.terms), default=0)):
+        derivatives.append(derivatives[-1].differentiate(kind))
+    return f._like(accumulate(
+        ((add_ints(c1, c2), add_ints(a1, a2), add_ints(b1, b2)), v1 * v2)
+        for (r, c1, a1, b1), v1 in op.terms.items()
+        for (c2, a2, b2), v2 in derivatives[r].terms.items()
+    ))

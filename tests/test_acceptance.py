@@ -95,7 +95,10 @@ def test_criterion_06_kernel_and_w_independence():
         and negative_ok
         and not failed_vw
         and realized
-        and all("sample-4" in r.lhs for r in realized)  # >= 5 sample functions
+        # each realized row states one operator sum_r p_r*D^r on its n + 1 slots, with a zero
+        # residual: equal as operators, the two combinations agree on every input
+        and all(r.lhs.count(", ") == r.params["n"] and set(r.residual[1:-1].split(", ")) == {"0"}
+                for r in realized)
     )
     announce(6, "eigenvector kernels annihilate; W never matters, out-of-range j fails", ok)
 

@@ -456,12 +456,12 @@ PINNED_STREAMS = {
     "default-lambdas": (
         ("verify", "all", "--n-max", "3", "--format", "json"),
         808,
-        "eef359ed7f2d3f119c9e7f5d4b7f88bce64466e864681e9eb13d593e6241ef2b",
+        "afb7b2fe53782633db77ffa1a807d4aa06b026f962a449dd4f255903b36be231",
     ),
     "mixed-lambdas": (
         ("verify", "all", "--n-max", "3", "--lambda", "1,-3,1/2,i,1+i,0", "--format", "json"),
         802,
-        "3fe2097954fc8523398835d1e14f9af7a7b16afd1d0de6d71c4ac1c243abe85b",
+        "875eb84bb51e3ed324cffd167c3cede54dfd8033dd5f60ea1b5970d6162fa487",
     ),
 }
 

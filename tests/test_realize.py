@@ -34,6 +34,7 @@ from ncbinom.realize import (
     verify_exponential,
     verify_third_order,
     verify_vector_item,
+    verify_w_independence_realized,
 )
 from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.report import PASS
@@ -41,7 +42,8 @@ from ncbinom.rewrite import RelationPreset, cached_preset, normalize
 from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar, wrap
 
 import oracles
-from oracles import MatrixMultiplier, constant_vector, safe_block, truncated_shift_matrix
+from oracles import (MatrixMultiplier, apply_operator, constant_vector, safe_block,
+                     truncated_shift_matrix)
 
 UD = Alphabet(("U", "D"))
 U = NcPoly.generator(UD, "U")
@@ -173,7 +175,7 @@ def test_binomial_operator_applied_to_f_matches_the_per_sample_fold():
         for n in range(8):
             op = binomial_operator(n, mu, u, kind)
             for f in inputs:
-                assert op.apply(f, kind) == apply_binomial(n, mu, u, f, kind)
+                assert apply_operator(op, f, kind) == apply_binomial(n, mu, u, f, kind)
             # B(n) has D-order n, with D^n alone from F_0 ... F_(n-1): on n + 2 slots the top
             # one stays empty and the others hold the same coefficients
             roomy = binomial_operator(n, mu, u, kind, slots=n + 2)
@@ -183,14 +185,19 @@ def test_binomial_operator_applied_to_f_matches_the_per_sample_fold():
 
 @pytest.mark.parametrize("lam", ["1", "1+i"])
 def test_w_independence_holds_as_operators(lam):
-    # the realized corollary for every input at once: B(n) with U = V + W equals B(n) with
-    # U = V as an operator, V a seeded draw and W multiplication by e^(lam*x)
+    # the realized corollary for every input at once: the one clause of a realized case is
+    # B(n) with U = V + W against B(n) with U = V, V the case's seeded draw and W
+    # multiplication by e^(lam*x), equal as operators; the control W = e^(-lam*x) has
+    # [D, W] = -lam*W and changes B(n) from n = 2 on, so the row is not vacuous
     lam = parse_scalar(lam)
     for seed in (1, 1729):
         for n in range(7):
             v = random_func_expr(random.Random(realize.derive_seed(seed, n)))
-            assert (binomial_operator(n, lam, v + FuncExpr.exponential(lam))
-                    == binomial_operator(n, lam, v))
+            plain = binomial_operator(n, lam, v)
+            (clause,) = verify_w_independence_realized(n, lam, seed)
+            assert clause.label == "" and clause.lhs == clause.rhs == plain
+            control = binomial_operator(n, lam, v + FuncExpr.exponential(-lam))
+            assert (control == plain) == (n < 2)
 
 
 class CountingMultiplier:
