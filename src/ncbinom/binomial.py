@@ -17,13 +17,13 @@ the field elements that `run_case` parses and use them as given; their
 arithmetic is also defined for int and Fraction.  Every comparison is
 exact, with no numeric tolerance anywhere.
 
-`binomial_sum` is the one place here that forms a sum of
-C(n,k) * F_0 ... F_(k-1) * R_(n-k); it nests the sum by Horner's rule,
-so each product has one factor F_k as an operand.  With the powers of U
-from `running_products` as R, B(n) takes 2n products.
-`realize.apply_binomial` nests B(n)*f the same way on a function, with
-the two actions of U in each step folded into one.  Likewise
-`parity_clauses` is the one statement of the parity dichotomy.
+`build_binomial`, the one evaluator of B(n) in every algebra and on every
+function space, folds Horner's rule into 3n - 1 products, each with u or
+d as its left operand; `cached_binomial` is its memo, which every symbolic
+verifier reads.  `binomial_sum` nests any sum of
+C(n,k) * F_0 ... F_(k-1) * R_(n-k) by Horner's rule for
+`build_binomial_alt` and `power_sum`.  Likewise `parity_clauses` is the
+one statement of the parity dichotomy.
 """
 
 from __future__ import annotations
@@ -86,6 +86,49 @@ def parity_clauses(n: int, result, zero, base, embed) -> list[Clause]:
     return []
 
 
+def build_binomial(n: int, lam, u, d, f=None):
+    """B(n) with parameter lam applied to f: U acts as `u * g`, D as `d * g`.
+
+    f defaults to the unit u**0, so four arguments give B(n) itself, free
+    or normal as u and d are.  On a function space d is a
+    `realize.Derivation`, u a function or a `realize.FuncMatrix`, and f a
+    function, a vector, or the identity `DiffOperator`, which gives B(n) as
+    sum_r p_r*D^r.  No value is kept; `cached_binomial` is the memo.
+
+    Horner's rule on the sum over k of
+    C(n,k) * F_0 ... F_(k-1) * U^(n-k) f, with F_k = D - U + k*lam, is
+    folded so that U acts once per step: g_n = f and, for k = n-1 down
+    to 0,
+
+        g_k = (D + k*lam) g_(k+1) + U (C(n,k) U^(n-k-1) f - g_(k+1)),
+
+    and B(n)*f = g_0.  That is 2n - 1 actions of U and n of D (none at
+    n = 0), where the word path acts once per suffix of about 2^(n+1)
+    words; Tier-1 keeps that path as the oracle.
+
+    With D = d/dx, phi' = u*phi and s(t) = -log(1 - lam*t)/lam (t at lam = 0),
+    sum_n B(n)*t^n/n! = phi*e^(s(t)*D)*e^(t*U)*phi^-1: D - U = phi*D*phi^-1,
+    and the rising products D(D + lam)...(D + (k-1)lam) sum to e^(s(t)*D)
+    (Graham, Knuth, Patashnik, Concrete Mathematics, ch. 5 and 7).  On g it
+    is e^E(t)*g(x + s), E(t) = sum_j u^(j)*(t*s^j/j! - s^(j+1)/(j+1)!), and
+    each coefficient of E starts at t^2, so B(n) has U-degree at most
+    floor(n/2).  Only the derivation rule enters, so the bound holds for
+    multiplication by any element of a commutative ring with a derivation,
+    the lift's sum p(S)*u among them.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    f = u**0 if f is None else f  # u**0: the unit in the arithmetic of u
+    powers = [f]  # U^i f for i < n
+    for _ in range(n - 1):
+        powers.append(u * powers[-1])
+    g = f
+    for k in range(n - 1, -1, -1):
+        step = d * g + u * (powers[n - k - 1].scaled(comb(n, k)) - g)
+        g = step + g.scaled(lam * k) if k and lam != 0 else step
+    return g
+
+
 # B(n) values kept per process, for free and normal generators alike; least
 # recently used first out
 BINOMIAL_MEMO_SIZE = 128
@@ -94,18 +137,9 @@ BINOMIAL_MEMO_SIZE = 128
 # typed: a plain NcPoly and a Normal with equal terms compare equal, so an
 # untyped key would hand a build in one arithmetic to the other
 @functools.lru_cache(maxsize=BINOMIAL_MEMO_SIZE, typed=True)
-def build_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
-    """The degree-n combination of u and d, in the arithmetic of u and d.
-
-    Plain generators give the free expansion, `Normal` generators the normal
-    form.  Sums are immutable, so every caller that asks for the same
-    (n, lam, u, d) while it stays memoized shares one value.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    unit = u**0  # the unit in the arithmetic of u
-    factors = [d - u + (lam * j) * unit for j in range(n)]
-    return binomial_sum(n, factors, running_products(unit, [u] * n))
+def cached_binomial(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
+    """B(n) from `build_binomial`; callers of equal arguments share one immutable value."""
+    return build_binomial(n, lam, u, d)
 
 
 def build_binomial_alt(n: int, lam, u: NcPoly, d: NcPoly) -> NcPoly:
@@ -134,7 +168,7 @@ def kernel_dichotomy(n: int, lam: CycloScalar, preset: RelationPreset,
     """
     u, d = preset.normal_generator("U"), preset.normal_generator("D")
     unit = u**0
-    b = build_binomial(n, lam, u, d)
+    b = cached_binomial(n, lam, u, d)
     restricted = restrict_to_kernel(b, preset)
     zero = 0 * unit  # a Normal: comparing with it normalizes nothing
     clauses = parity_clauses(n, restricted, zero, base, lambda p: p)
@@ -150,7 +184,7 @@ def verify_u_independence(n: int, lam) -> list[Clause]:
     """The combination collapses to the product of (D + j*lam*I) factors."""
     preset = cached_preset("first-order-plus", lam)
     d = preset.normal_generator("D")
-    lhs = build_binomial(n, lam, preset.normal_generator("U"), d)
+    lhs = cached_binomial(n, lam, preset.normal_generator("U"), d)
     return [
         Clause("product-form", lhs, falling_product(n, lam, d)),
         Clause("no-U", NcPoly.scalar(preset.alphabet, lhs.letter_degree("U")),
@@ -164,8 +198,8 @@ def verify_ascending_recurrence(n: int, lam) -> list[Clause]:
         raise ValueError("recurrence needs n >= 1")
     preset = cached_preset("first-order-plus", lam)
     u, d = preset.normal_generator("U"), preset.normal_generator("D")
-    lhs = build_binomial(n, lam, u, d)
-    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * u**0)
+    lhs = cached_binomial(n, lam, u, d)
+    rhs = cached_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * u**0)
     return [Clause("", lhs, rhs)]
 
 
@@ -181,12 +215,12 @@ def verify_minus_recurrence(n: int, lam) -> list[Clause]:
         raise ValueError("recurrence needs n >= 2")
     preset = cached_preset("first-order-minus", lam)
     u, d = preset.normal_generator("U"), preset.normal_generator("D")
-    lhs = build_binomial(n, lam, u, d)
-    rhs = build_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * u**0)
-    rhs = rhs - (2 * (n - 1)) * lam * (u * build_binomial(n - 2, lam, u, d))
+    lhs = cached_binomial(n, lam, u, d)
+    rhs = cached_binomial(n - 1, lam, u, d) * (d + (lam * (n - 1)) * u**0)
+    rhs = rhs - (2 * (n - 1)) * lam * (u * cached_binomial(n - 2, lam, u, d))
     if n > 2:
         rhs = rhs + (2 * (n - 1) * (n - 2)) * (lam * lam) * (
-            u * build_binomial(n - 3, lam, u, d)
+            u * cached_binomial(n - 3, lam, u, d)
         )
     return [Clause("", lhs, rhs)]
 
@@ -203,7 +237,7 @@ def verify_second_commutator_theorem(n: int, lam) -> list[Clause]:
     restricted, dichotomy = kernel_dichotomy(n, lam, preset, c - lam * u)
     clauses = [Clause("c-names-commutator", commutator(d, u), c)] + dichotomy
     if lam == 0 and n >= 3:
-        prev = restrict_to_kernel(build_binomial(n - 2, lam, u, d), preset)
+        prev = restrict_to_kernel(cached_binomial(n - 2, lam, u, d), preset)
         clauses.append(Clause("two-step-recurrence", restricted, (n - 1) * (c * prev)))
     return clauses
 
@@ -214,8 +248,8 @@ def verify_central_recurrence(n: int) -> list[Clause]:
         raise ValueError("two-step recurrence needs n >= 3")
     preset = cached_preset("second-order-central", ZERO)
     u, c, d = map(preset.normal_generator, ("U", "C", "D"))
-    lhs = restrict_to_kernel(build_binomial(n, ZERO, u, d), preset)
-    prev = restrict_to_kernel(build_binomial(n - 2, ZERO, u, d), preset)
+    lhs = restrict_to_kernel(cached_binomial(n, ZERO, u, d), preset)
+    prev = restrict_to_kernel(cached_binomial(n - 2, ZERO, u, d), preset)
     return [Clause("", lhs, (n - 1) * (c * prev))]
 
 
@@ -228,7 +262,7 @@ def verify_kernel_vectors(n: int, lam, j: int) -> list[Clause]:
     if j < 0:
         raise ValueError("j must be non-negative")
     preset = cached_preset("first-order-plus", lam)
-    b = build_binomial(n, lam, preset.normal_generator("U"), preset.normal_generator("D"))
+    b = cached_binomial(n, lam, preset.normal_generator("U"), preset.normal_generator("D"))
     value = kernel_eval(b, preset, -(lam * j))
     return [Clause("", value, 0 * value)]  # the Normal zero, so comparing normalizes nothing
 
@@ -237,8 +271,8 @@ def verify_w_independence(n: int, lam, mu) -> list[Clause]:
     """Replacing V by V + W does not change the combination, abstractly."""
     preset = cached_preset("partial-vw", lam, mu)
     v, w, d = map(preset.normal_generator, ("V", "W", "D"))
-    lhs = build_binomial(n, lam, v + w, d)
-    rhs = build_binomial(n, lam, v, d)
+    lhs = cached_binomial(n, lam, v + w, d)
+    rhs = cached_binomial(n, lam, v, d)
     return [Clause("", lhs, rhs)]
 
 
@@ -248,14 +282,14 @@ def verify_alt_expansion(n: int, lam) -> list[Clause]:
         raise ValueError("alternative expansion requires n > 0")
     preset = cached_preset("free")
     u, d = preset.generator("U"), preset.generator("D")
-    return [Clause("", build_binomial(n, lam, u, d), build_binomial_alt(n, lam, u, d))]
+    return [Clause("", cached_binomial(n, lam, u, d), build_binomial_alt(n, lam, u, d))]
 
 
 def verify_inverse_factorization(n: int, lam) -> list[Clause]:
     """B(n) equals (D * Uinv)^n * U^n once U is invertible."""
     preset = cached_preset("invertible-plus", lam)
     uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
-    lhs = build_binomial(n, lam, u, d)
+    lhs = cached_binomial(n, lam, u, d)
     rhs = (d * uinv) ** n * u**n
     return [Clause("", lhs, rhs)]
 
@@ -277,6 +311,6 @@ def verify_noncommuting_binomial_form(n: int, lam) -> list[Clause]:
     preset = cached_preset("invertible-minus", lam)
     uinv, u, d = map(preset.normal_generator, ("Uinv", "U", "D"))
     core = power_sum(n, d * u - u * u, u * u, u**0)
-    lhs = build_binomial(n, lam, u, d)
+    lhs = cached_binomial(n, lam, u, d)
     rhs = core * uinv**n
     return [Clause("", lhs, rhs)]

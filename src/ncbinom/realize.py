@@ -15,23 +15,21 @@ the dimension as context, and the lift's graded multiplier that acts on
 them; the operator carrier `DiffOperator`, sum_r p_r*D^r with slot r
 holding p_r; and the proof, by one gcd of polynomials in mu, that no
 parameter mu makes the combination vanish for a genuinely third-order
-exponential sum.  Every single-mu verifier evaluates B(n) through
-`apply_binomial`, which folds Horner's rule for B(n) into 2n - 1 actions
-of U and n of D with no free expansion: on f itself, or, for the
-realized W-independence rows, once per multiplier on `DiffOperator`
-from the identity, so that each row compares two operators; the
-word-by-word evaluator `apply_each` stays for the third-order proof
-(one free B(n) with mu as a letter).  All eight vector items
-(U = sum p(a)*u, a a constant matrix and each p a polynomial) read
-B(n)*(c (x) phi) off one graded scalar
-fold, `apply_binomial_lifted`, on e*floor(n/2) + 1 slots: B(n) has
-U-degree at most floor(n/2), by its generating function (see
-`apply_binomial`).  The memos, each per process: `build_binomial`, LRU
-128 on (n, lam, u, d), for the cases of one preset; `_scalar_dichotomy`,
-LRU 128 on (kind, n, lam), for the j rows of `exp`; `_graded_fold`, LRU
-128 on (n, mu, parts, phi), which never sees a or c, for vector items
-2-4 and 5-7 over every m and seed; and each preset's `_nf_cache`, word
--> normal form, with no cap.
+exponential sum.  Every verifier folds B(n) with `build_binomial`, U a
+multiplication and D a `Derivation`, with no free expansion: on f
+itself; once per multiplier on the identity `DiffOperator`, so that a
+realized W-independence row compares two operators; and at
+mu = 0, ..., n - 1 for the third-order proof, which interpolates in mu.
+All eight vector items (U = sum p(a)*u, a a constant matrix and each p
+a polynomial) read B(n)*(c (x) phi) off one graded scalar fold,
+`lift_binomial`, on e*floor(n/2) + 1 slots, since B(n) has
+U-degree at most floor(n/2) (see `build_binomial`).  No verifier calls
+the word-by-word `apply_assigned`.  The memos, each per process:
+`binomial.cached_binomial`, LRU 128 on (n, lam, u, d), for the symbolic
+cases of one preset; `_scalar_dichotomy`, LRU 128 on (kind, n, lam), for
+the j rows of `exp`; `_graded_fold`, LRU 128 on (n, mu, parts, phi),
+which never sees a or c, for vector items 2-4 and 5-7 over every m and
+seed; and each preset's `_nf_cache`, word -> normal form, with no cap.
 As in `binomial`, each verifier takes its scalars as the field elements
 `cli.run_case` parses, with no coercion of its own, and returns its list
 of clauses; `run_case` names the case and builds its report.
@@ -41,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import namedtuple
 from fractions import Fraction
-from math import comb, gcd
+from math import factorial, gcd
 from operator import attrgetter
 
 from .binomial import build_binomial, parity_clauses, shift_binomial_clauses
@@ -355,12 +354,19 @@ class FuncMatrix:
         return NotImplemented
 
 
-# ---- letter actions ----------------------------------------------------------
+# ---- the actions of D and of words ------------------------------------------
 
 
-def letter_actions(u, kind: str = D_DX) -> dict:
-    """U acts as multiplication by u (a function or a FuncMatrix), D as the derivation `kind`."""
-    return {"U": lambda g: u * g, "D": lambda g: g.differentiate(kind)}
+class Derivation(namedtuple("Derivation", "kind")):
+    """`build_binomial`'s d on a function space: `d * g` applies the derivation `kind` to g."""
+
+    __slots__ = ()
+
+    def __mul__(self, g):
+        return g.differentiate(self.kind)
+
+
+DERIVATIONS = {kind: Derivation(kind) for kind in DERIVATION_KINDS}  # each built once
 
 
 def apply_each(polys, assignment: dict, f) -> list:
@@ -403,43 +409,6 @@ def apply_assigned(p: NcPoly, assignment: dict, f):
 # ---- scalar-function verifiers --------------------------------------------
 
 
-def apply_binomial(n: int, mu, u, f, kind: str = D_DX):
-    """B(n) with parameter mu applied to f: U multiplies by u, D is the derivation `kind`.
-
-    u is a function or a `FuncMatrix`, f a function or a vector of its
-    space; from the identity `DiffOperator`, with u as FuncMatrix([((1,), u)]),
-    the result is B(n) itself as sum_r p_r*D^r.  Every single-mu realized
-    verifier evaluates B(n) here, with no free expansion.  Horner's rule
-    on the sum over k of C(n,k) * F_0 ... F_(k-1) * U^(n-k) f, with
-    F_k = D - U + k*mu, is folded so that U acts once per step: g_n = f
-    and, for k = n-1 down to 0,
-
-        g_k = (D + k*mu) g_(k+1) + U (C(n,k) U^(n-k-1) f - g_(k+1)),
-
-    and B(n)*f = g_0.  That is 2n - 1 actions of U and n of D (none at
-    n = 0), where the word path acts once per suffix of about 2^(n+1)
-    words; Tier-1 keeps that path as the oracle.
-
-    With D = d/dx, phi' = u*phi and s(t) = -log(1 - mu*t)/mu (t at mu = 0),
-    sum_n B(n)*t^n/n! = phi*e^(s(t)*D)*e^(t*U)*phi^-1: D - U = phi*D*phi^-1,
-    and the rising products D(D + mu)...(D + (k-1)mu) sum to e^(s(t)*D)
-    (Graham, Knuth, Patashnik, Concrete Mathematics, ch. 5 and 7).  On g it
-    is e^E(t)*g(x + s), E(t) = sum_j u^(j)*(t*s^j/j! - s^(j+1)/(j+1)!), and
-    each coefficient of E starts at t^2, so B(n) has U-degree at most
-    floor(n/2).  Only the derivation rule enters, so the bound holds for
-    multiplication by any element of a commutative ring with a derivation,
-    the lift's sum p(S)*u among them.
-    """
-    powers = [f]  # U^i f for i < n
-    for _ in range(n - 1):
-        powers.append(u * powers[-1])
-    g = f
-    for k in range(n - 1, -1, -1):
-        step = g.differentiate(kind) + u * (powers[n - k - 1].scaled(comb(n, k)) - g)
-        g = step + g.scaled(mu * k) if k and mu != 0 else step
-    return g
-
-
 def dichotomy_operator(kind: str, lam: CycloScalar) -> tuple[FuncExpr, CycloScalar, CycloScalar]:
     """(multiplier u, binomial parameter mu, even-case base) for kind "decay" or "sine".
 
@@ -466,7 +435,7 @@ def _shifted(result, mu: CycloScalar, n: int):
 def _scalar_dichotomy(kind: str, n: int, lam: CycloScalar) -> tuple[Clause, ...]:
     """Parity and shift clauses of B(n)*1, B(n) built with the operator's mu."""
     u, mu, base = dichotomy_operator(kind, lam)
-    result = apply_binomial(n, mu, u, FuncExpr.one())
+    result = build_binomial(n, mu, u, DERIVATIONS[D_DX], FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(n, result, zero, base, _decay(n, mu).scaled)
     if n > 0:
@@ -482,7 +451,8 @@ def verify_exponential(n: int, lam, j: int | None) -> list[Clause]:
     clauses = []
     if j is not None:
         grow, target = FuncExpr.exponential(lam), FuncExpr.exponential(-(lam * j))
-        clauses.append(Clause("kernel-target", apply_binomial(n, lam, grow, target),
+        clauses.append(Clause("kernel-target",
+                              build_binomial(n, lam, grow, DERIVATIONS[D_DX], target),
                               FuncExpr.zero()))
     return clauses + list(dichotomy)
 
@@ -495,7 +465,7 @@ def verify_sine(n: int, lam) -> list[Clause]:
 def verify_linear(n: int, a, b) -> list[Clause]:
     """Multiplication by a*x + b with zero binomial parameter."""
     u = FuncExpr.monomial(1).scaled(a) + FuncExpr.term(b)
-    result = apply_binomial(n, ZERO, u, FuncExpr.one())
+    result = build_binomial(n, ZERO, u, DERIVATIONS[D_DX], FuncExpr.one())
     zero = FuncExpr.zero()
     clauses = parity_clauses(n, result, zero, a, FuncExpr.term)
     if n > 0:
@@ -516,7 +486,7 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
         target = FuncExpr.monomial(-(lam * j))
     else:
         raise ValueError(f"unknown change-of-variables variant {variant!r}")
-    return [Clause("", apply_binomial(n, lam, u, target, kind), FuncExpr.zero())]
+    return [Clause("", build_binomial(n, lam, u, DERIVATIONS[kind], target), FuncExpr.zero())]
 
 
 # ---- vector-function verifiers ---------------------------------------------
@@ -526,30 +496,30 @@ def verify_change_of_variables(n: int, lam, j: int, variant: str) -> list[Clause
 def _graded_fold(n: int, mu, parts: tuple, phi: FuncExpr) -> tuple[dict, int]:
     """The read-only terms of B(n)*(e_0 (x) phi) keyed (grade, exponents), and the top grade.
 
-    See `apply_binomial_lifted`; the fold never sees a or c, so cases share
+    See `lift_binomial`; the fold never sees a or c, so cases share
     it.  Its e*floor(n/2) + 1 slots (e the highest degree of a p) are
     exact: no action lowers a grade, a U raises it by at most e, and B(n)
-    has U-degree at most floor(n/2) (`apply_binomial`).
+    has U-degree at most floor(n/2) (`build_binomial`).
     """
     start = VecFunc._raw(max(len(p) - 1 for p, _ in parts) * (n // 2) + 1,
                          {(0, *key): w for key, w in phi.terms.items()})
-    graded = apply_binomial(n, mu, FuncMatrix(parts), start).terms
+    graded = build_binomial(n, mu, FuncMatrix(parts), DERIVATIONS[D_DX], start).terms
     return graded, max((key[0] for key in graded), default=-1)
 
 
-def apply_binomial_lifted(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors) -> list[VecFunc]:
+def lift_binomial(n: int, mu, a: Matrix, parts, phi: FuncExpr, vectors) -> list[VecFunc]:
     """B(n)*(c (x) phi) for each constant vector c from one scalar fold; U = sum p(a)*u.
 
     `parts` are the (p, u) of U, p a polynomial in the constant matrix a
     by its coefficients (p[d] multiplies a^d) and u a function: U = a*u is
-    [((0, 1), u)], and D is d/dx.  `apply_binomial` runs once per key of
+    [((0, 1), u)], and D is d/dx.  `build_binomial` folds once per key of
     the memo `_graded_fold`, with a replaced by the shift S: e_k -> e_(k+1)
     and f = e_0 (x) phi, so slot k holds G_k phi, the grade-k part of
     B(n)*phi; each case lifts the image of its c (x) phi as
     sum_k (a^k c) (x) G_k phi.  Exact: e_k (x) psi -> a^k c (x) psi
     intertwines S with a, so p(S)*u with p(a)*u, and D with D, because a
     is constant.  The fold keeps e*floor(n/2) + 1 slots, the grades that
-    the U-degree bound of `apply_binomial` leaves.
+    the U-degree bound of `build_binomial` leaves.
     """
     graded, top = _graded_fold(n, mu, tuple((tuple(p), u) for p, u in parts), phi)
     images = []
@@ -582,8 +552,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
         units = [[ONE if i == col else ZERO for i in range(m)] for col in range(m)]
         clauses = []
         for j in range(n):  # one fold per target e^(-j lam x) serves every unit vector
-            images = apply_binomial_lifted(n, lam, a, grow, FuncExpr.exponential(-(lam * j)),
-                                           units)
+            images = lift_binomial(n, lam, a, grow, FuncExpr.exponential(-(lam * j)), units)
             clauses += (Clause(f"j={j},col={col}", image, zero) for col, image in enumerate(images))
         return clauses
     c = random_vector(rng, m)
@@ -593,7 +562,7 @@ def verify_vector_item(item: int, n: int, lam, m: int, seed: int) -> list[Clause
     else:
         u, mu, base = dichotomy_operator("decay" if item <= 4 else "sine", lam)
         parts = [((0, 1), u)]
-    result, = apply_binomial_lifted(n, mu, a, parts, FuncExpr.one(), [c])
+    result, = lift_binomial(n, mu, a, parts, FuncExpr.one(), [c])
     clauses = []
     if item in (2, 3, 5, 6, 8):  # the even closed form mat*c (x) e^(-mu*n*x/2), apart from the lift
         (key, _), = _decay(n, mu).terms.items()
@@ -637,14 +606,14 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
 
     V multiplies by a pseudo-random exponential-polynomial (so no
     relation between D and V is assumed at all); W multiplies by
-    e^{lam*x}.  Each side's B(n) is folded once, by `apply_binomial` on
+    e^{lam*x}.  Each side's B(n) is folded once, by `build_binomial` on
     the operator carrier `DiffOperator` from the identity, into
     sum_r p_r*D^r on its n + 1 slots (B(n) has D-order at most n), so
     equal coefficients p_r prove the two combinations equal on every input.
     """
     v = random_func_expr(random.Random(derive_seed(seed, n)))
     one = DiffOperator.identity(n + 1)
-    lhs, rhs = (apply_binomial(n, lam, FuncMatrix([((1,), u)]), one)
+    lhs, rhs = (build_binomial(n, lam, FuncMatrix([((1,), u)]), DERIVATIONS[D_DX], one)
                 for u in (v + FuncExpr.exponential(lam), v))
     return [Clause("", lhs, rhs)]
 
@@ -652,36 +621,31 @@ def verify_w_independence_realized(n: int, lam, seed: int) -> list[Clause]:
 # ---- third-order proof -------------------------------------------------------
 
 _MU = Alphabet(("mu",))  # polynomials in the parameter mu are NcPoly in this one letter
-_UDM = Alphabet(("U", "D", "mu"))
-# the free generators of the one abstract B(n), mu among them, that
-# `mu_coefficients` applies word by word; `apply_binomial` builds no B(n)
-_U, _D, _M = (NcPoly.generator(_UDM, name) for name in _UDM.names)
 
 
 def mu_coefficients(n: int, u: FuncExpr) -> dict[FuncKey, NcPoly]:
     """Each exponential's coefficient in B(n)*1, U multiplying by u, as a polynomial in mu.
 
-    One free B(n) is built with mu as a letter; a word with k mu letters
-    carries mu^k.  With mu struck out, the words of each power add up
-    (words that differ only in where mu sat collapse) to one polynomial
-    in U and D, and the coefficient of mu^k is read off its image of 1.
-    The images come from `apply_each` on the free expansion, a path
-    independent of the fold in `apply_binomial`; this is also the
-    function-space caller of `build_binomial` and `NcPoly.__mul__` that
-    the traced function-space benchmark needs to show work in those layers.
+    F_j carries j*mu, so B(n)*1 has mu-degree at most n - 1 and is fixed
+    by its folds at mu = 0, ..., n - 1.  Newton's divided differences
+    recover each coefficient exactly: on these nodes the one of order j is
+    the j-th forward difference over j!, and Horner's rule expands the
+    Newton form sum_j c_j*mu*(mu - 1)...(mu - j + 1).
     """
-    m = _UDM.index("mu")
-    by_power: dict[int, dict] = {}
-    for word, coeff in build_binomial(n, _M, _U, _D).terms.items():
-        accumulate([(tuple(i for i in word if i != m), coeff)],
-                   by_power.setdefault(word.count(m), {}))
-    images = apply_each([NcPoly._raw(_UDM, terms) for terms in by_power.values()],
-                        letter_actions(u), FuncExpr.one())
-    coefficients: dict[FuncKey, dict] = {}
-    for k, image in zip(by_power, images):
-        for key, coeff in image.terms.items():
-            coefficients.setdefault(key, {})[(0,) * k] = coeff  # mu^k in `_MU`
-    return {key: NcPoly._raw(_MU, terms) for key, terms in coefficients.items()}
+    images = [build_binomial(n, mu, u, DERIVATIONS[D_DX], FuncExpr.one()).terms
+              for mu in range(n)]
+    coefficients = {}
+    for key in dict.fromkeys(key for image in images for key in image):
+        values, newton = [image.get(key, ZERO) for image in images], []
+        for j in range(n):
+            newton.append(values[0] * Fraction(1, factorial(j)))
+            values = [b - a for a, b in zip(values, values[1:])]
+        poly = []  # coefficients of mu^0, mu^1, ...
+        for j in range(n - 1, -1, -1):  # poly*(mu - j) + c_j
+            poly = [low - j * high for low, high in zip([ZERO] + poly, poly + [ZERO])]
+            poly[0] += newton[j]
+        coefficients[key] = NcPoly(_MU, {(0,) * k: c for k, c in enumerate(poly)})
+    return coefficients
 
 
 def mu_gcd(a: NcPoly, b: NcPoly) -> NcPoly:

@@ -4,7 +4,7 @@ A report captures one verified case: the suite, the case parameters, the
 canonical left and right forms, and their difference; `cli.run_case`
 builds it from the clauses a verifier returns.  Status is "pass" exactly
 when every checked clause's residual is the zero element.  A passing
-form is formatted once.  The memos behind the forms (`build_binomial`,
+form is formatted once.  The memos behind the forms (`cached_binomial`,
 `realize._scalar_dichotomy`, `realize._graded_fold`, each preset's
 `_nf_cache`) are per process; `realize`'s docstring gives keys and caps.
 `VerificationReport` and `Clause` are named tuples: a dataclass would load

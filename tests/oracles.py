@@ -9,8 +9,11 @@
 - `incomplete_vw_fixture`: a rule set that `check_confluence` must reject.
 - `constant_vector`: the vector function c (x) 1 of a constant vector c.
 - `apply_operator`: a `DiffOperator` sum_r p_r*D^r applied to a function
-  f as sum_r p_r*f^(r); against the per-sample fold `apply_binomial` on f,
-  it checks the operator form of B(n) that `cor-vw`'s realized rows state.
+  f as sum_r p_r*f^(r); against `build_binomial`'s fold on f itself, it
+  checks the operator form of B(n) that `cor-vw`'s realized rows state.
+- `letter_actions`: U as multiplication by u and D as a derivation, the
+  assignment under which `realize.apply_assigned` applies a free B(n)
+  word by word, the path independent of the fold.
 """
 
 from __future__ import annotations
@@ -119,6 +122,11 @@ def constant_vector(values) -> VecFunc:
     """c (x) 1, keyed directly at the zero exponents."""
     values, key = tuple(map(CycloScalar.of, values)), (ZERO.ints,) * 3
     return VecFunc._raw(len(values), accumulate(((i, *key), v) for i, v in enumerate(values)))
+
+
+def letter_actions(u, kind: str = D_DX) -> dict:
+    """U acts as multiplication by u (a function or a multiplier), D as the derivation `kind`."""
+    return {"U": lambda g: u * g, "D": lambda g: g.differentiate(kind)}
 
 
 def apply_operator(op: DiffOperator, f: FuncExpr, kind: str = D_DX) -> FuncExpr:

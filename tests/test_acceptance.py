@@ -13,12 +13,12 @@ import time
 from ncbinom.binomial import build_binomial
 from ncbinom.cli import SuiteConfig, iter_cases, run_case
 from ncbinom.freealg import Alphabet, NcPoly
-from ncbinom.realize import FuncExpr, apply_assigned, letter_actions, sin_func
+from ncbinom.realize import FuncExpr, apply_assigned, sin_func
 from ncbinom.report import FAIL
 from ncbinom.rewrite import cached_preset, check_confluence, normalize, restrict_to_kernel
 from ncbinom.scalars import IMAG, ONE, parse_scalar
 
-from oracles import incomplete_vw_fixture, safe_block, truncated_shift_matrix
+from oracles import incomplete_vw_fixture, letter_actions, safe_block, truncated_shift_matrix
 
 NONZERO_LAMBDAS = ("1", "2", "-3", "1/2", "i", "1+i")
 ALL_LAMBDAS = NONZERO_LAMBDAS + ("0",)

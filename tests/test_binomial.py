@@ -11,6 +11,7 @@ from ncbinom.binomial import (
     binomial_sum,
     build_binomial,
     build_binomial_alt,
+    cached_binomial,
     double_factorial,
     falling_product,
     power_sum,
@@ -308,9 +309,9 @@ def test_build_forms_no_word_longer_than_n(monkeypatch):
     monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
     for n in range(1, 7):
         # an empty memo, so the build runs and records its products
-        build_binomial.cache_clear()
+        cached_binomial.cache_clear()
         longest.clear()
-        build_binomial(n, parse_scalar("1+i"), U, D)
+        cached_binomial(n, parse_scalar("1+i"), U, D)
         assert longest and max(longest) <= n
         longest.clear()
         build_binomial_alt(n, parse_scalar("1+i"), U, D)
@@ -318,25 +319,26 @@ def test_build_forms_no_word_longer_than_n(monkeypatch):
 
 
 @pytest.mark.parametrize("arithmetic", ["free", "normal"])
-def test_build_makes_2n_products_each_with_a_small_operand(monkeypatch, arithmetic):
-    """Horner's rule: n powers of u and n products by one factor D - u + j*lam*I."""
+def test_build_makes_3n_minus_1_products_each_with_a_small_operand(monkeypatch, arithmetic):
+    """The folded Horner rule: n - 1 powers of u, then one product by d and one by u per step."""
     preset = make_preset("partial-vw", ONE, parse_scalar("2"))
     generator = preset.generator if arithmetic == "free" else preset.normal_generator
     u, d = generator("V") + generator("W"), generator("D")
-    shapes = []
+    left = []
     mul = NcPoly.__mul__
 
     def recording_mul(self, other):
-        shapes.append((len(self.terms), len(other.terms)))
+        left.append(self)
         return mul(self, other)
 
     monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
     for n in range(1, 9):
-        build_binomial.cache_clear()
-        shapes.clear()
+        left.clear()
         build_binomial(n, ONE, u, d)
-        assert shapes and len(shapes) == 2 * n
-        assert all(min(shape) <= 4 for shape in shapes)
+        assert len(left) == 3 * n - 1
+        # the left operand is u or d itself, with at most 2 terms
+        assert all(x is u or x is d for x in left)
+        assert max(len(x.terms) for x in left) <= 2
 
 
 # ---- normal arithmetic against the free expansion ---------------------------
@@ -403,49 +405,53 @@ def test_normal_binomial_is_built_once_per_preset(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
-    build_binomial.cache_clear()
-    first = build_binomial(6, ONE, u, d)
+    cached_binomial.cache_clear()
+    first = cached_binomial(6, ONE, u, d)
     assert products
     products.clear()
-    assert build_binomial(6, ONE, u, d) is first
+    assert cached_binomial(6, ONE, u, d) is first
     assert not products
+    # the builder itself keeps nothing: each call builds a fresh, equal value
+    fresh = build_binomial(6, ONE, u, d)
+    assert products and fresh == first and fresh is not first
+    assert build_binomial(6, ONE, u, d) is not fresh
 
 
 def test_normal_binomial_memo_keys_on_lambda_and_u():
-    """build_binomial keys its memo on (n, lam, u, d) and their types, for Normal generators too."""
-    build_binomial.cache_clear()
+    """cached_binomial keys its memo on (n, lam, u, d) and their types, for Normal generators too."""
+    cached_binomial.cache_clear()
 
     def size():
-        return build_binomial.cache_info().currsize
+        return cached_binomial.cache_info().currsize
 
     # a repeated call returns the same object, though each call makes new generator objects
     preset = make_preset("partial-vw", ONE, parse_scalar("2"))
     v, w, d = map(preset.normal_generator, ("V", "W", "D"))
-    at_one = build_binomial(4, ONE, v, d)
-    again = build_binomial(4, ONE, preset.normal_generator("V"), preset.normal_generator("D"))
+    at_one = cached_binomial(4, ONE, v, d)
+    again = cached_binomial(4, ONE, preset.normal_generator("V"), preset.normal_generator("D"))
     assert again is at_one and size() == 1
     # another lambda, or v + w for v, is a separate entry: cor-vw compares two builds
-    assert build_binomial(4, parse_scalar("1+i"), v, d) != at_one
+    assert cached_binomial(4, parse_scalar("1+i"), v, d) != at_one
     assert size() == 2
-    both = build_binomial(4, ONE, v + w, d)
+    both = cached_binomial(4, ONE, v + w, d)
     assert both == at_one and both is not at_one
     assert size() == 3
     # plain and Normal generators with equal terms compare equal but key separate
     # entries, and each result keeps its arithmetic, whichever is built first
     free_v, free_d = preset.generator("V"), preset.generator("D")
     assert free_v == v and free_d == d
-    free = build_binomial(4, ONE, free_v, free_d)
+    free = cached_binomial(4, ONE, free_v, free_d)
     assert type(free) is NcPoly and free != at_one
     assert size() == 4
-    free_5 = build_binomial(5, ONE, free_v, free_d)
-    normal_5 = build_binomial(5, ONE, v, d)
+    free_5 = cached_binomial(5, ONE, free_v, free_d)
+    normal_5 = cached_binomial(5, ONE, v, d)
     assert type(free_5) is NcPoly
     assert isinstance(normal_5, Normal) and normal_5.preset is preset
     assert normal_5 == normalize(free_5, preset)
     assert size() == 6
     # a preset with equal rules is another preset: its own entry and its own Normal
     twin = make_preset("partial-vw", ONE, parse_scalar("2"))
-    at_twin = build_binomial(4, ONE, twin.normal_generator("V"), twin.normal_generator("D"))
+    at_twin = cached_binomial(4, ONE, twin.normal_generator("V"), twin.normal_generator("D"))
     assert at_twin.preset is twin and at_twin is not at_one
     assert size() == 7
 

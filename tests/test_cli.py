@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from ncbinom import cli, rewrite
+from ncbinom.binomial import cached_binomial
 from ncbinom.cli import SuiteConfig, iter_cases, main, run_case
 from ncbinom.scalars import ONE
 
@@ -480,16 +481,20 @@ SYMBOLIC_SUITES = ("thm-nou", "rec-3", "thm-wrongsign", "rec-6", "thm-2nd", "rec
 
 
 def test_symbolic_reports_do_not_depend_on_suite_order(monkeypatch):
-    """A case that finds its B(n) in `build_binomial`'s memo reports what a fresh build does."""
+    """A case that finds its B(n) in `cached_binomial`'s memo reports what a fresh build does."""
     cfg = SuiteConfig(n_max=5)
 
     def reports(order):
         monkeypatch.setattr(rewrite, "_preset_cache", {})
+        cached_binomial.cache_clear()
         # the realized cor-vw cases use no preset
-        return {suite: "".join(json.dumps(run_case(case).to_json_obj()) + "\n"
-                               for case in iter_cases(suite, cfg)
-                               if case.get("variant") != "realized")
-                for suite in order}
+        out = {suite: "".join(json.dumps(run_case(case).to_json_obj()) + "\n"
+                              for case in iter_cases(suite, cfg)
+                              if case.get("variant") != "realized")
+               for suite in order}
+        # later suites and cases did find B(n) there
+        assert cached_binomial.cache_info().hits > 0
+        return out
 
     forward = reports(SYMBOLIC_SUITES)
     assert reports(SYMBOLIC_SUITES[::-1]) == forward

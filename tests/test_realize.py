@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncbinom import realize
-from ncbinom.binomial import BINOMIAL_MEMO_SIZE, build_binomial
+from ncbinom.binomial import BINOMIAL_MEMO_SIZE, build_binomial, cached_binomial
 from ncbinom.freealg import Alphabet, NcPoly, accumulate, commutator
 from ncbinom.realize import (
     D_DX,
     DERIVATION_KINDS,
+    Derivation,
     DiffOperator,
     FuncExpr,
     FuncMatrix,
@@ -23,9 +24,7 @@ from ncbinom.realize import (
     X_D_DX,
     XINV_D_DX,
     apply_assigned,
-    apply_binomial,
-    apply_binomial_lifted,
-    letter_actions,
+    lift_binomial,
     random_func_expr,
     random_matrix,
     random_rational,
@@ -42,7 +41,7 @@ from ncbinom.rewrite import RelationPreset, cached_preset, normalize
 from ncbinom.scalars import CycloScalar, IMAG, ONE, ZERO, parse_scalar, wrap
 
 import oracles
-from oracles import (MatrixMultiplier, apply_operator, constant_vector, safe_block,
+from oracles import (MatrixMultiplier, apply_operator, constant_vector, letter_actions, safe_block,
                      truncated_shift_matrix)
 
 UD = Alphabet(("U", "D"))
@@ -153,7 +152,7 @@ def test_apply_binomial_matches_factor_by_factor_evaluation():
     for mu, u, kind, inputs in cases:
         for f in inputs:
             for n in range(8):
-                got = apply_binomial(n, mu, u, f, kind)
+                got = build_binomial(n, mu, u, Derivation(kind), f)
                 assert got == factor_by_factor(n, mu, u, f, kind)
                 assert got == apply_assigned(build_binomial(n, mu, U, D),
                                              letter_actions(u, kind), f)
@@ -162,11 +161,11 @@ def test_apply_binomial_matches_factor_by_factor_evaluation():
 def binomial_operator(n: int, mu, u, kind: str = D_DX, slots: int | None = None) -> DiffOperator:
     """B(n) as sum_r p_r*D^r, folded from the identity on n + 1 slots unless told otherwise."""
     one = DiffOperator.identity(n + 1 if slots is None else slots)
-    return apply_binomial(n, mu, FuncMatrix([((1,), u)]), one, kind)
+    return build_binomial(n, mu, FuncMatrix([((1,), u)]), Derivation(kind), one)
 
 
 def test_binomial_operator_applied_to_f_matches_the_per_sample_fold():
-    # the operator form against `apply_binomial` on f itself, for every scalar assignment,
+    # the operator form against the fold on f itself, for every scalar assignment,
     # on the two inputs of the factor-by-factor test, for n <= 7
     lam = parse_scalar("1/2 + i")
     rng = random.Random(17)
@@ -175,7 +174,7 @@ def test_binomial_operator_applied_to_f_matches_the_per_sample_fold():
         for n in range(8):
             op = binomial_operator(n, mu, u, kind)
             for f in inputs:
-                assert apply_operator(op, f, kind) == apply_binomial(n, mu, u, f, kind)
+                assert apply_operator(op, f, kind) == build_binomial(n, mu, u, Derivation(kind), f)
             # B(n) has D-order n, with D^n alone from F_0 ... F_(n-1): on n + 2 slots the top
             # one stays empty and the others hold the same coefficients
             roomy = binomial_operator(n, mu, u, kind, slots=n + 2)
@@ -227,12 +226,12 @@ def test_apply_binomial_acts_2n_minus_1_times_with_u_and_n_times_with_d(monkeypa
         return differentiate(self, kind)
 
     for n in range(11):
-        expected = apply_binomial(n, lam, u, f)
+        expected = build_binomial(n, lam, u, Derivation(D_DX), f)
         counter = CountingMultiplier(u)
         derivatives.clear()
         with monkeypatch.context() as patched:
             patched.setattr(carrier, "differentiate", counting_differentiate)
-            assert apply_binomial(n, lam, counter, f) == expected
+            assert build_binomial(n, lam, counter, Derivation(D_DX), f) == expected
         assert counter.calls <= max(2 * n - 1, 0)
         assert len(derivatives) <= n
 
@@ -337,8 +336,8 @@ def graded_fold(n, mu, parts, phi, slots):
     """B(n)*(e_0 (x) phi), U acting as sum p(S)*u, S the shift on `slots` slots."""
     shift = shift_matrix(slots)
     start = VecFunc([phi] + [FuncExpr.zero()] * (slots - 1))
-    return apply_binomial(n, mu, MatrixMultiplier([(poly_at(p, shift), u) for p, u in parts]),
-                          start)
+    return build_binomial(n, mu, MatrixMultiplier([(poly_at(p, shift), u) for p, u in parts]),
+                          Derivation(D_DX), start)
 
 
 def random_quadratic(rng):
@@ -374,10 +373,10 @@ def test_lifted_fold_matches_the_direct_vector_fold(multiplier):
             # 1 and e^(-lam x) are kernel targets of the grow multiplier; the third input is not
             for phi in (FuncExpr.one(), FuncExpr.exponential(-lam), random_func_expr(rng)):
                 for n in range(7):
-                    lifted = apply_binomial_lifted(n, mu, a, parts, phi, vectors)
+                    lifted = lift_binomial(n, mu, a, parts, phi, vectors)
                     assert len(lifted) == len(vectors)
                     for c, got in zip(vectors, lifted):
-                        direct = apply_binomial(n, mu, direct_u,
+                        direct = build_binomial(n, mu, direct_u, Derivation(D_DX),
                                                 VecFunc([phi.scaled(x) for x in c]))
                         assert got == direct, (multiplier, lam, m, n, c)
                         nonzero += not got.is_zero
@@ -386,7 +385,7 @@ def test_lifted_fold_matches_the_direct_vector_fold(multiplier):
 
 
 def test_graded_fold_keeps_exactly_e_floor_half_n_plus_1_slots():
-    # B(n) has U-degree at most floor(n/2) (`apply_binomial`) and a U raises the grade by at
+    # B(n) has U-degree at most floor(n/2) (`build_binomial`) and a U raises the grade by at
     # most e, so e*floor(n/2) + 1 slots are exact, and the fold's top slot can be nonzero
     rng = random.Random(11)
     reach_top = set()
@@ -403,8 +402,8 @@ def test_graded_fold_keeps_exactly_e_floor_half_n_plus_1_slots():
                     assert longer.entries[size].is_zero, (multiplier, lam, n)
                     exact = graded_fold(n, mu, parts, phi, size)
                     assert longer.entries[:size] == exact.entries
-                    assert sum(longer.entries, FuncExpr.zero()) == apply_binomial(
-                        n, mu, u_at_one, phi)
+                    assert sum(longer.entries, FuncExpr.zero()) == build_binomial(
+                        n, mu, u_at_one, Derivation(D_DX), phi)
                     graded, _ = realize._graded_fold(n, mu, tuple((tuple(p), u) for p, u in parts),
                                                      phi)
                     assert graded == exact.terms, (multiplier, lam, n)
@@ -436,13 +435,13 @@ def test_graded_multiplier_matches_the_matrix_multiplier_of_p_of_the_shift():
 
 
 def count_folds(monkeypatch) -> list:
-    """Record (n, mu) of every `realize.apply_binomial` call from now on.
+    """Record (n, mu) of every `realize.build_binomial` call from now on.
 
     The memos above the fold are cleared first, so no cached value answers
     without reaching the patched function.
     """
     calls = []
-    plain = realize.apply_binomial
+    plain = realize.build_binomial
 
     def counted(*args, **kwargs):
         calls.append(args[:2])
@@ -450,7 +449,7 @@ def count_folds(monkeypatch) -> list:
 
     realize._scalar_dichotomy.cache_clear()
     realize._graded_fold.cache_clear()
-    monkeypatch.setattr(realize, "apply_binomial", counted)
+    monkeypatch.setattr(realize, "build_binomial", counted)
     return calls
 
 
@@ -723,20 +722,20 @@ def evaluate_mu_coefficients(coeffs, mu) -> FuncExpr:
 
 
 def test_verify_third_order(monkeypatch):
-    # the polynomials in mu agree with B(n)*1 built directly at a non-integer mu, and
-    # with the folded recurrence at each integer mu = 0..n
-    mu = parse_scalar("1/3 + 2*i")
-    for n in (3, 5):
+    # the polynomials in mu, interpolated from folds at mu = 0..n-1, agree with the free B(n)
+    # applied word by word at two mu off the nodes, and with the fold at each node
+    for n in (3, 5, 7, 9):
         for lam in (ONE, parse_scalar("1+i")):
             u = third_order_u(lam)
             coeffs = realize.mu_coefficients(n, u)
             assert all(max(map(len, p.terms)) < n for p in coeffs.values())
-            assert evaluate_mu_coefficients(coeffs, mu) == apply_assigned(
-                build_binomial(n, mu, U, D), letter_actions(u), FuncExpr.one())
-            for k in range(n + 1):
+            for mu in (parse_scalar("1/3 + 2*i"), CycloScalar.of(n)):
+                assert evaluate_mu_coefficients(coeffs, mu) == apply_assigned(
+                    build_binomial(n, mu, U, D), letter_actions(u), FuncExpr.one())
+            for k in range(n):
                 at_k = CycloScalar.of(k)
-                assert evaluate_mu_coefficients(coeffs, at_k) == apply_binomial(
-                    n, at_k, u, FuncExpr.one())
+                assert evaluate_mu_coefficients(coeffs, at_k) == build_binomial(
+                    n, at_k, u, Derivation(D_DX), FuncExpr.one())
             assert run_case({"suite": "third-order", "n": n, "lambda": str(lam)}).status == PASS
 
     # a first-order u = e^(-lam x) collapses at mu = lam (the exp suite) and at mu = -lam
@@ -930,23 +929,23 @@ def differentiate_all_images(f: FuncExpr, kind: str) -> FuncExpr:
 
 
 def test_free_binomial_is_built_once_per_pair_under_a_cap():
-    """Free generators get one B(n) per (n, lam) from build_binomial's capped memo."""
-    build_binomial.cache_clear()
+    """Free generators get one B(n) per (n, lam) from cached_binomial's capped memo."""
+    cached_binomial.cache_clear()
     for lam in (ZERO, ONE, IMAG, parse_scalar("1+i")):
         for n in range(9):
-            b = build_binomial(n, lam, U, D)
-            assert build_binomial(n, lam, U, D) is b
+            b = cached_binomial(n, lam, U, D)
+            assert cached_binomial(n, lam, U, D) is b
             # the memoized value equals a build that bypasses the memo
-            fresh = build_binomial.__wrapped__(n, lam, U, D)
+            fresh = build_binomial(n, lam, U, D)
             assert fresh is not b and fresh == b
-    assert build_binomial.cache_info().currsize == 36
+    assert cached_binomial.cache_info().currsize == 36
     # more distinct builds than the cap leave the memo full, not grown
-    cap = build_binomial.cache_info().maxsize
+    cap = cached_binomial.cache_info().maxsize
     assert cap == BINOMIAL_MEMO_SIZE
     for n in range(2):
         for k in range(cap):
-            build_binomial(n, CycloScalar.of(k), U, D)
-    assert build_binomial.cache_info().currsize == cap
+            cached_binomial(n, CycloScalar.of(k), U, D)
+    assert cached_binomial.cache_info().currsize == cap
 
 
 @pytest.mark.parametrize("kind", DERIVATION_KINDS)
