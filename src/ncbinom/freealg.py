@@ -205,7 +205,7 @@ class Combination:
     def __sub__(self, other):
         if not self._accepts(other):
             return NotImplemented
-        return self + (-other)
+        return self._like(accumulate(((k, -c) for k, c in other.terms.items()), dict(self.terms)))
 
     def __rmul__(self, other):
         # only a scalar scales; any other operand is declined, so Python names both kinds
@@ -285,7 +285,7 @@ class NcPoly(Combination):
     def __mul__(self, other) -> NcPoly:
         if self._accepts(other):
             right = other.terms.items()
-            # a plain NcPoly, not `_like`: `normalize` returns a same-preset Normal unrewritten
+            # a plain NcPoly, not `_like`: joined words need not be normal, so no preset is carried
             return NcPoly._raw(self.context, accumulate(
                 (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in right
             ))

@@ -44,7 +44,7 @@ class VerificationReport(namedtuple("VerificationReport", "suite params status l
 
 
 class Clause(namedtuple("Clause", "label lhs rhs probe", defaults=(False,))):
-    """One comparison inside a case; values must support '-', is_zero, str.
+    """One comparison inside a case; values must support '-', '==', scaled(0), is_zero, str.
 
     `probe=True` makes a probe: its outcome is recorded, not checked.
     """
@@ -55,18 +55,27 @@ class Clause(namedtuple("Clause", "label lhs rhs probe", defaults=(False,))):
         return self.lhs - self.rhs
 
 
+def _residual(clause: Clause):
+    # equal sides of one type give that type's zero, in the lhs's context; only
+    # differing sides are subtracted, so a preset, alphabet or shape mismatch still raises
+    lhs, rhs = clause.lhs, clause.rhs
+    if type(lhs) is type(rhs) and lhs == rhs:
+        return lhs.scaled(0)
+    return clause.residual()
+
+
 def report_from_clauses(suite: str, params: dict, clauses: list[Clause]) -> VerificationReport:
-    """One report over the clauses; each clause's residual is formed once.
+    """One report over the clauses; each clause's residual is formed at most once, never for an equal pair.
 
     Each probe adds {label: residual is zero} to the params, after the case's own.
     """
     probes = [c for c in clauses if c.probe]
     if probes:
-        params = params | {c.label: c.residual().is_zero for c in probes}
+        params = params | {c.label: _residual(c).is_zero for c in probes}
         clauses = [c for c in clauses if not c.probe]
     if not clauses:
         return VerificationReport(suite, params, PASS, "", "", "0")
-    residuals = [c.residual() for c in clauses]
+    residuals = [_residual(c) for c in clauses]
     status = PASS if all(r.is_zero for r in residuals) else FAIL
     lhs = [str(c.lhs) for c in clauses]
     # equal sums of one type print alike, so a passing clause's rhs reuses the lhs text

@@ -19,9 +19,19 @@ on a D-eigenvector" replaces the trailing block by a scalar power, and
 Once confluence is proved the normal words are a basis of the quotient
 algebra, so the normal form of a product is the normal form of the
 product of normal forms.  `Normal` is a polynomial held in normal form
-under one preset; its `*` normalizes each product at once, so any builder
-written for "a ring with * and +" computes in the quotient algebra when
-handed `Normal` generators, without ever forming the free expansion.
+under one preset; its `*` forms that normal product in one pass, so any
+builder written for "a ring with * and +" computes in the quotient
+algebra when handed `Normal` generators, without ever forming the free
+expansion.
+
+The pass rewrites only where two words meet.  Every left-hand side is a
+pair of letters, so a word is normal exactly when none of its adjacent
+pairs is a left-hand side.  Joining two normal words w1 and w2 makes one
+new adjacent pair, (last letter of w1, first letter of w2), and none if
+either is the unit.  When that pair is no left-hand side, w1 w2 is normal
+as it stands; otherwise its normal form is the memoized word normal form
+of w1 w2.  Each term is thus exactly what normalizing the free product
+gives it, under any preset.
 """
 
 from __future__ import annotations
@@ -104,10 +114,11 @@ class RelationPreset:
 class Normal(NcPoly):
     """A polynomial in normal form under `preset`.
 
-    `*` normalizes each product at once; `+`, `-` and scalar `*` keep a
-    `Normal`.  A plain `NcPoly` operand, on either side, is normalized
-    first.  Two `Normal` values of different presets never combine or
-    compare equal, even over one alphabet.
+    `*` rewrites only the pair where two normal words meet (see the module
+    docstring); `+`, `-` and scalar `*` keep a `Normal`.  A plain `NcPoly`
+    operand of `+`, `-` or `*`, on either side, is normalized first.  Two
+    `Normal` values of different presets never combine or compare equal,
+    even over one alphabet.
 
     The value is an element of the preset's quotient algebra, and `*` its
     product, only when the preset is confluent (`check_confluence(preset).ok`,
@@ -150,16 +161,48 @@ class Normal(NcPoly):
 
     __radd__ = __add__
 
+    def __sub__(self, other) -> Normal:
+        if not isinstance(other, NcPoly):
+            return NotImplemented
+        return super().__sub__(self._coerce(other))
+
+    def __rsub__(self, other) -> Normal:
+        if not isinstance(other, NcPoly):
+            return NotImplemented
+        return Combination.__sub__(self._coerce(other), self)
+
     def __mul__(self, other) -> Normal:
         if isinstance(other, NcPoly):
-            return normalize(NcPoly.__mul__(self, self._coerce(other)), self.preset)
+            return _product(self, self._coerce(other))
         # a scalar scales; a sum of another kind gets NotImplemented
         return Combination.__rmul__(self, other)
 
     def __rmul__(self, other) -> Normal:
         if isinstance(other, NcPoly):
-            return normalize(NcPoly.__mul__(self._coerce(other), self), self.preset)
+            return _product(self._coerce(other), self)
         return Combination.__rmul__(self, other)
+
+
+def _product(left: Normal, right: Normal) -> Normal:
+    """Normal form of left·right, both of one preset, in one `accumulate`: the junction rule."""
+    preset = left.preset
+    rule_map = preset._rule_map
+    word_normal_form = preset._word_normal_form
+    # (first letter or None, word, coefficient): None, for the unit, is in no left-hand pair
+    right_terms = [(w2[0] if w2 else None, w2, c2) for w2, c2 in right.terms.items()]
+
+    def terms():
+        for w1, c1 in left.terms.items():
+            last = w1[-1] if w1 else None
+            for first, w2, c2 in right_terms:
+                if (last, first) in rule_map:
+                    c = c1 * c2
+                    for w, c3 in word_normal_form(w1 + w2).items():
+                        yield w, c * c3
+                else:
+                    yield w1 + w2, c1 * c2
+
+    return Normal._of(preset, accumulate(terms()))
 
 
 def normalize(p: NcPoly, preset: RelationPreset) -> Normal:

@@ -325,13 +325,15 @@ def test_build_makes_3n_minus_1_products_each_with_a_small_operand(monkeypatch, 
     generator = preset.generator if arithmetic == "free" else preset.normal_generator
     u, d = generator("V") + generator("W"), generator("D")
     left = []
-    mul = NcPoly.__mul__
+    # the product each arithmetic calls: a Normal product never reaches NcPoly.__mul__
+    kind = type(u)
+    mul = kind.__mul__
 
     def recording_mul(self, other):
         left.append(self)
         return mul(self, other)
 
-    monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
+    monkeypatch.setattr(kind, "__mul__", recording_mul)
     for n in range(1, 9):
         left.clear()
         build_binomial(n, ONE, u, d)
@@ -398,13 +400,13 @@ def test_normal_binomial_is_built_once_per_preset(monkeypatch):
     preset = make_preset("first-order-plus", ONE)
     u, d = preset.normal_generator("U"), preset.normal_generator("D")
     products = []
-    mul = NcPoly.__mul__
+    mul = Normal.__mul__
 
     def recording_mul(self, other):
         products.append(other)
         return mul(self, other)
 
-    monkeypatch.setattr(NcPoly, "__mul__", recording_mul)
+    monkeypatch.setattr(Normal, "__mul__", recording_mul)
     cached_binomial.cache_clear()
     first = cached_binomial(6, ONE, u, d)
     assert products

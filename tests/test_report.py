@@ -11,7 +11,7 @@ from ncbinom.rewrite import ConfluenceReport, cached_preset, normalize
 
 
 class Counted:
-    """Integer value that counts how often a residual is formed and a value printed."""
+    """Integer value that counts how often a residual is subtracted and a value printed."""
 
     subtractions = 0
     formats = 0
@@ -22,6 +22,12 @@ class Counted:
     def __sub__(self, other):
         Counted.subtractions += 1
         return Counted(self.value - other.value)
+
+    def __eq__(self, other) -> bool:
+        return self.value == other.value
+
+    def scaled(self, factor):
+        return Counted(self.value * factor)
 
     @property
     def is_zero(self) -> bool:
@@ -38,24 +44,47 @@ def report_and_subtractions(clauses):
     return report, Counted.subtractions
 
 
-def test_each_clause_residual_is_formed_once():
+def test_each_clause_residual_is_formed_at_most_once():
+    """A residual is subtracted at most once per clause, and never for an equal pair."""
     one, two = Counted(1), Counted(2)
     report, subs = report_and_subtractions([Clause("", two, one)])
     assert subs == 1
     assert (report.status, report.lhs, report.rhs, report.residual) == (FAIL, "2", "1", "1")
 
-    clauses = [Clause("a", one, one), Clause("b", two, two)]
+    # equal sides: each residual is the zero scaled from the lhs, with no subtraction
+    clauses = [Clause("a", one, one), Clause("b", two, Counted(2))]
     report, subs = report_and_subtractions(clauses)
-    assert subs == 2
+    assert subs == 0
     assert report.status == PASS
     assert report.lhs == "a: 1 | b: 2"
     assert report.rhs == "a: 1 | b: 2"
     assert report.residual == "a: 0 | b: 0"
 
-    # a failing first clause still reports, and computes, every residual once
+    # a failing first clause still reports every residual, and subtracts its own exactly once
     report, subs = report_and_subtractions([Clause("a", two, one), Clause("b", one, one)])
-    assert subs == 2
+    assert subs == 1
     assert (report.status, report.residual) == (FAIL, "a: 1 | b: 0")
+
+    # a probe is held to the same rule
+    report, subs = report_and_subtractions([Clause("a", one, one), Clause("p", two, one, probe=True),
+                                            Clause("q", one, one, probe=True)])
+    assert subs == 1
+    assert report.params == {"n": 1, "p": False, "q": True}
+
+
+def test_equal_sides_of_mismatched_contexts_still_raise():
+    """Only an equal pair skips the subtraction: sides that cannot combine still raise."""
+    plus, minus = cached_preset("first-order-plus", 1), cached_preset("first-order-minus", 1)
+    u_plus, u_minus = plus.normal_generator("U"), minus.normal_generator("U")
+    assert u_plus.terms == u_minus.terms
+    with pytest.raises(ValueError, match="do not combine"):
+        report_from_clauses("demo", {}, [Clause("", u_plus, u_minus)])
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        report_from_clauses("demo", {}, [Clause("", NcPoly.unit(Alphabet(("U", "D"))),
+                                                NcPoly.unit(Alphabet(("V", "W", "D"))))])
+    # an equal pair of one preset passes with no subtraction
+    report = report_from_clauses("demo", {}, [Clause("", u_plus, plus.normal_generator("U"))])
+    assert (report.status, report.residual) == (PASS, "0")
 
 
 def test_probe_is_recorded_after_the_case_fields_and_never_checked():

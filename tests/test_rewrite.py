@@ -156,6 +156,89 @@ def test_normal_arithmetic_stays_in_its_preset():
         assert value == normalize(free, p)
 
 
+# ---- normal products against the free product normalized ------------------
+
+_COEFFS = tuple(map(parse_scalar, ("1", "-2", "1/2", "i", "1+i")))
+
+
+def random_poly(preset, rng, max_terms=3, max_length=4):
+    """A plain polynomial of a few random words, the unit among them at times."""
+    letters = len(preset.alphabet)
+    return NcPoly(preset.alphabet, {
+        tuple(rng.randrange(letters) for _ in range(rng.randint(0, max_length))): rng.choice(_COEFFS)
+        for _ in range(rng.randint(1, max_terms))
+    })
+
+
+def junction_pairs(preset):
+    """Normal pairs whose words meet in a left-hand pair, the unit on either side among them.
+
+    Under the invertible presets U U · Uinv Uinv D cancels where the words meet,
+    then again one letter further out, down to D.
+    """
+    unit = preset.normal_generator("D") ** 0
+    pairs = [(unit, unit)]
+    for (upper, lower), _ in preset.rules:
+        a, b = preset.normal_generator(upper), preset.normal_generator(lower)
+        pairs += [(a, b), (b, a), (unit, a * b), (a * b, unit), (a * a, b * b), (a * b, a * b)]
+    if "Uinv" in preset.alphabet.names:
+        u, uinv, d = map(preset.normal_generator, ("U", "Uinv", "D"))
+        pairs += [(u * u, uinv * uinv * d), (uinv * uinv, u * u * d + uinv), (d * u, uinv)]
+    return pairs
+
+
+def free_product_normalized(a, b, preset):
+    """The product as it was formed before the junction rule: the free product, normalized."""
+    return normalize(NcPoly.__mul__(a, b), preset)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_normal_product_agrees_with_normalizing_the_free_product(name):
+    preset = make_preset(name, parse_scalar("1+i"), parse_scalar("2"))
+    assert check_confluence(preset).ok
+    rng = random.Random(name)
+    pairs = junction_pairs(preset)
+    for _ in range(40):
+        pairs.append((normalize(random_poly(preset, rng), preset),
+                      normalize(random_poly(preset, rng), preset)))
+    for a, b in pairs:
+        expected = free_product_normalized(a, b, preset)
+        product = a * b
+        assert isinstance(product, Normal) and product.preset is preset
+        assert product == expected, (str(a), str(b))
+    if "Uinv" in preset.alphabet.names:
+        u, uinv, d = map(preset.normal_generator, ("U", "Uinv", "D"))
+        assert u * uinv == uinv * u == d ** 0
+        assert (u * u) * (uinv * uinv * d) == d
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_normal_product_with_a_plain_operand_normalizes_it_first(name):
+    preset = make_preset(name, parse_scalar("1+i"), parse_scalar("2"))
+    rng = random.Random(name + " plain product")
+    for _ in range(20):
+        plain, other = random_poly(preset, rng), normalize(random_poly(preset, rng), preset)
+        for product, expected in ((plain * other, free_product_normalized(plain, other, preset)),
+                                  (other * plain, free_product_normalized(other, plain, preset))):
+            assert isinstance(product, Normal) and product.preset is preset
+            assert product == expected
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_normal_difference_with_a_plain_operand_is_the_normal_difference(name):
+    preset = make_preset(name, parse_scalar("1+i"), parse_scalar("2"))
+    rng = random.Random(name + " difference")
+    for _ in range(20):
+        a, plain = normalize(random_poly(preset, rng), preset), random_poly(preset, rng)
+        # the oracle negates by scaling, not by `-`
+        a_plain = NcPoly(preset.alphabet, a.terms)
+        for difference, expected in ((a - plain, a_plain + plain.scaled(-1)),
+                                     (plain - a, plain + a_plain.scaled(-1))):
+            assert isinstance(difference, Normal) and difference.preset is preset
+            assert difference == normalize(expected, preset)
+        assert (a - a).is_zero and isinstance(a - a, Normal)
+
+
 def test_normal_values_of_different_presets_do_not_combine():
     # the plus and minus presets share the alphabet (U, D): only the preset tells them apart
     plus, minus = make_preset("first-order-plus", ONE), make_preset("first-order-minus", ONE)
