@@ -11,6 +11,13 @@ with no infinite descending chain.  Uniqueness of normal forms is not
 assumed; `check_confluence` proves it by resolving the overlap
 ambiguities (Bergman's diamond lemma).
 
+A word is normalized suffix first and memoized per word.  A redex at its
+start is contracted; otherwise the normal head before its first redex is
+joined, rewriting only where the two meet, to each term of the normal
+form of the suffix from that redex on, memoized under its own key for
+every head (U^p D^k Uinv^n rewrites D^k Uinv^n once for all p).  Under a
+confluent preset every order of contractions reaches the one normal form.
+
 The designated kernel generator D must be last in alphabet order.  In a
 normal form all remaining D letters sit in a trailing block, so "evaluate
 on a D-eigenvector" replaces the trailing block by a scalar power, and
@@ -86,7 +93,9 @@ class RelationPreset:
     def normal_generator(self, name: str) -> Normal:
         return normalize(self.generator(name), self)
 
-    # ---- word-level normalization (memoized leftmost strategy) --------
+    # ---- word-level normalization (memoized suffix-first strategy) ----
+    # contract a redex at 0, else join the normal head word[:pos] to the
+    # memoized normal form of word[pos:]; exact in any order when confluent
 
     def _word_normal_form(self, word: Word) -> dict[Word, CycloScalar]:
         cache = self._nf_cache
@@ -101,12 +110,20 @@ class RelationPreset:
                 break
         if pos < 0:
             result = {word: CycloScalar.of(1)}
-        else:
-            head, tail = word[:pos], word[pos + 2 :]
+        elif pos == 0:
             result = {}
-            for sub, coeff in rule_map[(word[pos], word[pos + 1])].items():
-                reduced = self._word_normal_form(head + sub + tail)
+            for sub, coeff in rule_map[word[:2]].items():
+                reduced = self._word_normal_form(sub + word[2:])
                 accumulate(((w2, coeff * c2) for w2, c2 in reduced.items()), result)
+        else:
+            # each head + w2 is smaller than word, so the recursion ends
+            head, last, result = word[:pos], word[pos - 1], {}
+            for w2, c2 in self._word_normal_form(word[pos:]).items():
+                if w2 and (last, w2[0]) in rule_map:
+                    reduced = self._word_normal_form(head + w2)
+                    accumulate(((w, c2 * c3) for w, c3 in reduced.items()), result)
+                else:
+                    accumulate(((head + w2, c2),), result)
         cache[word] = result
         return result
 

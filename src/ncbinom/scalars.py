@@ -40,8 +40,11 @@ class ScalarParseError(ValueError):
 
 
 def _scalar(n0: int, n1: int, n2: int, n3: int, d: int) -> CycloScalar:
-    """The element (n0 + n1*z + n2*z^2 + n3*z^3) / d, for d > 0, made canonical."""
-    g = gcd(n0, n1, n2, n3, d)
+    """The element (n0 + n1*z + n2*z^2 + n3*z^3) / d, for d > 0, made canonical.
+
+    Over d == 1 the tuple is canonical as it stands, so no gcd is taken.
+    """
+    g = 1 if d == 1 else gcd(n0, n1, n2, n3, d)
     x = _new(CycloScalar)
     x.ints = (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g)
     return x
@@ -63,7 +66,7 @@ def add_ints(a: tuple, b: tuple) -> tuple:
     else:
         n0, n1, n2, n3 = a0 * e + b0 * d, a1 * e + b1 * d, a2 * e + b2 * d, a3 * e + b3 * d
         d *= e
-    g = gcd(n0, n1, n2, n3, d)
+    g = 1 if d == 1 else gcd(n0, n1, n2, n3, d)
     return (n0, n1, n2, n3, d) if g == 1 else (n0 // g, n1 // g, n2 // g, n3 // g, d // g)
 
 

@@ -390,12 +390,16 @@ def strategy_outcomes(preset, word):
             for choose in (lambda r: r[0], lambda r: r[-1], rng.choice)]
 
 
+def assert_strategies_agree(preset, word):
+    engine = preset._word_normal_form(word)
+    outcomes = strategy_outcomes(preset, word)
+    assert all(o == engine for o in outcomes), preset.alphabet.word_str(word)
+
+
 def assert_oracle_agrees(preset, max_length):
     for length in range(max_length + 1):
         for word in itertools.product(range(len(preset.alphabet)), repeat=length):
-            engine = preset._word_normal_form(word)
-            outcomes = strategy_outcomes(preset, word)
-            assert all(o == engine for o in outcomes), preset.alphabet.word_str(word)
+            assert_strategies_agree(preset, word)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -407,7 +411,14 @@ def test_overlaps_of_shipped_presets_resolve(name):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_strategy_oracle_agrees_with_engine(name):
-    assert_oracle_agrees(make_preset(name, parse_scalar("1/2"), parse_scalar("-3")), 5)
+    preset = make_preset(name, parse_scalar("1/2"), parse_scalar("-3"))
+    assert_oracle_agrees(preset, 5)
+    # the engine's head joins nest deeper only past length 5: seeded longer words
+    rng = random.Random(name)
+    for length in range(6, 13):
+        for _ in range(3):
+            assert_strategies_agree(
+                preset, tuple(rng.randrange(len(preset.alphabet)) for _ in range(length)))
 
 
 def test_confluence_first_order_degree6():

@@ -19,6 +19,7 @@ from ncbinom.scalars import (
     ZETA,
     CycloScalar,
     ScalarParseError,
+    _scalar,
     add_ints,
     format_scalar,
     parse_scalar,
@@ -354,3 +355,21 @@ def test_int_tuple_sum_is_the_scalar_sum(a, b):
         assert got is a.ints
     elif a.is_zero:
         assert got is b.ints
+
+
+def test_integral_tuples_are_canonical_and_others_still_reduce():
+    # over 1 no gcd is taken: the tuple must already be the canonical one
+    rng = random.Random(36)
+    integral = [(0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0), (2, 4, 6, 8), (0, 0, 0, -3)]
+    integral += [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(40)]
+    for coords in integral:
+        want = CycloScalar(coords).ints
+        assert _scalar(*coords, 1).ints == want, coords
+        for other in integral[:8]:
+            total = tuple(a + b for a, b in zip(coords, other))
+            assert add_ints(coords + (1,), other + (1,)) == CycloScalar(total).ints, (coords, other)
+    # a common factor of numerators and denominator is still divided out
+    assert _scalar(2, 4, 6, 8, 2).ints == (1, 2, 3, 4, 1)
+    assert _scalar(3, 0, 0, 6, 9).ints == (1, 0, 0, 2, 3)
+    assert add_ints((1, 0, 0, 0, 2), (1, 2, 0, 0, 2)) == (1, 1, 0, 0, 1)
+    assert add_ints((1, 0, 0, 0, 6), (1, 0, 0, 0, 3)) == (1, 0, 0, 0, 2)
